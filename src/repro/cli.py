@@ -22,11 +22,6 @@ The subcommands cover the common flows:
 * ``repro trace`` — manage the record-once/replay-many trace store
   (``docs/TRACESTORE.md``): ``record``, ``info``, ``verify``,
   ``replay``;
-* ``repro serve`` — the persistent sweep service: a durable job queue
-  drained through the shared result cache, with a local status/results
-  API (``docs/SERVICE.md``);
-* ``repro submit|status|results|cancel`` — thin clients against the
-  running service (endpoint discovered via ``serve.json``);
 * ``repro history`` — the longitudinal run-history store: ``ingest``
   artifacts, ``list`` runs, ``verify`` the database
   (``docs/OBSERVABILITY.md``);
@@ -51,11 +46,6 @@ Examples::
     repro trace record --scale 0.25
     repro trace verify --scale 0.25
     repro trace replay --workload engineering --scale 0.25
-    repro serve --workers 2 --jobs 4
-    repro submit --grid fig9 --scale 0.25 --wait
-    repro status
-    repro results <job-id> --out results.json
-    repro cancel <job-id>
     repro bench --quick --ingest --compare-history
     repro history ingest 'benchmarks/results/BENCH_*.json'
     repro history list --kind bench
@@ -71,21 +61,19 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.readchains import DEFAULT_THRESHOLDS, chain_survival
 from repro.analysis.tables import format_table
-from repro.common.errors import ConfigurationError, ServeError, TraceError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.exp.cache import ResultCache
 from repro.exp.figures import FIGURE_ARTIFACTS, FIGURE_TABLES, timing_summary
 from repro.exp.runner import SweepOutcome, SweepReport, SweepRunner
 from repro.exp.spec import (
     NAMED_GRIDS,
     USER_WORKLOADS,
-    ExperimentSpec,
     machine_for,
     params_for,
     sweep,
@@ -850,9 +838,9 @@ def _graceful_stop(on_stop):
 
     The handler only sets a flag (via ``on_stop``, e.g.
     ``runner.request_stop``): the sweep finishes its current task,
-    marks the rest cancelled, and flushes its stats/journal on the way
-    out.  Off the main thread (``signal.signal`` raises ValueError)
-    this is a no-op, so library callers are unaffected.
+    marks the rest cancelled, and flushes its stats on the way out.
+    Off the main thread (``signal.signal`` raises ValueError) this is a
+    no-op, so library callers are unaffected.
     """
     triggered: List[int] = []
     previous = {}
@@ -876,7 +864,7 @@ def _graceful_stop(on_stop):
         except ValueError:  # not the main thread
             pass
     try:
-        yield triggered
+        yield
     finally:
         for signum, old in previous.items():
             signal.signal(signum, old)
@@ -888,6 +876,21 @@ def _write_artifact(out_dir: Optional[str], stem: str, text: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{stem}.txt").write_text(text + "\n")
+
+
+def _result_row(spec, result, source: str) -> list:
+    """One ``repro sweep`` table row."""
+    if spec.kind == "system":
+        local, stall, ovhd = (
+            result.local_miss_fraction,
+            result.stall.total_ns,
+            result.kernel_overhead_ns,
+        )
+    else:
+        local, stall, ovhd = (
+            result.local_fraction, result.stall_ns, result.overhead_ns
+        )
+    return [spec.label(), local * 100, stall / 1e9, ovhd / 1e9, source]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -953,250 +956,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if report.interrupted:
         return 130
     return 1 if failed else 0
-
-
-def _result_row(spec, result, source: str) -> list:
-    """One sweep/results table row (shared by ``sweep`` and ``results``)."""
-    if spec.kind == "system":
-        local, stall, ovhd = (
-            result.local_miss_fraction,
-            result.stall.total_ns,
-            result.kernel_overhead_ns,
-        )
-    else:
-        local, stall, ovhd = (
-            result.local_fraction, result.stall_ns, result.overhead_ns
-        )
-    return [spec.label(), local * 100, stall / 1e9, ovhd / 1e9, source]
-
-
-def _client_for(args: argparse.Namespace):
-    """A ServeClient from ``--url`` or serve.json discovery."""
-    from repro.serve import ServeClient
-
-    if getattr(args, "url", None):
-        return ServeClient(args.url)
-    return ServeClient.from_endpoint(args.serve_dir)
-
-
-def _job_summary(job: dict) -> str:
-    parts = [
-        f"job {job['job_id']}",
-        f"tenant {job['tenant']}",
-        f"state {job['state']}",
-        f"{job['n_specs']} specs",
-    ]
-    telemetry = job.get("telemetry") or {}
-    if telemetry:
-        parts.append(
-            "{executed} executed, {cached} cached, {deduped} deduped, "
-            "{failures} failed".format(**telemetry)
-        )
-        parts.append(
-            f"wait {telemetry['queue_wait_s']:.2f}s, "
-            f"run {telemetry['run_s']:.2f}s, "
-            f"total {telemetry['total_s']:.2f}s"
-        )
-    if job.get("error"):
-        parts.append(f"error: {job['error']}")
-    return "; ".join(parts)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the persistent sweep service (see docs/SERVICE.md)."""
-    from repro.obs.registry import MetricsRegistry
-    from repro.serve import JobQueue, Scheduler, ServeServer, default_serve_dir
-
-    serve_dir = Path(args.serve_dir) if args.serve_dir else default_serve_dir()
-    registry = MetricsRegistry()
-    cache = ResultCache(args.cache_dir, metrics=registry)
-    history = None
-    if not args.no_history:
-        from repro.common.errors import ResultSchemaError
-        from repro.obs.history import HistoryStore
-
-        try:
-            history = HistoryStore(directory=args.history_dir)
-        except ResultSchemaError as exc:
-            # A stale-schema history DB must not keep the service down;
-            # run without ingest and say why.
-            print(f"warning: history disabled: {exc}", file=sys.stderr)
-    try:
-        queue = JobQueue(serve_dir)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    scheduler = Scheduler(
-        queue,
-        cache,
-        workers=args.workers,
-        jobs=args.jobs,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        metrics=registry,
-        history=history,
-    )
-
-    def dump_metrics() -> None:
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(registry.collect(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-
-    if args.once:
-        with _graceful_stop(lambda: scheduler.stop(wait=False)) as triggered:
-            processed = scheduler.drain()
-        counts = queue.counts()
-        print(
-            f"processed {processed} job(s); queue: "
-            + ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
-        )
-        dump_metrics()
-        queue.close()
-        return 130 if triggered else 0
-
-    server = ServeServer(
-        scheduler, serve_dir, host=args.host, port=args.port
-    )
-    stop = threading.Event()
-    try:
-        server.start()
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        queue.close()
-        return 2
-    print(
-        f"serving on {server.url} (journal {queue.path}); "
-        "submit with: repro submit --grid fig9",
-        file=sys.stderr,
-    )
-    with _graceful_stop(stop.set) as triggered:
-        stop.wait()
-    server.stop()
-    dump_metrics()
-    queue.close()
-    return 130 if triggered else 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Queue a grid on the running service."""
-    try:
-        specs = _specs_for(args)
-        client = _client_for(args)
-        job = client.submit(specs, tenant=args.tenant)
-    except (ValueError, ConfigurationError, ServeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"submitted job {job['job_id']} "
-        f"({job['n_specs']} specs, tenant {job['tenant']})"
-    )
-    if args.wait:
-        try:
-            job = client.wait(job["job_id"], timeout_s=args.wait_timeout)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(_job_summary(job))
-        if args.json:
-            print(json.dumps(job, indent=2, sort_keys=True))
-        return 0 if job["state"] == "done" else 1
-    if args.json:
-        print(json.dumps(job, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    """One job's status, or the whole queue."""
-    try:
-        client = _client_for(args)
-        if args.job_id:
-            job = client.status(args.job_id)
-            if args.json:
-                print(json.dumps(job, indent=2, sort_keys=True))
-            else:
-                print(_job_summary(job))
-            return 0
-        payload = client.status(tenant=args.tenant, state=args.state)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    rows = []
-    for job in payload["jobs"]:
-        telemetry = job.get("telemetry") or {}
-        rows.append([
-            job["job_id"], job["tenant"], job["state"], job["n_specs"],
-            f"{telemetry['run_s']:.2f}" if "run_s" in telemetry else "-",
-        ])
-    print(format_table(
-        "Sweep service queue",
-        ["Job", "Tenant", "State", "Specs", "Run (s)"],
-        rows,
-    ))
-    counts = payload["counts"]
-    print("\n" + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
-    return 0
-
-
-def cmd_results(args: argparse.Namespace) -> int:
-    """A finished job's results, straight from the shared cache."""
-    from repro.exp.cache import _load_result
-
-    try:
-        client = _client_for(args)
-        payload = client.results(args.job_id)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if payload["missing"] else 0
-    rows = []
-    for entry in payload["results"]:
-        spec = ExperimentSpec.from_dict(entry["spec"])
-        if entry["result"] is None:
-            rows.append([spec.label(), "-", "-", "-", "missing"])
-        else:
-            rows.append(_result_row(spec, _load_result(entry["result"]),
-                                    "cache"))
-    job = payload["job"]
-    print(format_table(
-        f"Job {job['job_id']} ({job['state']})",
-        ["Spec", "Local %", "Stall (s)", "Overhead (s)", "Source"],
-        rows,
-    ))
-    if payload["missing"]:
-        print(
-            f"\n{payload['missing']} result(s) not in the cache yet "
-            f"(job state: {job['state']})"
-        )
-        return 1
-    return 0
-
-
-def cmd_cancel(args: argparse.Namespace) -> int:
-    """Cancel a queued or running job."""
-    try:
-        client = _client_for(args)
-        job = client.cancel(args.job_id)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if job["state"] == "cancelled":
-        print(f"job {job['job_id']} cancelled")
-    elif job.get("cancel_requested"):
-        print(f"job {job['job_id']} is running; it will stop between tasks")
-    else:
-        print(f"job {job['job_id']} already {job['state']}")
-    return 0
 
 
 #: ``repro bench --quick``: the converted, JSON-emitting benches that
@@ -1793,7 +1552,7 @@ def _add_engine_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    """Grid selection shared by ``repro sweep`` and ``repro submit``."""
+    """Grid selection for ``repro sweep``."""
     parser.add_argument(
         "--grid", choices=sorted(NAMED_GRIDS), default=None,
         help="a named figure grid (fig3, fig6, fig9)",
@@ -1825,15 +1584,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_dir_option(parser: argparse.ArgumentParser) -> None:
-    """Where the service keeps its journal and discovery file."""
-    parser.add_argument(
-        "--serve-dir", metavar="DIR", default=None,
-        help="service directory (default $REPRO_SERVE_DIR or "
-        "~/.cache/repro/serve)",
-    )
-
-
 def _add_history_dir_option(parser: argparse.ArgumentParser) -> None:
     """Where the longitudinal run-history database lives."""
     parser.add_argument(
@@ -1851,12 +1601,12 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes (1 = in-process serial execution)",
     )
     parser.add_argument(
-        "--task-timeout", "--timeout", dest="timeout", type=float,
+        "--timeout", type=float,
         default=None, metavar="SECONDS",
         help="per-task timeout before the task is retried serially",
     )
     parser.add_argument(
-        "--task-retries", "--retries", dest="retries", type=int, default=1,
+        "--retries", type=int, default=1,
         help="retries per failed task (default 1)",
     )
     parser.add_argument(
@@ -2069,113 +1819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "serve",
-        help="run the persistent sweep service (queue + status/results API)",
-    )
-    _add_serve_dir_option(p)
-    p.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1; the API is unauthenticated)",
-    )
-    p.add_argument(
-        "--port", type=int, default=0,
-        help="bind port (default 0 = ephemeral, published via serve.json)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="concurrent jobs the scheduler runs (default 1)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="sweep worker processes per job (default 1)",
-    )
-    p.add_argument(
-        "--task-timeout", "--timeout", dest="timeout", type=float,
-        default=None, metavar="SECONDS",
-        help="per-task timeout before the task is retried serially",
-    )
-    p.add_argument(
-        "--task-retries", "--retries", dest="retries", type=int, default=1,
-        help="retries per failed task (default 1)",
-    )
-    p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache location (default $REPRO_CACHE_DIR or ~/.cache/repro/exp)",
-    )
-    p.add_argument(
-        "--once", action="store_true",
-        help="drain the queued jobs on this thread and exit (no HTTP)",
-    )
-    p.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="dump the service's metrics registry as JSON on shutdown",
-    )
-    _add_history_dir_option(p)
-    p.add_argument(
-        "--no-history", action="store_true",
-        help="do not ingest completed-job telemetry into the history store",
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="queue an experiment grid on the running service"
-    )
-    _add_grid_options(p)
-    _add_scale_seed(p)
-    _add_serve_dir_option(p)
-    p.add_argument("--url", default=None, help="service URL (skip discovery)")
-    p.add_argument(
-        "--tenant", default="default",
-        help="tenant label for the job (default 'default')",
-    )
-    p.add_argument(
-        "--wait", action="store_true",
-        help="poll until the job finishes; exit 0 only when it is done",
-    )
-    p.add_argument(
-        "--wait-timeout", type=float, default=None, metavar="SECONDS",
-        help="give up waiting after SECONDS (default: wait forever)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the job dict as JSON"
-    )
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
-        "status", help="show the service queue or one job's status"
-    )
-    p.add_argument("job_id", nargs="?", default=None, help="one job to show")
-    _add_serve_dir_option(p)
-    p.add_argument("--url", default=None, help="service URL (skip discovery)")
-    p.add_argument("--tenant", default=None, help="filter by tenant")
-    p.add_argument(
-        "--state", default=None,
-        choices=("pending", "running", "done", "failed", "cancelled"),
-        help="filter by state",
-    )
-    p.add_argument("--json", action="store_true", help="print JSON")
-    p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser(
-        "results", help="fetch a job's results from the shared cache"
-    )
-    p.add_argument("job_id", help="the job whose results to fetch")
-    _add_serve_dir_option(p)
-    p.add_argument("--url", default=None, help="service URL (skip discovery)")
-    p.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the full results payload as JSON to PATH",
-    )
-    p.add_argument("--json", action="store_true", help="print JSON")
-    p.set_defaults(func=cmd_results)
-
-    p = sub.add_parser("cancel", help="cancel a queued or running job")
-    p.add_argument("job_id", help="the job to cancel")
-    _add_serve_dir_option(p)
-    p.add_argument("--url", default=None, help="service URL (skip discovery)")
-    p.set_defaults(func=cmd_cancel)
-
-    p = sub.add_parser(
         "trace",
         help="manage the record-once/replay-many trace store",
     )
@@ -2308,7 +1951,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hp = history_sub.add_parser("list", help="list ingested runs")
     hp.add_argument(
-        "--kind", choices=("bench", "report", "sweep", "serve"),
+        "--kind", choices=("bench", "report", "sweep"),
         default=None, help="only runs of this kind",
     )
     hp.add_argument(

@@ -72,16 +72,7 @@ class LockTimeout(ReproError):
     """A cross-process file lock could not be acquired in time.
 
     Raised by :class:`repro.common.locks.FileLock` when a holder keeps
-    the lock past the caller's timeout — e.g. a second ``repro serve``
-    pointed at a queue directory another server already owns.
-    """
-
-
-class ServeError(ReproError):
-    """The sweep service could not honour a request.
-
-    Covers the durable job queue (corrupt journal records away from the
-    tail, double-ownership of a journal), the scheduler (no shared
-    result cache), the HTTP API (unknown job ids, invalid submissions)
-    and the thin client (unreachable or erroring server).
+    the lock past the caller's timeout — e.g. a
+    :class:`~repro.obs.history.HistoryStore` write that waited its 30 s
+    while another process held the database lock.
     """

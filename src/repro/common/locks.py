@@ -2,11 +2,11 @@
 
 The content-addressed :class:`~repro.exp.cache.ResultCache` and
 :class:`~repro.store.tracestore.TraceStore` are shared by sweep worker
-processes, pytest sessions, and — since the ``repro serve`` service —
-many concurrent submitting clients.  Their writes were always atomic
-(temp file + ``os.replace``), which prevents *torn* entries but not
-*stampedes*: N writers that miss the same key all pay the serialization
-and I/O to produce identical bytes, and N-1 of those writes are wasted.
+processes, pytest sessions and concurrent ``repro sweep`` invocations.
+Their writes were always atomic (temp file + ``os.replace``), which
+prevents *torn* entries but not *stampedes*: N writers that miss the
+same key all pay the serialization and I/O to produce identical bytes,
+and N-1 of those writes are wasted.
 
 :class:`FileLock` closes that gap with a single-writer discipline:
 
@@ -15,7 +15,8 @@ and I/O to produce identical bytes, and N-1 of those writes are wasted.
   wedges the store (no stale-pid bookkeeping);
 * acquisition is blocking by default, bounded by ``timeout`` seconds
   when given (``timeout=0`` means try-once), raising
-  :class:`~repro.common.errors.LockTimeout` on expiry;
+  :class:`~repro.common.errors.LockTimeout` on expiry — e.g.
+  :class:`~repro.obs.history.HistoryStore` bounds its writes at 30 s;
 * lock files are left in place after release — unlinking a lock file
   that another process has already opened would silently split the lock
   into two.

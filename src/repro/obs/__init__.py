@@ -136,7 +136,6 @@ from repro.obs.registry import (
     Gauge,
     MetricFamily,
     MetricsRegistry,
-    prom_exposition,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -242,7 +241,6 @@ __all__ = [
     "Gauge",
     "MetricFamily",
     "MetricsRegistry",
-    "prom_exposition",
     "NULL_TRACER",
     "CountingSink",
     "ListSink",

@@ -2,36 +2,34 @@
 
 Every other artifact in the stack is a *one-shot* snapshot: a
 ``BENCH_<name>.json`` gates against a single committed baseline, a
-profiler :class:`~repro.obs.prof.RunReport` describes one run, a sweep
-``--stats-out`` blob describes one sweep, and serve telemetry dies with
-the job journal.  This module gives those artifacts a trajectory: a
-schema-versioned, single-file **sqlite** database (stdlib ``sqlite3``,
-no new dependencies) that ingests all four artifact families into one
-uniform shape —
+profiler :class:`~repro.obs.prof.RunReport` describes one run, and a
+sweep ``--stats-out`` blob describes one sweep.  This module gives those
+artifacts a trajectory: a schema-versioned, single-file **sqlite**
+database (stdlib ``sqlite3``, no new dependencies) that ingests all
+three artifact families into one uniform shape —
 
     runs(kind, name, code_token, t, context)
       └─ samples(metric, value, unit, direction)   # per-metric rows
 
-— keyed by artifact kind (``bench``/``report``/``sweep``/``serve``),
-artifact name (bench name, report label, grid name, tenant), the
-repository's code-version token (so trends can be segmented by code
-change) and the ingest timestamp.
+— keyed by artifact kind (``bench``/``report``/``sweep``), artifact
+name (bench name, report label, grid name), the repository's
+code-version token (so trends can be segmented by code change) and the
+ingest timestamp.
 
 Concurrency and atomicity follow the repo's store discipline: writers
 take the shared :class:`~repro.common.locks.FileLock` (sibling
 ``history.sqlite.lock``) and commit one transaction per artifact, so
-concurrent serve workers, sweeps and benches never interleave rows or
-tear an ingest.  Malformed artifacts **never traceback**: every ingest
-path degrades to a ``(None, "path: reason")`` skip that callers print
-as a one-line warning.
+concurrent sweeps and benches never interleave rows or tear an ingest.
+Malformed artifacts **never traceback**: every ingest path degrades to
+a ``(None, "path: reason")`` skip that callers print as a one-line
+warning.
 
 On top of the store sit the consumers:
 
 * :func:`trend_stats` / :func:`compare_history` — rolling-median + EWMA
   regression bands per metric, replacing the single-baseline tolerance
   check (``repro bench --compare-history``);
-* :mod:`repro.obs.report` — the ``repro report`` HTML/JSON dashboards;
-* the serve API's ``GET /history/summary`` rollup.
+* :mod:`repro.obs.report` — the ``repro report`` HTML/JSON dashboards.
 
 See ``docs/OBSERVABILITY.md`` ("The run-history store") for the schema
 and the band math.
@@ -63,7 +61,7 @@ HISTORY_DIR_ENV = "REPRO_HISTORY_DIR"
 DB_FILENAME = "history.sqlite"
 
 #: Artifact families the store understands.
-RUN_KINDS = ("bench", "report", "sweep", "serve")
+RUN_KINDS = ("bench", "report", "sweep")
 
 #: Relative band floor when a metric carries no tolerance of its own:
 #: identical reruns must pass despite wall-clock noise, while a 2x
@@ -142,8 +140,8 @@ class HistoryStore:
     """The sqlite-backed longitudinal run-history database.
 
     Connections are short-lived (one per operation), so one store
-    instance is safe to share across serve worker threads; cross-process
-    writers serialize on the sibling ``.lock`` file.
+    instance is safe to share across threads; cross-process writers
+    serialize on the sibling ``.lock`` file.
     """
 
     def __init__(
@@ -353,44 +351,6 @@ class HistoryStore:
         context = {"replay_engine": data.get("replay_engine", "auto")}
         return self.ingest("sweep", name, samples, t=t, context=context)
 
-    def ingest_serve_job(
-        self,
-        telemetry: Dict[str, Any],
-        job_id: str,
-        tenant: str = "default",
-        t: Optional[float] = None,
-    ) -> int:
-        """Ingest one completed serve job's telemetry payload."""
-        if not isinstance(telemetry, dict) or "run_s" not in telemetry:
-            raise ResultSchemaError(
-                "serve telemetry payload has no 'run_s' field"
-            )
-        keep = (
-            "specs", "executed", "cached", "deduped", "failures",
-            "cancelled", "queue_wait_s", "run_s", "total_s",
-        )
-        samples = [
-            MetricSample(
-                key,
-                float(telemetry[key]),
-                unit="s" if key.endswith("_s") else "",
-            )
-            for key in keep
-            if isinstance(telemetry.get(key), (int, float))
-            and math.isfinite(float(telemetry[key]))
-        ]
-        profile = telemetry.get("profile")
-        if isinstance(profile, dict):
-            for key in ("wall_ns", "peak_rss", "cpu_user_s", "cpu_sys_s"):
-                value = profile.get(key)
-                if isinstance(value, (int, float)) and math.isfinite(value):
-                    samples.append(
-                        MetricSample(f"profile.{key}", float(value))
-                    )
-        return self.ingest(
-            "serve", tenant, samples, t=t, context={"job_id": job_id}
-        )
-
     def ingest_file(self, path: Union[str, Path]) -> Tuple[Optional[int], str]:
         """Sniff and ingest one JSON artifact file — never raises.
 
@@ -545,27 +505,9 @@ class HistoryStore:
             rows = conn.execute(sql, (kind, name, metric)).fetchall()
         return [(float(t), float(v)) for t, v in reversed(rows)]
 
-    def sample_values(
-        self, kind: str, name: str, metric: str
-    ) -> List[float]:
-        """Every recorded value for one metric (ingest order)."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT s.value FROM samples s "
-                "JOIN runs r ON r.run_id = s.run_id "
-                "WHERE r.kind = ? AND r.name = ? AND s.metric = ? "
-                "ORDER BY r.t ASC, r.run_id ASC",
-                (kind, name, metric),
-            ).fetchall()
-        return [float(r[0]) for r in rows]
-
     def summary(self, window: int = 50) -> Dict[str, Any]:
-        """The rollup behind ``GET /history/summary`` and ``repro report``.
-
-        Per kind: run counts and names; for serve runs additionally the
-        queue-wait/run-time percentiles and throughput over the last
-        ``window`` jobs per tenant.
-        """
+        """The rollup behind ``repro report``: per kind, run counts and
+        names over the last ``window`` runs of each name."""
         out: Dict[str, Any] = {
             "schema_version": HISTORY_SCHEMA_VERSION,
             "path": str(self.path),
@@ -585,24 +527,6 @@ class HistoryStore:
                     "n_metrics": rows[0].n_metrics if rows else 0,
                 }
             out["kinds"][kind] = entry
-        serve_rollup: Dict[str, Any] = {}
-        for tenant in self.names("serve"):
-            waits = self.sample_values("serve", tenant, "queue_wait_s")
-            runs_s = self.sample_values("serve", tenant, "run_s")
-            rows = self.runs(kind="serve", name=tenant, limit=window)
-            span_s = (
-                rows[0].t - rows[-1].t if len(rows) > 1 else 0.0
-            )
-            serve_rollup[tenant] = {
-                "jobs": len(rows),
-                "queue_wait_s": _percentile_summary(waits[-window:]),
-                "run_s": _percentile_summary(runs_s[-window:]),
-                "jobs_per_min": (
-                    (len(rows) - 1) / (span_s / 60.0) if span_s > 0 else None
-                ),
-            }
-        if serve_rollup:
-            out["serve"] = serve_rollup
         return out
 
     # -- integrity -------------------------------------------------------------
@@ -666,28 +590,6 @@ class HistoryStore:
         except sqlite3.DatabaseError as exc:
             problems.append(f"unreadable database: {exc}")
         return problems
-
-
-def _percentile_summary(values: List[float]) -> Dict[str, Optional[float]]:
-    """count/p50/p95/max over a raw value list (None when empty)."""
-    if not values:
-        return {"count": 0, "p50": None, "p95": None, "max": None}
-    data = sorted(values)
-
-    def pct(q: float) -> float:
-        rank = (q / 100.0) * (len(data) - 1)
-        lo, hi = int(math.floor(rank)), int(math.ceil(rank))
-        if lo == hi:
-            return data[lo]
-        frac = rank - lo
-        return data[lo] * (1.0 - frac) + data[hi] * frac
-
-    return {
-        "count": len(data),
-        "p50": pct(50.0),
-        "p95": pct(95.0),
-        "max": data[-1],
-    }
 
 
 # -- trend-aware regression gating ---------------------------------------------

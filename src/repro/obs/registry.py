@@ -21,7 +21,6 @@ children into an aggregate with ``OnlineStats.__add__`` (non-mutating).
 from __future__ import annotations
 
 import math
-import re
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -233,71 +232,3 @@ class MetricsRegistry:
             if has_stats:
                 out.update(_stats_values(name, family.merged()))
         return dict(sorted(out.items()))
-
-
-# -- Prometheus text exposition -------------------------------------------------
-
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-_PROM_LABEL_BAD = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _prom_parts(raw: str) -> Tuple[str, str]:
-    """Split one collected key into a Prometheus (name, label-block).
-
-    Collected keys are dotted, and family children carry a
-    ``{k=v,...}`` label segment mid-name (``prof.span{path=x}.mean``);
-    Prometheus wants underscores and the labels at the end, so the
-    label block is extracted, the remaining dots fold to underscores,
-    and label values get quoted/escaped.
-    """
-    labels = ""
-    name = raw
-    if "{" in raw and "}" in raw:
-        start = raw.index("{")
-        end = raw.rindex("}")
-        labels = raw[start + 1:end]
-        name = raw[:start] + raw[end + 1:]
-    name = _PROM_NAME_BAD.sub("_", name)
-    if name and name[0].isdigit():
-        name = "_" + name
-    block = ""
-    if labels:
-        pairs = []
-        for part in labels.split(","):
-            key, _, value = part.partition("=")
-            key = _PROM_LABEL_BAD.sub("_", key)
-            value = (
-                value.replace("\\", "\\\\")
-                .replace('"', '\\"')
-                .replace("\n", "\\n")
-            )
-            pairs.append(f'{key}="{value}"')
-        block = "{" + ",".join(pairs) + "}"
-    return name, block
-
-
-def prom_exposition(values: Dict[str, float]) -> str:
-    """Render a :meth:`MetricsRegistry.collect` dict as Prometheus text.
-
-    Version 0.0.4 exposition: one ``# TYPE`` line per metric name with
-    all of its label children grouped under it (the format forbids
-    interleaving families), every sample typed ``gauge`` — the registry
-    does not distinguish counters at collection time, and untyped
-    gauges are always safe to scrape.
-    """
-    grouped: Dict[str, List[Tuple[str, float]]] = {}
-    for raw in sorted(values):
-        name, block = _prom_parts(raw)
-        grouped.setdefault(name, []).append((block, float(values[raw])))
-    lines: List[str] = []
-    for name in sorted(grouped):
-        lines.append(f"# TYPE {name} gauge")
-        for block, value in grouped[name]:
-            if math.isnan(value):
-                rendered = "NaN"
-            elif math.isinf(value):
-                rendered = "+Inf" if value > 0 else "-Inf"
-            else:
-                rendered = f"{value:.10g}"
-            lines.append(f"{name}{block} {rendered}")
-    return "\n".join(lines) + "\n" if lines else ""

@@ -210,36 +210,10 @@ def _metric_table(metrics: Dict[str, Any]) -> str:
     return "".join(rows)
 
 
-def _serve_table(serve: Dict[str, Any]) -> str:
-    rows = [
-        "<table><thead><tr><th>tenant</th><th>jobs</th>"
-        "<th>queue wait p50/p95 (s)</th><th>run p50/p95 (s)</th>"
-        "<th>jobs/min</th></tr></thead><tbody>"
-    ]
-    for tenant in sorted(serve):
-        entry = serve[tenant]
-        wait = entry.get("queue_wait_s", {})
-        run = entry.get("run_s", {})
-        rows.append(
-            "<tr>"
-            f"<td>{html.escape(str(tenant))}</td>"
-            f'<td class="num">{entry.get("jobs", 0)}</td>'
-            f'<td class="num">{_fmt(wait.get("p50"))} / '
-            f'{_fmt(wait.get("p95"))}</td>'
-            f'<td class="num">{_fmt(run.get("p50"))} / '
-            f'{_fmt(run.get("p95"))}</td>'
-            f'<td class="num">{_fmt(entry.get("jobs_per_min"))}</td>'
-            "</tr>"
-        )
-    rows.append("</tbody></table>")
-    return "".join(rows)
-
-
 _KIND_TITLES = {
     "bench": "Bench trends",
     "report": "Profiler runs",
     "sweep": "Sweep stats",
-    "serve": "Serve jobs",
 }
 
 
@@ -267,8 +241,6 @@ def render_html(summary: Dict[str, Any]) -> str:
         if not names:
             continue
         parts.append(f"<h2>{html.escape(_KIND_TITLES.get(kind, kind))}</h2>")
-        if kind == "serve" and summary.get("history", {}).get("serve"):
-            parts.append(_serve_table(summary["history"]["serve"]))
         for name in sorted(names):
             parts.append(f"<h3>{html.escape(str(name))}</h3>")
             parts.append(_metric_table(names[name]))

@@ -13,11 +13,21 @@ from repro.common import errors
         errors.VmError,
         errors.SchedulerError,
         errors.TraceError,
+        errors.TraceStoreError,
         errors.SimulationError,
+        errors.ResultSchemaError,
+        errors.ExperimentError,
+        errors.LockTimeout,
     ],
 )
 def test_subclasses_of_repro_error(exc):
     assert issubclass(exc, errors.ReproError)
+
+
+def test_trace_store_error_is_a_trace_error():
+    # Callers that degrade on any malformed trace also catch bad
+    # on-disk containers.
+    assert issubclass(errors.TraceStoreError, errors.TraceError)
 
 
 def test_allocation_error_carries_node():

@@ -5,6 +5,7 @@ process-pool path.
 """
 
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -245,3 +246,105 @@ class TestGracefulStop:
         runner.request_stop()
         runner.run(trace_specs(2))
         assert cache.stats()["stores"] == 0
+
+    def test_request_stop_sets_the_event(self):
+        runner = SweepRunner(jobs=1)
+        assert not runner.stopped
+        runner.request_stop()
+        assert runner.stop_event.is_set()
+        assert runner.stopped
+
+    def test_stop_before_parallel_run_never_starts_a_pool(self):
+        runner = SweepRunner(jobs=2)
+        runner.request_stop()
+        report = runner.run(trace_specs(3))
+        assert report.cancelled == 3
+        assert report.executed == 0
+        assert "pool" not in report.phase_wall_s
+        assert all(o.attempts == 0 for o in report.outcomes)
+
+    def test_stop_mid_parallel_run_cancels_unstarted_work(self, tmp_path):
+        cache = ResultCache(directory=tmp_path, token="t")
+        runner = SweepRunner(cache=cache, jobs=2)
+
+        def progress(outcome, done, total):
+            if done == 1:
+                runner.request_stop()
+
+        runner.progress = progress
+        report = runner.run(trace_specs(4))
+        assert report.interrupted
+        # Chunks already running finish; the rest come back cancelled.
+        assert report.executed >= 1
+        assert report.executed + report.cancelled == 4
+        assert all(o.ok or o.cancelled for o in report.outcomes)
+        assert len(cache) == report.executed
+
+    def test_stop_between_attempts_cancels_the_retry(self, tmp_path):
+        cache = ResultCache(directory=tmp_path, token="t")
+        runner = SweepRunner(cache=cache, jobs=1, retries=2)
+
+        def fail_then_stop(spec, attempt):
+            runner.request_stop()
+            raise RuntimeError("injected fault")
+
+        runner.fault_hook = fail_then_stop
+        report = runner.run(trace_specs(2))
+        first, second = report.outcomes
+        assert first.cancelled and first.attempts == 1
+        assert second.cancelled and second.attempts == 0
+        assert len(cache) == 0
+
+    def test_rerun_executes_only_what_was_cancelled(self, tmp_path):
+        cache = ResultCache(directory=tmp_path, token="t")
+        specs = trace_specs(3)
+        runner = SweepRunner(cache=cache, jobs=1)
+        runner.progress = lambda o, done, total: runner.request_stop()
+        stopped = runner.run(specs)
+        assert (stopped.executed, stopped.cancelled) == (1, 2)
+
+        rerun = SweepRunner(cache=cache, jobs=1).run(specs)
+        assert (rerun.from_cache, rerun.executed) == (1, 2)
+        assert canonical(rerun.results) == canonical(
+            SweepRunner(jobs=1).run(specs).results
+        )
+
+
+def _concurrent_sweep(directory, barrier, out):
+    cache = ResultCache(directory=directory, token="t")
+    barrier.wait()
+    report = SweepRunner(cache=cache, jobs=1).run(trace_specs(2))
+    out.put((len(report.failures), cache.stats()))
+
+
+class TestConcurrentSweeps:
+    def test_two_sweeps_share_one_cache_without_corruption(self, tmp_path):
+        # Two sweeps may both execute a spec, but each cache key is
+        # written exactly once and every entry reads back intact.
+        n = 2
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(n)
+        out = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_concurrent_sweep, args=(str(tmp_path), barrier, out)
+            )
+            for _ in range(n)
+        ]
+        for proc in procs:
+            proc.start()
+        results = [out.get(timeout=120) for _ in range(n)]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        assert [failures for failures, _ in results] == [0, 0]
+        assert sum(stats["stores"] for _, stats in results) == 2
+
+        specs = trace_specs(2)
+        warm = SweepRunner(
+            cache=ResultCache(directory=tmp_path, token="t"), jobs=1
+        ).run(specs)
+        assert (warm.from_cache, warm.executed) == (2, 0)
+        assert canonical(warm.results) == canonical(
+            SweepRunner(jobs=1).run(specs).results
+        )

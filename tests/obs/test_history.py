@@ -7,11 +7,13 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.common.errors import ResultSchemaError
 from repro.obs.bench import BenchArtifact
 from repro.obs.history import (
     DEFAULT_MIN_BAND,
     HISTORY_SCHEMA_VERSION,
+    RUN_KINDS,
     HistoryStore,
     MetricSample,
     TrendStats,
@@ -141,23 +143,6 @@ class TestIngest:
         with pytest.raises(ResultSchemaError, match="specs"):
             store.ingest_sweep_stats({"executed": 1}, name="x")
 
-    def test_ingest_serve_job(self, tmp_path):
-        store = store_in(tmp_path)
-        telemetry = {
-            "specs": 2, "executed": 1, "cached": 1, "deduped": 0,
-            "failures": 0, "cancelled": 0, "queue_wait_s": 0.1,
-            "run_s": 2.0, "total_s": 2.1,
-            "profile": {"wall_ns": 5, "peak_rss": 10,
-                        "cpu_user_s": 0.5, "cpu_sys_s": 0.1},
-        }
-        store.ingest_serve_job(telemetry, job_id="j1", tenant="acme", t=3.0)
-        metrics = store.metric_names("serve", "acme")
-        assert "run_s" in metrics
-        assert "profile.peak_rss" in metrics
-        assert store.runs(kind="serve")[0].context == {"job_id": "j1"}
-        with pytest.raises(ResultSchemaError, match="run_s"):
-            store.ingest_serve_job({"specs": 1}, job_id="j2")
-
     def test_concurrent_ingest_is_atomic(self, tmp_path):
         store = store_in(tmp_path)
         errors = []
@@ -253,24 +238,31 @@ class TestQueries:
         assert [r.kind for r in store.runs()] == ["sweep", "bench"]
         assert [r.name for r in store.runs(kind="bench")] == ["a"]
         assert store.names("bench") == ["a"]
-        assert store.names("serve") == []
+        assert store.names("report") == []
 
-    def test_summary_serve_rollup(self, tmp_path):
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_every_run_kind_lists_alone(self, tmp_path, capsys, kind):
         store = store_in(tmp_path)
-        for i in range(3):
-            store.ingest_serve_job(
-                {"queue_wait_s": 0.1 * i, "run_s": 1.0 + i, "total_s": 1.0},
-                job_id=f"j{i}", tenant="acme", t=60.0 * i,
-            )
-        summary = store.summary()
-        assert summary["total_runs"] == 3
-        rollup = summary["serve"]["acme"]
-        assert rollup["jobs"] == 3
-        assert rollup["queue_wait_s"]["count"] == 3
-        assert rollup["run_s"]["p50"] == pytest.approx(2.0)
-        # 2 completion intervals over 2 minutes.
-        assert rollup["jobs_per_min"] == pytest.approx(1.0)
+        for other in RUN_KINDS:
+            store.ingest(other, f"{other}-run", [MetricSample("m", 1.0)])
+        assert store.names(kind) == [f"{kind}-run"]
+        assert [r.kind for r in store.runs(kind=kind)] == [kind]
+        assert main([
+            "history", "list", "--kind", kind,
+            "--history-dir", str(store.directory),
+        ]) == 0
+        out = capsys.readouterr().out
+        listed = [o for o in RUN_KINDS if f"{o}-run" in out]
+        assert listed == [kind]
 
+    def test_list_rejects_the_retired_serve_kind(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "history", "list", "--kind", "serve",
+                "--history-dir", str(tmp_path / "hist"),
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 class TestVerify:
     def test_clean_db(self, tmp_path):
@@ -278,7 +270,12 @@ class TestVerify:
         store.ingest("bench", "b", [MetricSample("m", 1.0)])
         assert store.verify() == []
 
-    def test_flags_orphans_bad_kinds_and_empty_runs(self, tmp_path):
+    # 'serve' rows were written by the retired sweep service; databases
+    # that still hold them must open, list and report like any other.
+    @pytest.mark.parametrize("kind", ["alien", "serve"])
+    def test_flags_orphans_bad_kinds_and_empty_runs(
+        self, tmp_path, capsys, kind
+    ):
         store = store_in(tmp_path)
         store.ingest("bench", "b", [MetricSample("m", 1.0)])
         with sqlite3.connect(str(store.path)) as conn:
@@ -288,14 +285,29 @@ class TestVerify:
             )
             conn.execute(
                 "INSERT INTO runs (kind, name, code_token, t, context) "
-                "VALUES ('alien', 'x', 't', 1.0, 'not-json')"
+                "VALUES (?, 'x', 't', 1.0, 'not-json')",
+                (kind,),
             )
             conn.commit()
-        problems = " | ".join(store.verify())
-        assert "orphaned sample" in problems
-        assert "unknown run kind 'alien'" in problems
-        assert "without metric rows" in problems
-        assert "not JSON" in problems
+        problems = store.verify()
+        assert [p for p in problems if kind in p] == [
+            f"unknown run kind {kind!r}"
+        ]
+        joined = " | ".join(problems)
+        assert "orphaned sample" in joined
+        assert "without metric rows" in joined
+        assert "not JSON" in joined
+
+        history_dir = str(store.directory)
+        assert main(["history", "list", "--history-dir", history_dir]) == 0
+        assert kind in capsys.readouterr().out
+        assert main(["report", "--json", "--history-dir", history_dir]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["history"]["total_runs"] == 2
+        assert main(["history", "verify", "--history-dir", history_dir]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown run kind {kind!r}" in err
+        assert "Traceback" not in err
 
 
 class TestTrendMath:

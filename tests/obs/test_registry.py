@@ -1,7 +1,5 @@
 """The metrics registry: registration kinds, families, and collection."""
 
-import re
-
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -11,7 +9,6 @@ from repro.obs.registry import (
     Gauge,
     MetricFamily,
     MetricsRegistry,
-    prom_exposition,
 )
 
 
@@ -181,63 +178,3 @@ class TestSampleStatsHistograms:
         merged = family.merged()
         assert isinstance(merged, SampleStats)
         assert merged.count == 2
-
-
-class TestPromExposition:
-    def test_names_and_values(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.jobs.completed").inc(3)
-        registry.histogram("serve.queue.wait_s", SampleStats()).add(0.5)
-        text = prom_exposition(registry.collect())
-        assert "# TYPE serve_jobs_completed gauge" in text
-        assert "serve_jobs_completed 3" in text
-        assert "serve_queue_wait_s_p95 0.5" in text
-        assert text.endswith("\n")
-
-    def test_labels_extracted_and_quoted(self):
-        registry = MetricsRegistry()
-        family = registry.family("prof.span", factory=OnlineStats)
-        family.labels(path="a/b").add(2.0)
-        text = prom_exposition(registry.collect())
-        assert 'prof_span_mean{path="a/b"} 2' in text
-
-    def test_families_are_grouped_not_interleaved(self):
-        registry = MetricsRegistry()
-        family = registry.family("lat", factory=OnlineStats)
-        family.labels(node=0).add(1.0)
-        family.labels(node=1).add(3.0)
-        text = prom_exposition(registry.collect())
-        names = [
-            line.split("{")[0].split(" ")[0]
-            for line in text.splitlines()
-            if not line.startswith("#")
-        ]
-        # Every metric family's samples are contiguous.
-        seen = []
-        for name in names:
-            if not seen or seen[-1] != name:
-                assert name not in seen, f"{name} interleaved"
-                seen.append(name)
-
-    def test_every_line_parses(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.gauge("g").set(-2.5)
-        registry.histogram("h", SampleStats()).add(1e-9)
-        family = registry.family("f", factory=OnlineStats)
-        family.labels(kind="x").add(4.0)
-        line_re = re.compile(
-            r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-            r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
-            r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? '
-            r"[-+0-9.eE]+|[-+]Inf|NaN$"
-        )
-        for line in prom_exposition(registry.collect()).splitlines():
-            if line.startswith("#"):
-                assert line.startswith("# TYPE ")
-                continue
-            assert line_re.match(line), line
-            float(line.rsplit(" ", 1)[1])
-
-    def test_empty_registry_is_empty_exposition(self):
-        assert prom_exposition({}) == ""

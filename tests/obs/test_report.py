@@ -3,8 +3,10 @@
 import json
 import re
 
+import pytest
+
 from repro.obs.bench import BenchArtifact
-from repro.obs.history import HistoryStore, MetricSample
+from repro.obs.history import RUN_KINDS, HistoryStore, MetricSample
 from repro.obs.report import (
     REPORT_SCHEMA_VERSION,
     build_summary,
@@ -22,9 +24,8 @@ def seeded_store(tmp_path, runs=4):
                      direction="lower")
         artifact.add("speedup.all", 3.0, unit="x", direction="higher")
         store.ingest_bench(artifact.to_dict(), t=float(i))
-    store.ingest_serve_job(
-        {"queue_wait_s": 0.1, "run_s": 1.0, "total_s": 1.1},
-        job_id="j1", tenant="acme", t=100.0,
+    store.ingest_sweep_stats(
+        {"specs": 16, "executed": 16, "wall_s": 2.0}, name="fig9", t=100.0
     )
     return store
 
@@ -41,8 +42,18 @@ class TestBuildSummary:
         assert wall["n"] == 4
         assert len(wall["series"]) == 4
         assert wall["trend"]["verdict"] == "flat"
-        assert "serve" in summary["kinds"]
-        assert summary["history"]["serve"]["acme"]["jobs"] == 1
+        assert summary["kinds"]["sweep"]["fig9"]["wall_s"]["last"] == 2.0
+
+    @pytest.mark.parametrize("kind", RUN_KINDS)
+    def test_every_run_kind_gets_a_section(self, tmp_path, kind):
+        store = HistoryStore(directory=tmp_path / "hist", token="tok")
+        store.ingest(kind, "only", [MetricSample("m", 1.0)], t=1.0)
+        summary = build_summary(store)
+        assert list(summary["kinds"]) == [kind]
+        assert summary["kinds"][kind]["only"]["m"]["last"] == 1.0
+        html_text = render_html(summary)
+        assert html_text.count("<h2>") == 1
+        assert "<h3>only</h3>" in html_text
 
     def test_single_run_metric_has_no_history_verdict(self, tmp_path):
         store = HistoryStore(directory=tmp_path / "hist", token="tok")
@@ -111,7 +122,7 @@ class TestRenderHtml:
         assert html_text.count("<svg") == cells
         assert "replay_fastpath" in html_text
         assert "wall_s.scalar" in html_text
-        assert "acme" in html_text
+        assert "fig9" in html_text
 
     def test_names_are_escaped(self, tmp_path):
         store = HistoryStore(directory=tmp_path / "hist", token="tok")

@@ -115,32 +115,3 @@ class TestOverheadAccounting:
                         write=(page == 3))
         system.flush_pager()
         system.vm.check_invariants()
-
-
-class TestEventQueueInterop:
-    def test_numasystem_driven_from_event_queue(self):
-        """NumaSystem composes with the EventQueue utility: schedule miss
-        events and a periodic observer, dispatch in time order."""
-        from repro.common.events import EventQueue
-
-        system = make_system()
-        queue = EventQueue()
-        seen_local = []
-
-        def miss_event(event):
-            cpu, process, page = event.payload
-            system.miss(event.time, cpu, process, page, weight=5)
-
-        def observer(event):
-            seen_local.append(system.local_fraction)
-            if event.time < 4000:
-                queue.schedule(event.time + 1000, observer, priority=1)
-
-        queue.schedule(0, miss_event, payload=(0, 1, 7))
-        for t in range(500, 5000, 250):
-            queue.schedule(t, miss_event, payload=(4, 1, 7))
-        queue.schedule(1000, observer, priority=1)
-        queue.run()
-        system.flush_pager()
-        assert len(seen_local) == 4
-        assert system.tally.hot_pages >= 1

@@ -1,6 +1,10 @@
 """The command-line interface."""
 
+import argparse
 import json
+import os
+import signal
+import threading
 
 import pytest
 
@@ -313,6 +317,152 @@ def test_sweep_writes_timing_artifact(tmp_path, capsys):
 def test_sweep_without_grid_or_workloads_errors(tmp_path, capsys):
     assert main(_sweep_args(tmp_path)) == 2
     assert "pick a grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+def test_sweep_signal_finishes_current_task_and_cancels_rest(
+    tmp_path, capsys, monkeypatch, signame
+):
+    import repro.cli as cli
+
+    make_runner = cli._make_sweep_runner
+    calls = []
+
+    def interrupt_on_second_spec(spec, attempt):
+        calls.append(spec.label())
+        if len(calls) == 2:
+            os.kill(os.getpid(), getattr(signal, signame))
+
+    def interrupting_runner(args):
+        runner, cache = make_runner(args)
+        runner.fault_hook = interrupt_on_second_spec
+        return runner, cache
+
+    monkeypatch.setattr(cli, "_make_sweep_runner", interrupting_runner)
+    stats_path = tmp_path / "stats.json"
+    args = _sweep_args(
+        tmp_path, "--workloads", "database", "--kind", "trace",
+        "--policies", "ft,repl,migrep", "--jobs", "1",
+        "--stats-out", str(stats_path),
+    )
+    assert main(args) == 130
+    captured = capsys.readouterr()
+    assert "interrupt: finishing the current task" in captured.err
+    assert len(calls) == 2
+    cancelled = [
+        line for line in captured.out.splitlines() if "cancelled" in line
+    ]
+    assert len(cancelled) == 2  # the table row and the totals line
+    assert "trace:database:migrep" in cancelled[0]
+    stats = json.loads(stats_path.read_text())
+    assert (stats["executed"], stats["cancelled"]) == (2, 1)
+    assert stats["interrupted"] is True
+
+    monkeypatch.setattr(cli, "_make_sweep_runner", make_runner)
+    assert main(args) == 0
+    rerun = json.loads(stats_path.read_text())
+    assert (rerun["from_cache"], rerun["executed"]) == (2, 1)
+
+
+class TestGracefulStop:
+    """``cli._graceful_stop``: the signal discipline behind ``sweep``."""
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_first_signal_calls_on_stop_once(self, capsys, signame):
+        from repro.cli import _graceful_stop
+
+        stops = []
+        with _graceful_stop(lambda: stops.append(1)):
+            os.kill(os.getpid(), getattr(signal, signame))
+        assert stops == [1]
+        assert capsys.readouterr().err.startswith("interrupt:")
+
+    def test_previous_handlers_restored(self):
+        from repro.cli import _graceful_stop
+
+        before = {
+            s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)
+        }
+        with _graceful_stop(lambda: None):
+            assert signal.getsignal(signal.SIGINT) is not before[signal.SIGINT]
+        after = {
+            s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)
+        }
+        assert after == before
+
+    def test_off_main_thread_is_a_noop(self):
+        from repro.cli import _graceful_stop
+
+        before = signal.getsignal(signal.SIGINT)
+        seen = []
+
+        def body():
+            with _graceful_stop(lambda: None):
+                seen.append(signal.getsignal(signal.SIGINT))
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=10)
+        assert seen == [before]
+
+    def test_second_signal_kills(self):
+        from repro.cli import _graceful_stop
+
+        pid = os.fork()
+        if pid == 0:  # child: two SIGTERMs inside the handler's scope
+            try:
+                with _graceful_stop(lambda: None):
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    os.kill(os.getpid(), signal.SIGTERM)
+            finally:
+                os._exit(0)  # only reached if the second signal was eaten
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGTERM
+
+
+@pytest.mark.parametrize(
+    "command", ["serve", "submit", "status", "results", "cancel"]
+)
+def test_retired_service_commands_are_invalid_choices(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def _command_paths(parser, prefix=()):
+    """Every (sub)command path the parser accepts, e.g. ("trace", "info")."""
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths.append(prefix + (name,))
+                paths.extend(_command_paths(sub, prefix + (name,)))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command", _command_paths(build_parser()), ids="-".join
+)
+def test_every_command_renders_help(capsys, command):
+    # argparse formats help strings only when rendering them, so a bad
+    # %-placeholder in any option's help surfaces only here.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repro " + " ".join(command))
+
+
+def test_help_lists_no_service_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert "sweep" in commands
+    for retired in ("serve", "submit", "status", "results", "cancel"):
+        assert retired not in commands
 
 
 def test_figures_fig9_cold_then_warm(tmp_path, capsys):
@@ -845,117 +995,8 @@ class TestAnalyzeCommand:
         assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_task_flag_aliases():
-    parser = build_parser()
-    new = parser.parse_args(
-        ["sweep", "--grid", "fig9", "--task-timeout", "5", "--task-retries", "2"]
-    )
-    assert new.timeout == 5.0 and new.retries == 2
-    old = parser.parse_args(
+def test_sweep_timeout_and_retries_flags():
+    args = build_parser().parse_args(
         ["sweep", "--grid", "fig9", "--timeout", "7", "--retries", "3"]
     )
-    assert old.timeout == 7.0 and old.retries == 3
-
-
-class TestServeCommands:
-    def _dirs(self, tmp_path):
-        return str(tmp_path / "serve"), str(tmp_path / "cache")
-
-    def test_serve_once_drains_queued_jobs(self, tmp_path, capsys):
-        from repro.exp.spec import sweep as sweep_specs
-        from repro.serve import JobQueue
-
-        serve_dir, cache_dir = self._dirs(tmp_path)
-        with JobQueue(serve_dir) as queue:
-            job = queue.submit(sweep_specs(
-                ("database",), kinds=("trace",), policies=("ft",),
-                scales=(0.02,),
-            ))
-        assert main([
-            "serve", "--once", "--serve-dir", serve_dir,
-            "--cache-dir", cache_dir,
-            "--metrics-out", str(tmp_path / "metrics.json"),
-        ]) == 0
-        assert "processed 1 job(s)" in capsys.readouterr().out
-        with JobQueue(serve_dir) as queue:
-            assert queue.get(job.job_id).state == "done"
-        with open(tmp_path / "metrics.json") as fh:
-            metrics = json.load(fh)
-        assert metrics["serve.jobs.completed"] == 1
-
-    def test_client_commands_roundtrip(self, tmp_path, capsys):
-        from repro.exp.cache import ResultCache
-        from repro.obs.registry import MetricsRegistry
-        from repro.serve import JobQueue, Scheduler, ServeServer
-
-        serve_dir, cache_dir = self._dirs(tmp_path)
-        registry = MetricsRegistry()
-        cache = ResultCache(cache_dir, metrics=registry, token="t")
-        queue = JobQueue(serve_dir)
-        scheduler = Scheduler(queue, cache, metrics=registry, prerecord=False)
-        server = ServeServer(scheduler, serve_dir)
-        server.start()
-        try:
-            assert main([
-                "submit", "--workloads", "database", "--kind", "trace",
-                "--policies", "ft,migrep", "--scale", "0.02",
-                "--serve-dir", serve_dir, "--wait",
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "submitted job" in out
-            assert "state done" in out
-            assert "2 executed" in out
-
-            assert main(["status", "--serve-dir", serve_dir]) == 0
-            out = capsys.readouterr().out
-            assert "done" in out and "Tenant" in out
-
-            job_id = json.loads(
-                _capture_json(["status", "--serve-dir", serve_dir, "--json"],
-                              capsys)
-            )["jobs"][0]["job_id"]
-
-            results_path = tmp_path / "results.json"
-            assert main([
-                "results", job_id, "--serve-dir", serve_dir,
-                "--out", str(results_path),
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "trace:database:ft" in out
-            with open(results_path) as fh:
-                payload = json.load(fh)
-            assert payload["missing"] == 0
-
-            assert main(["cancel", job_id, "--serve-dir", serve_dir]) == 0
-            assert "already done" in capsys.readouterr().out
-        finally:
-            server.stop()
-            queue.close()
-
-    def test_submit_without_service_is_actionable(self, tmp_path, capsys):
-        serve_dir, _ = self._dirs(tmp_path)
-        assert main([
-            "submit", "--grid", "fig9", "--serve-dir", serve_dir,
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "repro serve" in err
-
-    def test_second_serve_on_same_dir_fails_fast(self, tmp_path, capsys):
-        from repro.serve import JobQueue
-
-        serve_dir, cache_dir = self._dirs(tmp_path)
-        owner = JobQueue(serve_dir)
-        try:
-            assert main([
-                "serve", "--once", "--serve-dir", serve_dir,
-                "--cache-dir", cache_dir,
-            ]) == 2
-            assert "already owned" in capsys.readouterr().err
-        finally:
-            owner.close()
-
-
-def _capture_json(args, capsys):
-    assert main(args) == 0
-    return capsys.readouterr().out
+    assert args.timeout == 7.0 and args.retries == 3
