@@ -68,9 +68,9 @@ def test_ablation_interrupt_batching(store, emit, once):
     batched, unbatched = once(compute)
     rows = [
         ["batch = 4 pages", batched.kernel_overhead_ns / 1e9,
-         batched.extra["flush_operations"]],
+         batched.metrics["kernel.pager.flush_operations"]],
         ["batch = 1 page", unbatched.kernel_overhead_ns / 1e9,
-         unbatched.extra["flush_operations"]],
+         unbatched.metrics["kernel.pager.flush_operations"]],
     ]
     emit(
         "ablation_batching",
@@ -82,7 +82,8 @@ def test_ablation_interrupt_batching(store, emit, once):
         ),
     )
     # Without batching, every operation pays its own interrupt + flush.
-    assert unbatched.extra["flush_operations"] > batched.extra["flush_operations"]
+    flushes = "kernel.pager.flush_operations"
+    assert unbatched.metrics[flushes] > batched.metrics[flushes]
     assert unbatched.kernel_overhead_ns > batched.kernel_overhead_ns
 
 
@@ -188,7 +189,7 @@ def test_extension_adaptive_trigger(store, emit, once):
                     [
                         start,
                         "adaptive" if adaptive else "fixed",
-                        r.extra.get("final_trigger", float(start)),
+                        r.metrics.get("policy.adaptive.trigger", float(start)),
                         r.local_miss_fraction * 100,
                         r.kernel_overhead_ns / 1e9,
                     ]

@@ -74,8 +74,8 @@ def test_table6_tracked_flush_saving(store, emit, once):
 
     full, tracked = once(compute)
     saving = 100 * (1 - tracked.kernel_overhead_ns / full.kernel_overhead_ns)
-    avg_flushed = tracked.extra["tlbs_flushed"] / max(
-        tracked.extra["flush_operations"], 1
+    avg_flushed = tracked.metrics["kernel.pager.tlbs_flushed"] / max(
+        tracked.metrics["kernel.pager.flush_operations"], 1
     )
     emit(
         "table6_tracked_flush",
@@ -85,8 +85,8 @@ def test_table6_tracked_flush_saving(store, emit, once):
             ["Mode", "Overhead (s)", "Avg TLBs/flush"],
             [
                 ["all-CPUs", full.kernel_overhead_ns / 1e9,
-                 full.extra["tlbs_flushed"]
-                 / max(full.extra["flush_operations"], 1)],
+                 full.metrics["kernel.pager.tlbs_flushed"]
+                 / max(full.metrics["kernel.pager.flush_operations"], 1)],
                 ["tracked", tracked.kernel_overhead_ns / 1e9, avg_flushed],
                 ["saving %", saving, 0.0],
             ],

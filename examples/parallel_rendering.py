@@ -64,7 +64,7 @@ def main() -> None:
             f"  {frames:>5d} frames/node: local {r.local_miss_fraction:.1%}, "
             f"replicated {pct['% Replicate']:.0f}%, "
             f"no-page {pct['% No Page']:.0f}%, "
-            f"replicas reclaimed {int(r.extra['replicas_reclaimed'])}"
+            f"replicas reclaimed {int(r.metrics['vm.replicas_reclaimed'])}"
         )
     print(
         "\nAs memory tightens, the decision tree's pressure veto and "

@@ -41,7 +41,6 @@ from repro.policy.metrics import (
     Metric,
 )
 from repro.policy.parameters import PolicyParameters
-from repro.sim.numasystem import MissOutcome, NumaSystem
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import (
     Placement,
@@ -74,8 +73,6 @@ __all__ = [
     "SAMPLED_TLB",
     "Metric",
     "PolicyParameters",
-    "MissOutcome",
-    "NumaSystem",
     "SimulationResult",
     "Placement",
     "SimulatorOptions",

@@ -11,11 +11,11 @@ The subcommands cover the common flows:
   (``docs/PTPOLICY.md``): PT-FT, PT-Migr, PT-Repl and CoPlace replayed
   under the TLB-walk model, with end-to-end event reconciliation;
 * ``repro chains`` — Figure 4's read-chain analysis for one workload;
-* ``repro inspect`` — replay a ``--trace-out`` JSONL log into per-page
-  decision histories, summaries and Chrome trace timelines;
-* ``repro analyze`` — post-hoc stall-time attribution over a log:
-  per-page/per-node/per-interval stall, the per-decision payoff ledger,
-  and ``analyze diff A B`` run comparison (``docs/OBSERVABILITY.md``);
+* ``repro analyze`` — the one reader of a ``--trace-out`` JSONL log:
+  summary, schema check, per-page lifecycle and decision timeline,
+  per-node and per-interval tables, the per-decision payoff ledger,
+  Chrome trace export, and ``analyze diff A B`` run comparison
+  (``docs/OBSERVABILITY.md``);
 * ``repro sweep`` — run a grid of experiments in parallel through the
   content-addressed result cache (``docs/SWEEPS.md``);
 * ``repro figures`` — regenerate figure tables from (cached) sweeps;
@@ -37,7 +37,8 @@ Examples::
     repro tracesim --workload raytrace --scale 0.25 --metrics
     repro ptsim --workload database --scale 0.1 --trace-out pt.jsonl
     repro chains --workload database --scale 0.25
-    repro inspect run.jsonl --page 512
+    repro analyze run.jsonl --page 512
+    repro analyze run.jsonl --check
     repro tracesim --workload engineering --trace-out mr.jsonl --trace-misses
     repro analyze mr.jsonl --ledger
     repro analyze diff scalar.jsonl auto.jsonl
@@ -86,6 +87,7 @@ from repro.obs.attrib import (
     expected_from_ptpol,
     expected_from_system,
     format_diff,
+    format_intervals,
     format_ledger,
     format_nodes,
     format_page,
@@ -96,12 +98,9 @@ from repro.obs.attrib import (
 from repro.obs.events import ALL_KINDS, MissServiced
 from repro.obs.export import (
     JsonlSink,
-    interval_summary,
     iter_events,
-    read_events,
     write_chrome_trace,
 )
-from repro.obs.inspect import format_history, history_for, summarize
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import ALL_METRICS
 from repro.policy.parameters import PolicyParameters
@@ -234,7 +233,7 @@ def _make_tracer(path: str, include_misses: bool) -> Tracer:
     """A tracer streaming to ``path``.
 
     Per-miss events are opt-in: a full-scale run services millions of
-    misses and the decision stream is what ``repro inspect`` needs.
+    misses and the decision stream is what ``repro analyze`` needs.
     """
     kinds = None if include_misses else ALL_KINDS - {MissServiced.KIND}
     return Tracer(sinks=[JsonlSink(path)], kinds=kinds)
@@ -308,8 +307,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{tally.replicated} replicated, {tally.no_action} no action, "
         f"{tally.no_page} no page"
     )
-    if args.adaptive and "final_trigger" in mr.extra:
-        print(f"adaptive trigger settled at {mr.extra['final_trigger']:.0f}")
+    if args.adaptive and "policy.adaptive.trigger" in mr.metrics:
+        print("adaptive trigger settled at "
+              f"{mr.metrics['policy.adaptive.trigger']:.0f}")
     if tracer is not None:
         print(f"wrote {tracer.emitted} events to {args.trace_out}")
         try:
@@ -593,40 +593,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(v == "PASS" for _, v, _ in checks) else 1
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
-    """Replay a JSONL event log: summary, page history or conversions."""
-    since_ns, until_ns = _window_ns(args)
-    try:
-        events = read_events(args.path, since_ns=since_ns, until_ns=until_ns)
-    except (OSError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.check:
-        if not events:
-            print(f"{args.path}: valid but empty", file=sys.stderr)
-            return 1
-        print(f"{args.path}: {len(events)} events, all schema-valid")
-        return 0
-    if args.chrome:
-        written = write_chrome_trace(events, args.chrome)
-        print(f"wrote {written} trace events to {args.chrome}")
-        return 0
-    if args.page is not None:
-        print(format_history(history_for(events, args.page)))
-        return 0
-    if args.intervals:
-        print(interval_summary(events))
-        return 0
-    print(summarize(events))
-    return 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Attribute stall time, audit decision payoff, or diff two runs.
+    """Read one event log: attribute stall, audit payoff, or diff two runs.
 
     Exit codes follow ``diff``'s convention in diff mode: 0 when the
     runs are identical at page granularity, 1 when they diverge, 2 on a
-    usage or read error.
+    usage or read error.  ``--check`` exits 0 only for a non-empty log
+    whose every line parses.  ``--page`` and ``--chrome`` stream the log
+    a second time for the per-event timeline, so the default views hold
+    nothing but the attribution in memory.
     """
     since_ns, until_ns = _window_ns(args)
     paths = args.paths
@@ -655,12 +630,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print("error: analyze takes one log (or: diff A B)",
                   file=sys.stderr)
             return 2
-        attrib = Attribution.from_events(
-            iter_events(paths[0], since_ns, until_ns)
-        )
+        path = paths[0]
+        attrib = Attribution.from_events(iter_events(path, since_ns, until_ns))
     except (OSError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.check:
+        if not attrib.events:
+            print(f"{path}: valid but empty", file=sys.stderr)
+            return 1
+        print(f"{path}: {attrib.events} events, all schema-valid")
+        return 0
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(attrib.to_dict(top=args.top), fh, indent=2)
@@ -676,18 +656,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{args.series_out}"
         )
     if args.chrome:
-        payload = {
-            "traceEvents": attrib.chrome_counters(),
-            "displayTimeUnit": "ms",
-        }
-        with open(args.chrome, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        print(
-            f"wrote {len(payload['traceEvents'])} counter samples to "
-            f"{args.chrome}"
+        written = write_chrome_trace(
+            iter_events(path, since_ns, until_ns), args.chrome,
+            counters=attrib.chrome_counters(),
         )
+        print(f"wrote {written} trace events to {args.chrome}")
     if args.page is not None:
-        print(format_page(attrib, args.page))
+        print(format_page(
+            attrib, args.page, iter_events(path, since_ns, until_ns)
+        ))
+        return 0
+    if args.intervals:
+        print(format_intervals(attrib))
         return 0
     if args.nodes:
         print(format_nodes(attrib))
@@ -1730,31 +1710,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser(
-        "inspect", help="replay a --trace-out JSONL log (histories, summary)"
-    )
-    p.add_argument("path", help="JSONL event log written by --trace-out")
-    p.add_argument(
-        "--page", type=int, default=None,
-        help="print the full decision history of one page",
-    )
-    p.add_argument(
-        "--intervals", action="store_true",
-        help="print the per-reset-interval activity table",
-    )
-    p.add_argument(
-        "--chrome", metavar="PATH", default=None,
-        help="convert the log to Chrome trace-event JSON at PATH",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="validate only: exit 0 iff the log is non-empty and parses",
-    )
-    _add_window_options(p)
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser(
         "analyze",
-        help="attribute stall time and audit decision payoff from a log",
+        help="read a --trace-out log: attribution, payoff ledger, "
+             "timelines, schema check",
     )
     p.add_argument(
         "paths", nargs="+", metavar="PATH",
@@ -1765,12 +1723,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-decision payoff ledger (worst net first)",
     )
     p.add_argument(
+        "--check", action="store_true",
+        help="validate only: exit 0 iff the log is non-empty and parses",
+    )
+    p.add_argument(
         "--nodes", action="store_true",
         help="print the per-node residency and demand table",
     )
     p.add_argument(
+        "--intervals", action="store_true",
+        help="print the per-reset-interval decision activity table",
+    )
+    p.add_argument(
         "--page", type=int, default=None,
-        help="print one page's reconstructed lifecycle and ledger",
+        help="print one page's lifecycle, ledger and decision timeline",
     )
     p.add_argument(
         "--top", type=int, default=10,
@@ -1786,7 +1752,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chrome", metavar="PATH", default=None,
-        help="write Chrome trace-event counter series to PATH",
+        help="write the decision timeline and counter series as Chrome "
+             "trace-event JSON to PATH",
     )
     _add_window_options(p)
     p.set_defaults(func=cmd_analyze)

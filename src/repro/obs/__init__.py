@@ -12,12 +12,10 @@ same attribution power at runtime:
   vectorized replay engines trace through;
 * :mod:`repro.obs.registry` — the metrics namespace the machine, kernel
   and policy layers register into;
-* :mod:`repro.obs.export` — JSONL, Chrome trace-event and plain-text
-  exporters;
-* :mod:`repro.obs.inspect` — replay a saved log into per-page decision
-  histories (the ``repro inspect`` subcommand);
+* :mod:`repro.obs.export` — JSONL and Chrome trace-event exporters;
 * :mod:`repro.obs.attrib` — post-hoc stall-time attribution, the
-  per-decision payoff ledger and run diffing (``repro analyze``);
+  per-decision payoff ledger, per-page decision timelines and run
+  diffing (``repro analyze``);
 * :mod:`repro.obs.prof` — the hierarchical span profiler and
   :class:`RunReport` (``--profile-out``);
 * :mod:`repro.obs.bench` — the machine-readable benchmark artifact
@@ -36,7 +34,6 @@ from repro.obs.events import (
     EVENT_TYPES,
     KIND_TO_TYPE,
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -64,6 +61,7 @@ from repro.obs.attrib import (
     expected_from_policysim,
     expected_from_system,
     format_diff,
+    format_intervals,
     format_ledger,
     format_nodes,
     format_page,
@@ -116,20 +114,11 @@ from repro.obs.report import (
 from repro.obs.export import (
     JsonlSink,
     event_to_json,
-    interval_summary,
     iter_events,
     read_events,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
-)
-from repro.obs.inspect import (
-    PageHistory,
-    format_history,
-    history_for,
-    kind_counts,
-    page_histories,
-    summarize,
 )
 from repro.obs.registry import (
     Counter,
@@ -157,7 +146,6 @@ __all__ = [
     "EVENT_TYPES",
     "KIND_TO_TYPE",
     "CollapseEvent",
-    "EngineFallback",
     "HotPageTriggered",
     "IntervalReset",
     "MigrationDecision",
@@ -183,6 +171,7 @@ __all__ = [
     "expected_from_policysim",
     "expected_from_system",
     "format_diff",
+    "format_intervals",
     "format_ledger",
     "format_nodes",
     "format_page",
@@ -225,18 +214,11 @@ __all__ = [
     "write_report",
     "JsonlSink",
     "event_to_json",
-    "interval_summary",
     "iter_events",
     "read_events",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "PageHistory",
-    "format_history",
-    "history_for",
-    "kind_counts",
-    "page_histories",
-    "summarize",
     "Counter",
     "Gauge",
     "MetricFamily",

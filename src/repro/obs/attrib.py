@@ -30,6 +30,9 @@ whether it paid off and where the remaining stall time lives:
   walk have been local without the replica?  would this miss have been
   local had the thread stayed put?), so ``repro analyze --ledger``
   audits PT replication and thread migration next to page migration.
+* **Text views** (``format_*``) — the ``repro analyze`` outputs,
+  including a page's per-event decision timeline (:func:`describe_event`)
+  drawn from a second pass over the log.
 
 Conservation is the design invariant: every stall nanosecond and every
 action in the stream lands in exactly one page, one requesting node and
@@ -47,7 +50,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -67,7 +69,9 @@ from repro.obs.tracer import Sink
 #: Schema version of :meth:`Attribution.to_dict` output.  Version 2
 #: added the page-table dimension: walk totals, ``pt-replication`` /
 #: ``thread-migration`` ledger records, and the ``pt_ledger`` export.
-ATTRIB_SCHEMA_VERSION = 2
+#: Version 3 dropped the never-emitted engine fallback count from
+#: ``totals``.
+ATTRIB_SCHEMA_VERSION = 3
 
 #: Relative tolerance for float-mode reconciliation (system-sim runs
 #: accumulate contention latencies in a different order than we do).
@@ -296,7 +300,6 @@ class Attribution:
         self._pt_span = 0
         self._last_pt_rec: Optional[DecisionRecord] = None
         self.interval_resets = 0
-        self.engine_fallbacks = 0
         self.trigger_adjustments = 0
         self.events = 0
         self.miss_events = 0
@@ -414,8 +417,6 @@ class Attribution:
             self.interval_resets += 1
         elif isinstance(event, RunMeta):
             self._feed_meta(event)
-        elif isinstance(event, EngineFallback):
-            self.engine_fallbacks += 1
         elif isinstance(event, TriggerAdjusted):
             self.trigger_adjustments += 1
         elif isinstance(event, SpanEvent):
@@ -917,7 +918,6 @@ class Attribution:
                 "pt_replications": self.pt_replications,
                 "thread_migrations": self.thread_migrations,
                 "interval_resets": self.interval_resets,
-                "engine_fallbacks": self.engine_fallbacks,
                 "pages": len(self.pages),
                 "regrets": len(self.regrets),
                 "duration_ms": self.last_t / 1e6,
@@ -1108,7 +1108,7 @@ def diff_attributions(a: Attribution, b: Attribution) -> AttribDiff:
     """Per-page divergence between two runs, worst stall delta first.
 
     Compares page-level attribution only — run headers (:class:`RunMeta`)
-    and engine-fallback warnings are metadata, so a scalar-engine log and
+    and other run-level events are metadata, so a scalar-engine log and
     an auto-engine log of the same spec diff to zero divergence.
     """
     out = AttribDiff(stall_delta_ns=b.stall_ns - a.stall_ns)
@@ -1249,6 +1249,11 @@ def sweep_attribution(outcomes) -> Dict[str, Any]:
 # -- terminal formatters -----------------------------------------------------------
 
 
+#: What the text views print instead of a payoff figure when the stream
+#: holds no miss events (``--trace-out`` without ``--trace-misses``).
+_NO_MISSES = "payoff needs miss events: re-run with --trace-misses"
+
+
 def _fmt_ns(value: float) -> str:
     """Nanoseconds as a compact human-readable duration."""
     magnitude = abs(value)
@@ -1306,7 +1311,10 @@ def format_summary(attrib: Attribution) -> str:
             f"{attrib.thread_migrations} thread migrations"
         )
     ledger = attrib.ledger
-    if ledger:
+    if ledger and not attrib.miss_events:
+        lines.append(f"payoff: {len(ledger)} decisions, not measured "
+                     f"({_NO_MISSES})")
+    elif ledger:
         regrets = attrib.regrets
         saved = sum(d.saved_ns for d in ledger)
         cost = sum(d.total_cost_ns for d in ledger)
@@ -1314,11 +1322,6 @@ def format_summary(attrib: Attribution) -> str:
             f"payoff: {len(ledger)} decisions saved {_fmt_ns(saved)} "
             f"for {_fmt_ns(cost)} paid (net {_fmt_ns(saved - cost)}); "
             f"{len(regrets)} net-regret"
-        )
-    if attrib.engine_fallbacks:
-        lines.append(
-            f"note: {attrib.engine_fallbacks} engine fallback(s) "
-            f"(auto -> scalar for tracing)"
         )
     return "\n".join(lines)
 
@@ -1328,17 +1331,24 @@ def format_ledger(attrib: Attribution, top: int = 10) -> str:
     ledger = sorted(attrib.ledger, key=lambda d: (d.net_ns, d.t))
     if not ledger:
         return "(no successful decisions in this stream)"
+    measured = attrib.miss_events > 0
     header = (
         f"{'t (ms)':>10} {'page':>8} {'action':<16} {'cost':>10} "
         f"{'saved':>10} {'net':>10}  verdict"
     )
     lines = [header, "-" * len(header)]
+    if not measured:
+        lines.insert(0, f"({_NO_MISSES})")
     for rec in ledger[: top if top > 0 else len(ledger)]:
-        verdict = "REGRET" if rec.regret else "paid off"
+        if measured:
+            saved, net = _fmt_ns(rec.saved_ns), _fmt_ns(rec.net_ns)
+            verdict = "REGRET" if rec.regret else "paid off"
+        else:
+            saved, net, verdict = "-", "-", "unmeasured"
         lines.append(
             f"{rec.t / 1e6:>10.2f} {rec.page:>8} {rec.kind:<16} "
-            f"{_fmt_ns(rec.total_cost_ns):>10} {_fmt_ns(rec.saved_ns):>10} "
-            f"{_fmt_ns(rec.net_ns):>10}  {verdict}"
+            f"{_fmt_ns(rec.total_cost_ns):>10} {saved:>10} "
+            f"{net:>10}  {verdict}"
         )
     if top > 0 and len(ledger) > top:
         lines.append(f"... {len(ledger) - top} more (use --top to widen)")
@@ -1364,39 +1374,148 @@ def format_nodes(attrib: Attribution) -> str:
     return "\n".join(lines)
 
 
-def format_page(attrib: Attribution, page_id: int) -> str:
-    """One page's reconstructed lifecycle."""
-    page = attrib.pages.get(page_id)
-    if page is None:
-        return f"page {page_id}: never appears in this stream"
-    lines = [
-        f"page {page_id}: first touch {page.first_touch_t / 1e6:.2f}ms "
-        f"on node {page.first_node}; final copies "
-        f"{sorted(page.copies) or '[]'}",
-        f"  misses: {page.misses} ({page.local} local)  "
-        f"stall {_fmt_ns(page.stall_ns)} "
-        f"(local {_fmt_ns(page.local_stall_ns)})",
-        f"  activity: {page.hot_triggers} triggers, "
-        f"{page.migrations} migrations, {page.replications} replications, "
-        f"{page.collapses} collapses, {page.no_actions} no-action, "
-        f"{page.failed_actions} failed  "
-        f"(cost {_fmt_ns(page.action_cost_ns)})",
-    ]
-    for rec in page.ledger:
-        verdict = "REGRET" if rec.regret else "paid off"
+def format_intervals(attrib: Attribution) -> str:
+    """Per-reset-interval decision activity (``analyze --intervals``).
+
+    A slice after the last :class:`IntervalReset` is the run's tail (the
+    end-of-run drain services its queue there).  Failed ``no-page``
+    attempts are not counted as moves.
+    """
+    header = (
+        f"{'interval':>8} {'end (ms)':>10} {'hot':>6} {'migr':>6} "
+        f"{'repl':>6} {'none':>6} {'coll':>6}"
+    )
+    lines = [header, "-" * len(header)]
+    has_tail = attrib.interval_resets and (
+        len(attrib.intervals) > attrib.interval_resets
+    )
+    for n, s in enumerate(attrib.intervals):
+        tail = has_tail and n == len(attrib.intervals) - 1
         lines.append(
-            f"  {rec.t / 1e6:>9.2f}ms {rec.kind} "
-            f"{rec.src} -> {rec.dst} [{rec.reason}] "
-            f"cost {_fmt_ns(rec.total_cost_ns)} saved {_fmt_ns(rec.saved_ns)} "
-            f"net {_fmt_ns(rec.net_ns)} ({verdict})"
+            f"{'tail' if tail else s.index:>8} {s.end_t / 1e6:>10.2f} "
+            f"{s.hot_triggers:>6} {s.migrations:>6} {s.replications:>6} "
+            f"{s.no_actions:>6} {s.collapses:>6}"
         )
     return "\n".join(lines)
 
 
+#: Kinds that make up a page's decision timeline (misses excluded: they
+#: describe cost, not choice, and would swamp it).
+DECISION_KINDS = (
+    HotPageTriggered,
+    MigrationDecision,
+    ReplicationDecision,
+    NoActionDecision,
+    CollapseEvent,
+)
+
+
+def describe_event(event: TraceEvent) -> str:
+    """One human-readable timeline line for a decision event."""
+    t_ms = event.t / 1e6
+    if isinstance(event, HotPageTriggered):
+        return (
+            f"{t_ms:>10.2f}ms  hot-page       cpu {event.cpu} hit "
+            f"{event.count} misses (trigger {event.threshold})"
+        )
+    if isinstance(event, MigrationDecision):
+        where = f"node {event.src} -> {event.dst}"
+        if event.outcome != "migrated":
+            where += f" [{event.outcome}]"
+        return (
+            f"{t_ms:>10.2f}ms  migration      {where} for cpu {event.cpu} "
+            f"({event.reason}, {event.latency_ns / 1e3:.0f}us)"
+        )
+    if isinstance(event, ReplicationDecision):
+        where = f"copy on node {event.dst}"
+        if event.outcome != "replicated":
+            where += f" [{event.outcome}]"
+        return (
+            f"{t_ms:>10.2f}ms  replication    {where} for cpu {event.cpu} "
+            f"({event.reason}, {event.latency_ns / 1e3:.0f}us)"
+        )
+    if isinstance(event, NoActionDecision):
+        return (
+            f"{t_ms:>10.2f}ms  no action      cpu {event.cpu} ({event.reason})"
+        )
+    if isinstance(event, CollapseEvent):
+        return (
+            f"{t_ms:>10.2f}ms  collapse       write from cpu {event.cpu}, "
+            f"kept node {event.keep_node}, dropped "
+            f"{event.replicas_dropped} replica(s)"
+        )
+    return f"{t_ms:>10.2f}ms  {event.KIND}"
+
+
+def format_page(
+    attrib: Attribution, page_id: int, events: Iterable[TraceEvent] = ()
+) -> str:
+    """One page's reconstructed lifecycle, ledger and decision timeline.
+
+    ``events`` is the stream to draw the timeline from — a second pass
+    over the log, filtered here, so the attribution itself keeps no
+    per-event history.
+    """
+    page = attrib.pages.get(page_id)
+    if page is None:
+        return f"page {page_id}: never appears in this stream"
+    measured = attrib.miss_events > 0
+    if measured:
+        first = (
+            f"first touch {page.first_touch_t / 1e6:.2f}ms "
+            f"on node {page.first_node}"
+        )
+    else:
+        first = f"first touch unknown ({_NO_MISSES})"
+    lines = [f"page {page_id}: {first}; final copies "
+             f"{sorted(page.copies) or '[]'}"]
+    if measured:
+        lines.append(
+            f"  misses: {page.misses} ({page.local} local)  "
+            f"stall {_fmt_ns(page.stall_ns)} "
+            f"(local {_fmt_ns(page.local_stall_ns)})"
+        )
+    lines.append(
+        f"  activity: {page.hot_triggers} triggers, "
+        f"{page.migrations} migrations, {page.replications} replications, "
+        f"{page.collapses} collapses, {page.no_actions} no-action, "
+        f"{page.failed_actions} failed  "
+        f"(cost {_fmt_ns(page.action_cost_ns)})"
+    )
+    for rec in page.ledger:
+        payoff = ""
+        if measured:
+            verdict = "REGRET" if rec.regret else "paid off"
+            payoff = (f" saved {_fmt_ns(rec.saved_ns)} "
+                      f"net {_fmt_ns(rec.net_ns)} ({verdict})")
+        lines.append(
+            f"  {rec.t / 1e6:>9.2f}ms {rec.kind} "
+            f"{rec.src} -> {rec.dst} [{rec.reason}] "
+            f"cost {_fmt_ns(rec.total_cost_ns)}{payoff}"
+        )
+    timeline = [
+        describe_event(e)
+        for e in events
+        if isinstance(e, DECISION_KINDS) and e.page == page_id
+    ]
+    if timeline:
+        lines.append(f"  decision timeline ({len(timeline)} events):")
+        lines += ["  " + line for line in timeline]
+    return "\n".join(lines)
+
+
 def format_top_pages(attrib: Attribution, top: int = 10) -> str:
-    """Highest-stall pages, the 'where does the time live' table."""
+    """Highest-stall pages, the 'where does the time live' table.
+
+    Ties (every page, on a log without miss events) go to the pages the
+    policy acted on most.
+    """
     pages = sorted(
-        attrib.pages.values(), key=lambda p: (-p.stall_ns, p.page)
+        attrib.pages.values(),
+        key=lambda p: (
+            -p.stall_ns, -(p.migrations + p.replications + p.collapses),
+            p.page,
+        ),
     )[: top if top > 0 else None]
     if not pages:
         return "(no per-page stall: stream has no miss events)"

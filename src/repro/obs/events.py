@@ -21,7 +21,6 @@ event                     emitted when
 :class:`ShootdownEvent`   a TLB flush round is issued
 :class:`IntervalReset`    a reset interval expires and counters are cleared
 :class:`TriggerAdjusted`  the adaptive controller moves the trigger threshold
-:class:`EngineFallback`   (historical) engine=auto downgraded to scalar
 :class:`PtReplicate`      a page-table page gains a replica on a node
 :class:`ThreadMigrate`    the co-placement policy re-homes a thread
 :class:`SpanEvent`        a profiler span closes (wall-clock, not simulated)
@@ -181,24 +180,6 @@ class TriggerAdjusted(TraceEvent):
 
 
 @dataclass(frozen=True)
-class EngineFallback(TraceEvent):
-    """``engine="auto"`` fell back to the scalar replay core (historical).
-
-    Current runs never emit this: the vector engine traces through the
-    batched emitter (:mod:`repro.obs.batch`), so ``auto`` always picks
-    it and the ``replay.engine.fallback`` counter stays at zero.  The
-    event type is kept so logs written before the vector engine covered
-    tracing still parse and analyze.
-    """
-
-    requested: str = "auto"
-    chosen: str = "scalar"
-    reason: str = ""
-
-    KIND: ClassVar[str] = "engine-fallback"
-
-
-@dataclass(frozen=True)
 class PtReplicate(TraceEvent):
     """A page-table page gained a replica on ``node``.
 
@@ -299,7 +280,6 @@ EVENT_TYPES: Tuple[Type[TraceEvent], ...] = (
     ShootdownEvent,
     IntervalReset,
     TriggerAdjusted,
-    EngineFallback,
     PtReplicate,
     ThreadMigrate,
     SpanEvent,

@@ -1,6 +1,6 @@
 """Exporters for the structured event stream.
 
-Three formats, matched to three uses:
+Two formats, matched to two uses:
 
 * **JSONL** (:class:`JsonlSink`, :func:`read_events`): one compact JSON
   object per line, the archival format.  Writing is streaming (a sink),
@@ -10,8 +10,6 @@ Three formats, matched to three uses:
   ``chrome://tracing`` / Perfetto to see per-interval timelines — each
   CPU is a track, decisions are instant events, reset intervals are
   duration slices on a dedicated track.
-* **Plain text** (:func:`interval_summary`): a per-interval table of
-  decision activity for reading in a terminal.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro.common.errors import TraceError
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -148,14 +145,12 @@ def read_events(
 # -- chrome://tracing ---------------------------------------------------------------
 
 #: Decision-level kinds drawn as instant events on per-CPU tracks.
-#: EngineFallback has no CPU, so it lands on tid 0 (getattr default).
 _INSTANT_KINDS = (
     HotPageTriggered,
     MigrationDecision,
     ReplicationDecision,
     NoActionDecision,
     CollapseEvent,
-    EngineFallback,
 )
 
 #: Track id of the profiler-span timeline (reset intervals use -1).
@@ -230,70 +225,16 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, list]:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(events: Iterable[TraceEvent], path: str) -> int:
-    """Write the Chrome trace JSON for ``events``; returns event count."""
+def write_chrome_trace(
+    events: Iterable[TraceEvent], path: str, counters: Iterable[dict] = ()
+) -> int:
+    """Write the Chrome trace JSON for ``events``; returns event count.
+
+    ``counters`` are extra ready-made trace events (the attribution's
+    ``ph: "C"`` counter series) appended to the same file.
+    """
     payload = to_chrome_trace(events)
+    payload["traceEvents"].extend(counters)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, separators=(",", ":"))
     return len(payload["traceEvents"])
-
-
-# -- plain-text per-interval summary ---------------------------------------------------
-
-
-def interval_summary(events: Iterable[TraceEvent]) -> str:
-    """A per-interval table of decision activity.
-
-    Events after the last :class:`IntervalReset` form a final partial
-    interval (the end-of-run drain services its queue there).
-    """
-    rows: List[List[object]] = []
-    counts = {"hot": 0, "migr": 0, "repl": 0, "none": 0, "coll": 0}
-    index: Optional[int] = None
-
-    def flush(label: object, end_ns: int) -> None:
-        rows.append(
-            [
-                label,
-                end_ns,
-                counts["hot"],
-                counts["migr"],
-                counts["repl"],
-                counts["none"],
-                counts["coll"],
-            ]
-        )
-        for key in counts:
-            counts[key] = 0
-
-    last_t = 0
-    for event in events:
-        last_t = max(last_t, event.t)
-        if isinstance(event, IntervalReset):
-            flush(event.index, event.t)
-            index = event.index
-            continue
-        if isinstance(event, HotPageTriggered):
-            counts["hot"] += 1
-        elif isinstance(event, MigrationDecision):
-            counts["migr"] += 1
-        elif isinstance(event, ReplicationDecision):
-            counts["repl"] += 1
-        elif isinstance(event, NoActionDecision):
-            counts["none"] += 1
-        elif isinstance(event, CollapseEvent):
-            counts["coll"] += 1
-    if any(counts.values()):
-        flush("tail" if index is not None else 0, last_t)
-
-    header = f"{'interval':>8} {'end (ms)':>10} {'hot':>6} {'migr':>6} " \
-             f"{'repl':>6} {'none':>6} {'coll':>6}"
-    lines = [header, "-" * len(header)]
-    for label, end_ns, hot, migr, repl, none, coll in rows:
-        lines.append(
-            f"{str(label):>8} {end_ns / 1e6:>10.2f} {hot:>6} {migr:>6} "
-            f"{repl:>6} {none:>6} {coll:>6}"
-        )
-    if not rows:
-        lines.append("(no decision activity)")
-    return "\n".join(lines)

@@ -4,8 +4,7 @@ The machine, kernel and policy layers already accumulate counters and
 :class:`~repro.common.stats.OnlineStats` while they run; the registry
 turns those scattered attributes into a single dotted namespace that the
 results code, the CLI (``--metrics-out``) and the benchmarks can query
-uniformly — replacing the ad-hoc ``result.extra[...]`` floats (which are
-kept working via a legacy-key shim in the simulator).
+uniformly — full-system results expose them as ``result.metrics``.
 
 Registration is free on the hot path: components either register
 **callbacks** (read live attributes at collection time) or hand the

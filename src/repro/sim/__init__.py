@@ -1,6 +1,5 @@
 """Full-system simulation (the SimOS analogue for Section 7)."""
 
-from repro.sim.numasystem import MissOutcome, NumaSystem
 from repro.sim.results import ContentionStats, SimulationResult, StallBreakdown
 from repro.sim.simulator import (
     Placement,
@@ -10,8 +9,6 @@ from repro.sim.simulator import (
 )
 
 __all__ = [
-    "MissOutcome",
-    "NumaSystem",
     "ContentionStats",
     "SimulationResult",
     "StallBreakdown",

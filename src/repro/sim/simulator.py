@@ -50,23 +50,6 @@ from repro.trace.record import Trace
 from repro.workloads.base import generate_trace
 from repro.workloads.spec import WorkloadSpec
 
-#: Legacy ``result.extra`` keys, served from the metrics namespace so old
-#: consumers keep working while the registry is the single source of truth.
-_LEGACY_EXTRA = {
-    "tlbs_flushed": "kernel.pager.tlbs_flushed",
-    "flush_operations": "kernel.pager.flush_operations",
-    "memlock_wait_ns": "kernel.locks.memlock.wait_ns.total",
-    "vm_migrations": "vm.migrations",
-    "vm_replications": "vm.replications",
-    "vm_faults": "vm.faults",
-    "replicas_reclaimed": "vm.replicas_reclaimed",
-}
-
-_LEGACY_EXTRA_ADAPTIVE = {
-    "final_trigger": "policy.adaptive.trigger",
-    "trigger_history_len": "policy.adaptive.history_len",
-}
-
 
 class Placement(enum.Enum):
     """Initial (fault-time) page placement."""
@@ -485,14 +468,7 @@ class SystemSimulator:
             average_local_latency_ns=memory.average_local_latency(),
             average_remote_latency_ns=memory.average_remote_latency(),
         )
-        # The registry is the source of truth; the legacy ``extra`` keys are
-        # served from it so pre-registry consumers keep working unchanged.
         result.metrics = registry.collect()
-        legacy = dict(_LEGACY_EXTRA)
-        if adaptive is not None:
-            legacy.update(_LEGACY_EXTRA_ADAPTIVE)
-        for extra_key, metric_name in legacy.items():
-            result.extra[extra_key] = float(result.metrics[metric_name])
         vm.check_invariants()
         return result
 

@@ -466,8 +466,7 @@ class TracePolicySimulator:
         ``replay.engine.<path>.<engine>`` counter when a metrics
         registry is attached (``path`` is ``"dynamic"``, ``"chunks"``
         or ``"competitive"``; :mod:`repro.ptpol` counts under
-        ``"ptpol"``); the historical ``replay.engine.fallback`` counter
-        stays at zero.
+        ``"ptpol"``).
         """
         engine = self.config.engine
         choice = "vector" if engine == "auto" else engine

@@ -12,11 +12,9 @@ workloads, not synthetic streams:
 * a system-sim run reconciles against ``pager.tally`` and the stall
   breakdown (float tolerance: contention latencies sum in a different
   order);
-* the auto engine never falls back, traced or not — the historical
-  :class:`EngineFallback` event, the ``replay.engine.fallback``
-  counter, and the attribution all stay at zero while the traced
-  vector log diffs to zero against scalar — and sweep workers produce
-  the exact results a traced scalar rerun attributes.
+* the auto engine runs vectorized, traced or not, and its traced log
+  diffs to zero against scalar — and sweep workers produce the exact
+  results a traced rerun attributes.
 """
 
 import pytest
@@ -36,7 +34,7 @@ from repro.obs.attrib import (
     expected_from_system,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import ListSink, Tracer
+from repro.obs.tracer import Tracer
 from repro.sim.simulator import SystemSimulator
 from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
 from repro.workloads import build_spec, generate_trace
@@ -60,11 +58,11 @@ def traces():
 
 
 def run_attributed(cell, workload_spec, trace, engine="scalar",
-                   metrics=None, extra_sinks=()):
+                   metrics=None):
     """One grid cell with an AttributionSink attached (O(pages) memory)."""
     stream = trace.kernel_only() if cell.kernel_trace else trace.user_only()
     sink = AttributionSink()
-    tracer = Tracer(capacity=1, sinks=[sink, *extra_sinks])
+    tracer = Tracer(capacity=1, sinks=[sink])
     sim = TracePolicySimulator(
         PolicySimConfig(
             n_cpus=workload_spec.n_cpus,
@@ -116,27 +114,21 @@ def test_system_sim_reconciles_against_pager_tally():
     assert attrib.shootdown_cost_ns > 0
 
 
-class TestEngineFallbackReconciliation:
-    """No fallback left, visible identically on every surface."""
+class TestAutoEngineReconciliation:
+    """A traced auto-engine run stays vectorized and reconciles."""
 
     def dynamic_cell(self):
         return next(c for c in GRID if c.policy not in _STATIC_POLICIES)
 
-    def test_auto_engine_traced_run_emits_no_fallback(self, traces):
+    def test_auto_engine_traced_run_stays_vectorized(self, traces):
         cell = self.dynamic_cell()
         spec, trace = traces[cell.workload]
         registry = MetricsRegistry()
-        events = ListSink()
         result, attrib = run_attributed(
             cell, spec, trace, engine="auto", metrics=registry,
-            extra_sinks=[events],
         )
-        fallbacks = [e for e in events.events
-                     if e.KIND == "engine-fallback"]
-        assert fallbacks == []
-        assert registry.counter("replay.engine.fallback").value == 0
         assert registry.counter("replay.engine.vector").value == 1
-        assert attrib.engine_fallbacks == 0
+        assert registry.counter("replay.engine.scalar").value == 0
         assert attrib.reconcile(expected_from_policysim(result)) == []
 
     def test_scalar_and_auto_logs_diff_to_zero(self, traces):
@@ -144,8 +136,6 @@ class TestEngineFallbackReconciliation:
         spec, trace = traces[cell.workload]
         _, scalar = run_attributed(cell, spec, trace, engine="scalar")
         _, auto = run_attributed(cell, spec, trace, engine="auto")
-        assert scalar.engine_fallbacks == 0
-        assert auto.engine_fallbacks == 0
         diff = diff_attributions(scalar, auto)
         assert diff.is_identical
         assert diff.stall_delta_ns == 0.0
@@ -205,4 +195,3 @@ class TestSweepWorkers:
             assert attrib.reconcile(
                 expected_from_policysim(outcome.result)
             ) == []
-            assert attrib.engine_fallbacks == 0

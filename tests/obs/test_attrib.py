@@ -17,6 +17,7 @@ from repro.obs.attrib import (
     AttributionSink,
     diff_attributions,
     format_diff,
+    format_intervals,
     format_ledger,
     format_nodes,
     format_page,
@@ -26,7 +27,6 @@ from repro.obs.attrib import (
 )
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -35,6 +35,7 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
     ShootdownEvent,
+    TriggerAdjusted,
 )
 from repro.obs.tracer import Tracer
 
@@ -380,11 +381,6 @@ class TestSinkAndMeta:
         assert rec.misses_after == 7
         assert a.nodes[0].serviced == 11  # serviced-by still tracked
 
-    def test_engine_fallback_counted(self):
-        a = build([EngineFallback(t=0, requested="auto", chosen="scalar",
-                                  reason="active tracer")])
-        assert a.engine_fallbacks == 1
-
 
 class TestDiff:
     def test_identical_streams_diff_to_zero(self):
@@ -397,8 +393,8 @@ class TestDiff:
 
     def test_metadata_differences_do_not_diverge(self):
         events = TestConservation().stream()
-        b_events = [EngineFallback(t=0, requested="auto", chosen="scalar",
-                                   reason="tracer")] + events
+        b_events = [TriggerAdjusted(t=0, old_trigger=128,
+                                    new_trigger=64)] + events
         assert diff_attributions(build(events), build(b_events)).is_identical
 
     def test_divergence_ranked_by_stall_delta(self):
@@ -456,12 +452,94 @@ class TestFormatters:
         assert "page" in format_top_pages(a)
         assert "node" in format_nodes(a)
 
+    def test_top_pages_without_misses_rank_the_most_acted_on(self):
+        events = [
+            MigrationDecision(t=100, page=1, cpu=2, src=0, dst=1,
+                              outcome="migrated"),
+            NoActionDecision(t=150, page=2, cpu=0, reason="write-shared"),
+            ReplicationDecision(t=200, page=3, cpu=2, src=0, dst=1,
+                                outcome="replicated"),
+            CollapseEvent(t=300, page=3, cpu=0, keep_node=0,
+                          replicas_dropped=1),
+        ]
+        a = build(events)
+        rows = format_top_pages(a).splitlines()[2:]
+        assert [int(r.split()[0]) for r in rows] == [3, 1, 2]
+        # The JSON page order stays by stall, then page id.
+        assert [p["page"] for p in a.to_dict()["pages"]] == [1, 2, 3]
+
+    def test_decision_only_stream_reports_payoff_unmeasured(self):
+        a = build([
+            MigrationDecision(t=100, page=1, cpu=2, src=0, dst=1,
+                              outcome="migrated", latency_ns=350_000.0),
+        ])
+        assert a.miss_events == 0
+        assert len(a.regrets) == 1          # the digest-facing data stays
+        for text in (format_summary(a), format_ledger(a), format_page(a, 1)):
+            assert "payoff needs miss events" in text
+            assert "--trace-misses" in text
+            assert "REGRET" not in text
+            assert "net-regret" not in text
+        assert "first touch unknown" in format_page(a, 1)
+
+    def test_page_timeline_lists_every_decision_on_the_page(self):
+        events = [
+            HotPageTriggered(t=200, page=7, cpu=1, count=130,
+                             threshold=128),
+            MigrationDecision(t=300, page=7, cpu=1, src=0, dst=1,
+                              outcome="migrated", reason="unshared",
+                              latency_ns=250_000.0),
+            ReplicationDecision(t=400, page=9, cpu=2, src=0, dst=2,
+                                outcome="replicated"),
+            MigrationDecision(t=500, page=7, cpu=2, src=1, dst=0,
+                              outcome="no-page"),
+            NoActionDecision(t=600, page=7, cpu=3, reason="write-shared"),
+            CollapseEvent(t=700, page=7, cpu=0, keep_node=0,
+                          replicas_dropped=1),
+        ]
+        a = build(events)
+        text = format_page(a, 7, events)
+        assert "decision timeline (5 events)" in text
+        for label in ("hot-page ", "migration ", "[no-page]",
+                      "no action ", "collapse "):
+            assert label in text
+        assert "copy on node 2" not in text
+        # No stream, no timeline.
+        assert "decision timeline" not in format_page(a, 7)
+
+    def test_intervals_table_rows_plus_tail(self):
+        a = build([
+            HotPageTriggered(t=10, page=1, cpu=0, count=128, threshold=128),
+            MigrationDecision(t=20, page=1, cpu=0, src=0, dst=1,
+                              outcome="migrated"),
+            MigrationDecision(t=30, page=2, cpu=0, src=0, dst=1,
+                              outcome="no-page"),
+            IntervalReset(t=100, index=0, tracked_pages=1, triggers=1),
+            ReplicationDecision(t=150, page=2, cpu=1, src=0, dst=1,
+                                outcome="replicated"),
+        ])
+        lines = format_intervals(a).splitlines()
+        assert lines[0].split() == [
+            "interval", "end", "(ms)", "hot", "migr", "repl", "none", "coll"
+        ]
+        assert len(lines) == 4  # header, rule, interval 0, tail
+        # Failed no-page attempts are not counted as moves.
+        assert lines[2].split()[2:] == ["1", "1", "0", "0", "0"]
+        assert lines[3].split()[0] == "tail"
+        assert lines[3].split()[2:] == ["0", "0", "1", "0", "0"]
+
+    def test_intervals_table_without_resets_has_no_tail(self):
+        a = build([NoActionDecision(t=5, page=1, cpu=0)])
+        lines = format_intervals(a).splitlines()
+        assert len(lines) == 3
+        assert lines[2].split()[0] == "0"
+
     def test_to_dict_top_limits_pages_not_totals(self):
         a = build(TestConservation().stream())
         data = a.to_dict(top=1)
         assert len(data["pages"]) == 1
         assert data["totals"]["pages"] == 2
-        assert data["schema_version"] == 2  # v2: the PT ledger
+        assert data["schema_version"] == 3
 
 
 class TestSweepAttribution:

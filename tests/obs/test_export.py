@@ -1,4 +1,4 @@
-"""Exporters and the inspect analysis: round-trips and renderings."""
+"""Exporters: round-trips and renderings."""
 
 import gzip
 import json
@@ -9,7 +9,6 @@ from repro.common.errors import TraceError
 from repro.obs.events import (
     EVENT_TYPES,
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -27,19 +26,11 @@ from repro.obs.events import (
 from repro.obs.export import (
     JsonlSink,
     event_to_json,
-    interval_summary,
     iter_events,
     read_events,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
-)
-from repro.obs.inspect import (
-    format_history,
-    history_for,
-    kind_counts,
-    page_histories,
-    summarize,
 )
 
 #: One instance of every event type, exercising non-default fields.
@@ -61,8 +52,6 @@ SAMPLE_EVENTS = [
     IntervalReset(t=800, index=0, tracked_pages=5, triggers=2),
     TriggerAdjusted(t=900, old_trigger=128, new_trigger=64,
                     overhead_fraction=0.01, remote_fraction=0.4),
-    EngineFallback(t=0, requested="auto", chosen="scalar",
-                   reason="active tracer"),
     PtReplicate(t=950, process=3, cpu=5, pt_page=2, node=1, src=0,
                 walks=64, reason="walk-trigger", latency_ns=310_000.0),
     ThreadMigrate(t=960, process=3, cpu=5, src=1, dst=0,
@@ -194,12 +183,12 @@ class TestChromeTrace:
     def test_structure(self, tmp_path):
         payload = to_chrome_trace(SAMPLE_EVENTS)
         events = payload["traceEvents"]
-        # 6 instant kinds + 1 interval slice + 1 profiler span
-        # (miss/shootdown/trigger skipped).
-        assert len(events) == 8
+        # 5 instant kinds + 1 interval slice + 1 profiler span
+        # (miss/shootdown/trigger/PT skipped).
+        assert len(events) == 7
         instants = [e for e in events if e["ph"] == "i"]
         slices = [e for e in events if e["ph"] == "X"]
-        assert len(instants) == 6
+        assert len(instants) == 5
         assert len(slices) == 2
         interval = next(e for e in slices if e["tid"] == -1)
         assert interval["ts"] == 0.0
@@ -225,67 +214,11 @@ class TestChromeTrace:
 
     def test_write_chrome_trace(self, tmp_path):
         path = str(tmp_path / "chrome.json")
-        written = write_chrome_trace(SAMPLE_EVENTS, path)
+        counter = {"name": "miss.local_ratio", "ph": "C", "ts": 0.8,
+                   "pid": 0, "args": {"local": 0.5}}
+        written = write_chrome_trace(SAMPLE_EVENTS, path, counters=[counter])
         with open(path) as fh:
             payload = json.load(fh)
         assert written == len(payload["traceEvents"]) == 8
+        assert payload["traceEvents"][-1] == counter
 
-
-class TestIntervalSummary:
-    def test_rows_per_interval_plus_tail(self):
-        events = [
-            HotPageTriggered(t=10, page=1, cpu=0, count=128, threshold=128),
-            MigrationDecision(t=20, page=1, cpu=0, outcome="migrated"),
-            IntervalReset(t=100, index=0, tracked_pages=1, triggers=1),
-            ReplicationDecision(t=150, page=2, cpu=1, outcome="replicated"),
-        ]
-        text = interval_summary(events)
-        lines = text.splitlines()
-        assert "interval" in lines[0]
-        assert len(lines) == 4  # header, rule, interval 0, tail
-        assert lines[3].startswith("    tail")
-
-    def test_empty_log(self):
-        assert "(no decision activity)" in interval_summary([])
-
-
-class TestInspect:
-    def test_page_histories_group_decision_events(self):
-        histories = page_histories(SAMPLE_EVENTS)
-        assert set(histories) == {7, 9, 11}
-        seven = histories[7]
-        assert seven.migrations == 1
-        assert seven.replications == 0
-        nine = histories[9]
-        assert nine.replications == 1
-        assert nine.collapses == 1
-
-    def test_failed_operations_not_counted_as_moves(self):
-        events = [
-            MigrationDecision(t=0, page=1, cpu=0, outcome="no-page"),
-            ReplicationDecision(t=1, page=1, cpu=0, outcome="no-page"),
-        ]
-        history = history_for(events, 1)
-        assert history.migrations == 0
-        assert history.replications == 0
-        assert len(history.events) == 2
-
-    def test_history_for_unknown_page_is_empty(self):
-        history = history_for(SAMPLE_EVENTS, 999)
-        assert history.events == []
-        assert "(no decision events recorded" in format_history(history)
-
-    def test_format_history_mentions_every_event(self):
-        text = format_history(history_for(SAMPLE_EVENTS, 7))
-        assert "page 7" in text
-        assert "hot-page" in text
-        assert "migration" in text
-
-    def test_kind_counts_and_summary(self):
-        counts = kind_counts(SAMPLE_EVENTS)
-        assert counts["migration"] == 1
-        assert sum(counts.values()) == len(SAMPLE_EVENTS)
-        text = summarize(SAMPLE_EVENTS)
-        assert f"{len(SAMPLE_EVENTS)} events" in text
-        assert "most-acted-on pages" in text
-        assert "misses recorded: 3" in text

@@ -107,17 +107,16 @@ class TestReconciliation:
 
 
 class TestMetricsRegistry:
-    def test_legacy_extra_served_from_registry(self, engineering):
+    def test_registry_is_the_only_counter_store(self, engineering):
         spec, trace = engineering
         result = _run(spec, trace)
-        assert result.extra["vm_migrations"] == result.metrics["vm.migrations"]
-        assert (
-            result.extra["tlbs_flushed"]
-            == result.metrics["kernel.pager.tlbs_flushed"]
-        )
-        assert result.extra["memlock_wait_ns"] == result.metrics[
-            "kernel.locks.memlock.wait_ns.total"
-        ]
+        assert result.extra == {}
+        assert result.metrics["vm.migrations"] == result.tally.migrated
+        for key in ("kernel.pager.tlbs_flushed",
+                    "kernel.pager.flush_operations",
+                    "kernel.locks.memlock.wait_ns.total",
+                    "vm.replications", "vm.faults", "vm.replicas_reclaimed"):
+            assert key in result.metrics
 
     def test_namespace_spans_every_layer(self, engineering):
         spec, trace = engineering
@@ -146,9 +145,9 @@ class TestMetricsRegistry:
     def test_adaptive_metrics_present_when_enabled(self, engineering):
         spec, trace = engineering
         result = _run(spec, trace, adaptive_trigger=True)
-        assert result.extra["final_trigger"] == result.metrics[
-            "policy.adaptive.trigger"
-        ]
+        assert result.metrics["policy.adaptive.trigger"] > 0
+        assert "policy.adaptive.history_len" in result.metrics
+        assert "policy.adaptive.trigger" not in _run(spec, trace).metrics
 
 
 class TestDeterminism:

@@ -108,6 +108,6 @@ class TestFullSystemIntegration:
             )
             r = sim.run(trace)
             locals_[start] = r.local_miss_fraction
-            assert "final_trigger" in r.extra
+            assert "policy.adaptive.trigger" in r.metrics
         # Both starting points end in the same neighbourhood.
         assert abs(locals_[32] - locals_[512]) < 0.15

@@ -53,7 +53,8 @@ def build(events):
 
 class TestSchema:
     def test_version_bumped_for_the_pt_ledger(self):
-        assert ATTRIB_SCHEMA_VERSION == 2
+        # v2 added the PT ledger; v3 only dropped a never-emitted total.
+        assert ATTRIB_SCHEMA_VERSION == 3
 
     def test_to_dict_carries_pt_totals_and_ledger(self):
         attrib = build([
@@ -62,7 +63,7 @@ class TestSchema:
                         walks=2, latency_ns=5_000.0),
         ])
         d = attrib.to_dict()
-        assert d["schema_version"] == 2
+        assert d["schema_version"] == ATTRIB_SCHEMA_VERSION
         assert d["totals"]["pt_walks"] == 2
         assert d["totals"]["pt_local_walks"] == 0
         assert d["totals"]["pt_walk_stall_ns"] == 8_000.0

@@ -5,6 +5,14 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.kernel.vm.shootdown import ShootdownMode
 from repro.machine.config import MachineConfig
+from repro.kernel.pager.costs import OpType
+from repro.obs.events import (
+    CollapseEvent,
+    MigrationDecision,
+    MissServiced,
+    ReplicationDecision,
+)
+from repro.obs.tracer import ListSink, Tracer
 from repro.policy.parameters import PolicyParameters
 from repro.sim.simulator import (
     Placement,
@@ -12,6 +20,7 @@ from repro.sim.simulator import (
     SystemSimulator,
     run_policy_comparison,
 )
+from repro.trace.record import TraceBuilder
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +149,8 @@ class TestShootdownModes:
             spec, trace, params=params_for("engineering"),
             shootdown_mode=ShootdownMode.TRACKED,
         )["Mig/Rep"]
-        assert tracked.extra["tlbs_flushed"] < full.extra["tlbs_flushed"]
+        flushed = "kernel.pager.tlbs_flushed"
+        assert tracked.metrics[flushed] < full.metrics[flushed]
         assert tracked.kernel_overhead_ns < full.kernel_overhead_ns
 
 
@@ -189,3 +199,234 @@ class TestConservation:
         ).run(trace)
         per_miss = result.stall.total_ns / result.stall.total_misses
         assert 300 <= per_miss <= 3 * 1200
+
+
+# -- kernel scenarios on hand-built traces ------------------------------------------
+
+#: A low trigger and one page per pager batch, so a handful of records
+#: drive the pager through each Figure 2 branch.
+SCENARIO_PARAMS = PolicyParameters(
+    trigger_threshold=20, sharing_threshold=5, batch_pages=1,
+)
+
+
+def _private_page_hammered_remotely(b):
+    b.append(0, cpu=0, process=1, page=7)
+    # The process moves to cpu 4 and hammers its page.
+    for t in range(100, 2000, 100):
+        b.append(t, cpu=4, process=1, page=7, weight=5)
+
+
+def _page_read_shared(b):
+    for t in range(0, 3000, 100):
+        b.append(t, cpu=0, process=1, page=7, weight=3)
+        b.append(t + 1, cpu=5, process=2, page=7, weight=3)
+
+
+def _page_read_shared_then_written(b):
+    _page_read_shared(b)
+    # After the pager interrupt (dispatch delay plus per-CPU skew) ran.
+    b.append(10_000_000, cpu=0, process=1, page=7, is_write=True)
+
+
+def _count_split_across_reset(b):
+    b.append(0, cpu=0, process=1, page=7, weight=19)       # below trigger
+    b.append(2_000, cpu=4, process=1, page=7, weight=19)   # after a reset
+
+
+def _private_page_migrated_then_revisited(b):
+    _private_page_hammered_remotely(b)
+    # After the pager interrupt (dispatch delay plus per-CPU skew) ran.
+    b.append(10_000_000, cpu=4, process=1, page=7)
+
+
+def _first_touch(b):
+    b.append(0, cpu=3, process=1, page=42)
+
+
+def _foreign_page_touched_remotely(b):
+    _first_touch(b)
+    b.append(1, cpu=5, process=2, page=42, weight=2)
+
+
+def _one_local_one_remote_sharer(b):
+    b.append(0, cpu=0, process=1, page=1, weight=3)    # local
+    b.append(1, cpu=1, process=2, page=1, weight=1)    # remote
+
+
+def _kernel_page_hammered_remotely(b):
+    b.append(0, cpu=0, process=1, page=7, is_kernel=True)
+    for t in range(100, 2000, 100):
+        b.append(t, cpu=4, process=1, page=7, weight=5, is_kernel=True)
+
+
+def _page_read_and_written_by_two_cpus(b):
+    for t in range(0, 3000, 100):
+        b.append(t, cpu=0, process=1, page=7, weight=3, is_write=True)
+        b.append(t + 1, cpu=5, process=2, page=7, weight=3)
+
+
+def _mixed_activity(b):
+    for t in range(0, 50_000, 50):
+        page = (t // 50) % 9
+        cpu = (t // 100) % 8
+        b.append(t, cpu=cpu, process=cpu, page=page, weight=4,
+                 is_write=(page == 3))
+
+
+def _moved(events, kind, outcome):
+    return [(e.src, e.dst) for e in events
+            if isinstance(e, kind) and e.outcome == outcome]
+
+
+def _misses(events):
+    return [e for e in events if isinstance(e, MissServiced)]
+
+
+def _decisions(events):
+    return [e for e in events if not isinstance(e, MissServiced)]
+
+
+def _check_migrated(result, events):
+    assert result.tally.migrated == 1
+    assert _moved(events, MigrationDecision, "migrated") == [(0, 4)]
+
+
+def _check_migration_charged(result, events):
+    assert result.kernel_overhead_ns > 0
+    assert result.accounting.op_counts[OpType.MIGRATION] == 1
+    assert result.accounting.op_counts[OpType.REPLICATION] == 0
+    # Once the page has moved, its misses are served locally.
+    revisit = _misses(events)[-1]
+    assert revisit.node == 4 and not revisit.remote
+
+
+def _check_replicated(result, events):
+    assert result.tally.replicated >= 1
+    assert (0, 5) in _moved(events, ReplicationDecision, "replicated")
+    assert result.collapses == 0
+
+
+def _check_collapsed(result, events):
+    assert result.tally.replicated >= 1
+    collapses = [e for e in events if isinstance(e, CollapseEvent)]
+    assert result.collapses == len(collapses) == 1
+    assert collapses[0].page == 7 and collapses[0].replicas_dropped >= 1
+
+
+def _check_static(result, events):
+    assert result.tally.hot_pages == 0
+    assert result.kernel_overhead_ns == 0
+    assert result.stall.remote_misses == 19 * 5   # page stays on node 0
+    assert _decisions(events) == []
+
+
+def _check_no_trigger(result, events):
+    assert result.tally.hot_pages == 0
+
+
+def _check_first_touch_local(result, events):
+    (miss,) = _misses(events)
+    assert miss.node == 3 and not miss.remote
+    assert result.stall.local_misses == 1
+    assert result.stall.remote_misses == 0
+    assert result.stall.local_ns >= 300
+
+
+def _check_remote_weighted(result, events):
+    first, remote = _misses(events)
+    assert remote.node == first.node == 3 and remote.remote
+    assert result.stall.remote_misses == 2
+    assert result.stall.remote_ns == pytest.approx(remote.latency_ns * 2)
+    assert remote.latency_ns > first.latency_ns
+
+
+def _check_local_fraction(result, events):
+    assert result.local_miss_fraction == pytest.approx(0.75)
+
+
+def _check_round_robin(result, events):
+    (miss,) = _misses(events)
+    assert miss.node == 42 % 8 != 3
+    assert result.policy == "RR"
+    assert result.stall.remote_misses == 1
+
+
+def _check_kernel_page_pinned(result, events):
+    assert result.tally.hot_pages == 0
+    assert result.kernel_overhead_ns == 0
+    assert result.stall.remote_misses == 19 * 5
+    assert {m.node for m in _misses(events)} == {0}
+    assert all(m.kernel for m in _misses(events))
+    assert _decisions(events) == []
+
+
+def _check_written_page_not_replicated(result, events):
+    assert result.tally.hot_pages >= 1
+    assert result.tally.replicated == 0
+    assert _moved(events, ReplicationDecision, "replicated") == []
+    assert result.collapses == 0
+
+
+def _check_mixed_activity(result, events):
+    # The run's finalize checks the VM invariants; reaching here with
+    # replicas made means they held after the pager's work.
+    assert result.tally.replicated > 0
+    assert result.stall.total_misses == 1000 * 4
+    assert len(_misses(events)) == 1000
+
+
+@pytest.mark.parametrize(
+    "records, options, reset_interval_ns, check",
+    [
+        pytest.param(_private_page_hammered_remotely, {}, None,
+                     _check_migrated, id="hot-remote-private-migrates"),
+        pytest.param(_private_page_migrated_then_revisited, {}, None,
+                     _check_migration_charged,
+                     id="migration-charges-kernel-time"),
+        pytest.param(_page_read_shared, {}, None,
+                     _check_replicated, id="shared-read-replicates"),
+        pytest.param(_page_read_shared_then_written, {}, None,
+                     _check_collapsed, id="write-collapses-replicas"),
+        pytest.param(_page_read_and_written_by_two_cpus, {}, None,
+                     _check_written_page_not_replicated,
+                     id="written-shared-page-not-replicated"),
+        pytest.param(_private_page_hammered_remotely, {"dynamic": False},
+                     None, _check_static, id="static-never-moves"),
+        pytest.param(_count_split_across_reset, {}, 1_000,
+                     _check_no_trigger, id="reset-splits-count"),
+        pytest.param(_first_touch, {}, None,
+                     _check_first_touch_local, id="first-touch-local"),
+        pytest.param(_foreign_page_touched_remotely, {}, None,
+                     _check_remote_weighted,
+                     id="remote-stall-scales-with-weight"),
+        pytest.param(_one_local_one_remote_sharer, {}, None,
+                     _check_local_fraction, id="local-fraction"),
+        pytest.param(_first_touch,
+                     {"dynamic": False, "placement": Placement.ROUND_ROBIN},
+                     None, _check_round_robin,
+                     id="round-robin-places-by-page"),
+        pytest.param(_kernel_page_hammered_remotely, {}, None,
+                     _check_kernel_page_pinned, id="kernel-page-never-moves"),
+        pytest.param(_mixed_activity, {}, None,
+                     _check_mixed_activity, id="mixed-activity"),
+    ],
+)
+def test_kernel_scenario(engineering, records, options, reset_interval_ns,
+                         check):
+    spec, _ = engineering
+    builder = TraceBuilder()
+    records(builder)
+    params = SCENARIO_PARAMS
+    if reset_interval_ns is not None:
+        params = params.replace(reset_interval_ns=reset_interval_ns)
+    sink = ListSink()
+    result = SystemSimulator(
+        spec, params=params,
+        options=SimulatorOptions(pager_delay_ns=10, **options),
+        tracer=Tracer(sinks=[sink], kinds={
+            MigrationDecision.KIND, ReplicationDecision.KIND,
+            CollapseEvent.KIND, MissServiced.KIND,
+        }),
+    ).run(builder.build())
+    check(result, sink.events)

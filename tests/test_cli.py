@@ -9,7 +9,13 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.export import read_events
+from repro.obs.events import (
+    CollapseEvent,
+    HotPageTriggered,
+    NoActionDecision,
+    ReplicationDecision,
+)
+from repro.obs.export import read_events, write_jsonl
 
 
 def test_workloads_command(capsys):
@@ -107,7 +113,7 @@ def test_verify_command(capsys):
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One traced run shared by the trace/metrics/inspect CLI tests."""
+    """One traced run shared by the trace/metrics/analyze CLI tests."""
     tmp = tmp_path_factory.mktemp("cli-trace")
     trace_path = str(tmp / "run.jsonl")
     metrics_path = str(tmp / "metrics.json")
@@ -146,56 +152,132 @@ def test_run_trace_misses_includes_miss_events(tmp_path, capsys):
     assert any(e.KIND == "miss" for e in read_events(path))
 
 
-def test_inspect_summary(traced_run, capsys):
+def test_analyze_decision_only_log_says_payoff_needs_misses(
+    traced_run, capsys
+):
     trace_path, _ = traced_run
-    assert main(["inspect", trace_path]) == 0
+    events = read_events(trace_path)
+    assert not any(e.KIND == "miss" for e in events)
+    assert main(["analyze", trace_path]) == 0
     out = capsys.readouterr().out
-    assert "events" in out
-    assert "hot-page" in out
+    assert "payoff needs miss events" in out
+    assert "--trace-misses" in out
+    assert "net-regret" not in out
+    assert main(["analyze", trace_path, "--ledger", "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "--trace-misses" in out
+    assert "REGRET" not in out
+    page = next(e.page for e in events if e.KIND == "migration")
+    assert main(["analyze", trace_path, "--page", str(page)]) == 0
+    out = capsys.readouterr().out
+    assert "first touch unknown" in out
+    assert "--trace-misses" in out
+    assert "node -1" not in out
 
 
-def test_inspect_check(traced_run, capsys):
+def test_analyze_check(traced_run, capsys):
     trace_path, _ = traced_run
-    assert main(["inspect", trace_path, "--check"]) == 0
+    assert main(["analyze", trace_path, "--check"]) == 0
     assert "schema-valid" in capsys.readouterr().out
 
 
-def test_inspect_check_fails_on_empty(tmp_path, capsys):
+def test_analyze_check_fails_on_empty(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert main(["inspect", str(path), "--check"]) == 1
+    assert main(["analyze", str(path), "--check"]) == 1
+    assert "valid but empty" in capsys.readouterr().err
 
 
-def test_inspect_rejects_corrupt_log(tmp_path, capsys):
+def test_analyze_check_rejects_corrupt_log(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")
-    assert main(["inspect", str(path)]) == 1
+    assert main(["analyze", str(path), "--check"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_inspect_page_history(traced_run, capsys):
+def test_analyze_rejects_old_engine_fallback_log(tmp_path, capsys):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"kind":"hot-page","t":1}\n'
+        '{"kind":"engine-fallback","t":0,"requested":"auto",'
+        '"chosen":"scalar","reason":"active tracer"}\n'
+    )
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}:2: unknown event kind" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_page_timeline(traced_run, tmp_path, capsys):
     trace_path, _ = traced_run
-    events = read_events(trace_path)
-    page = next(e.page for e in events if e.KIND == "hot-page")
-    assert main(["inspect", trace_path, "--page", str(page)]) == 0
+    page = next(e.page for e in read_events(trace_path)
+                if e.KIND == "no-action")
+    assert main(["analyze", trace_path, "--page", str(page)]) == 0
     out = capsys.readouterr().out
     assert f"page {page}:" in out
-    assert "hot-page" in out
+    assert "decision timeline" in out
+    assert "hot-page " in out
+    assert "no action " in out
+    # The database run collapses nothing; a hand-built log covers it.
+    path = str(tmp_path / "collapse.jsonl")
+    write_jsonl([
+        HotPageTriggered(t=100, page=7, cpu=1, count=130, threshold=128),
+        NoActionDecision(t=200, page=7, cpu=1, reason="write-shared"),
+        ReplicationDecision(t=300, page=7, cpu=2, src=0, dst=2,
+                            outcome="replicated", reason="shared-read"),
+        CollapseEvent(t=400, page=7, cpu=0, keep_node=0,
+                      replicas_dropped=1),
+        HotPageTriggered(t=500, page=8, cpu=3, count=140, threshold=128),
+    ], path)
+    assert main(["analyze", path, "--page", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "decision timeline (4 events)" in out
+    for label in ("hot-page ", "no action ", "replication ", "collapse "):
+        assert label in out
+    assert "cpu 3" not in out
 
 
-def test_inspect_intervals(traced_run, capsys):
+def test_analyze_page_absent_from_log(traced_run, capsys):
     trace_path, _ = traced_run
-    assert main(["inspect", trace_path, "--intervals"]) == 0
-    assert "interval" in capsys.readouterr().out
+    absent = 1 + max(e.page for e in read_events(trace_path)
+                     if hasattr(e, "page"))
+    assert main(["analyze", trace_path, "--page", str(absent)]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() == f"page {absent}: never appears in this stream"
 
 
-def test_inspect_chrome_export(traced_run, tmp_path, capsys):
+def test_analyze_intervals_count_decisions(traced_run, capsys):
+    trace_path, _ = traced_run
+    expected, row = [], [0, 0, 0, 0, 0]
+    fields = {"hot-page": 0, "migration": 1, "replication": 2,
+              "no-action": 3, "collapse": 4}
+    for e in read_events(trace_path):
+        if e.KIND == "interval-reset":
+            expected.append(row)
+            row = [0, 0, 0, 0, 0]
+        elif e.KIND in fields and getattr(e, "outcome", "") != "no-page":
+            row[fields[e.KIND]] += 1
+    if any(row):
+        expected.append(row)
+    assert main(["analyze", trace_path, "--intervals"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["interval", "end"]
+    counts = [[int(x) for x in line.split()[2:]] for line in lines[2:]]
+    assert counts == expected
+    assert lines[-1].split()[0] == "tail"
+
+
+def test_analyze_chrome_holds_timeline_and_counters(
+    traced_run, tmp_path, capsys
+):
     trace_path, _ = traced_run
     chrome_path = str(tmp_path / "chrome.json")
-    assert main(["inspect", trace_path, "--chrome", chrome_path]) == 0
+    assert main(["analyze", trace_path, "--chrome", chrome_path]) == 0
     with open(chrome_path) as fh:
         payload = json.load(fh)
-    assert payload["traceEvents"]
+    phases = {e["ph"] for e in payload["traceEvents"]}
+    assert {"i", "C"} <= phases
 
 
 def test_tracesim_trace_out(tmp_path, capsys):
@@ -208,7 +290,7 @@ def test_tracesim_trace_out(tmp_path, capsys):
     assert events
     assert {e.KIND for e in events} <= {
         "hot-page", "migration", "replication", "no-action",
-        "collapse", "interval-reset", "engine-fallback", "run-meta",
+        "collapse", "interval-reset", "run-meta",
     }
     assert events[0].KIND == "run-meta"
 
@@ -422,9 +504,11 @@ class TestGracefulStop:
 
 
 @pytest.mark.parametrize(
-    "command", ["serve", "submit", "status", "results", "cancel"]
+    "command", ["serve", "submit", "status", "results", "cancel", "inspect"]
 )
-def test_retired_service_commands_are_invalid_choices(capsys, command):
+def test_retired_service_and_inspect_commands_are_invalid_choices(
+    capsys, command
+):
     with pytest.raises(SystemExit) as exc:
         main([command])
     assert exc.value.code == 2
@@ -461,7 +545,8 @@ def test_help_lists_no_service_command(capsys):
     out = capsys.readouterr().out
     commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
     assert "sweep" in commands
-    for retired in ("serve", "submit", "status", "results", "cancel"):
+    for retired in ("serve", "submit", "status", "results", "cancel",
+                    "inspect"):
         assert retired not in commands
 
 
@@ -907,13 +992,12 @@ class TestAnalyzeCommand:
         ]) == 0
         data = json.loads(json_path.read_text())
         assert data["kind"] == "attribution"
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["totals"]["misses"] > 0
         rows = [json.loads(l) for l in series_path.read_text().splitlines()]
         assert rows and "local_ratio" in rows[0]
-        counters = json.loads(chrome_path.read_text())
-        assert counters["traceEvents"]
-        assert {c["ph"] for c in counters["traceEvents"]} == {"C"}
+        chrome = json.loads(chrome_path.read_text())
+        assert {"i", "C"} <= {c["ph"] for c in chrome["traceEvents"]}
 
     def test_diff_scalar_vs_auto_is_identical(self, analyze_logs, capsys):
         assert main([
@@ -955,7 +1039,7 @@ class TestAnalyzeCommand:
                 dst.write(src.read())
         assert main(["analyze", str(path)]) == 0
         assert "stall:" in capsys.readouterr().out
-        assert main(["inspect", str(path)]) == 0
+        assert main(["analyze", str(path), "--check"]) == 0
 
     def test_time_window(self, analyze_logs, capsys):
         assert main([
@@ -964,7 +1048,7 @@ class TestAnalyzeCommand:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "inspect", analyze_logs["scalar"], "--since", "0",
+            "analyze", analyze_logs["scalar"], "--intervals", "--since", "0",
             "--until", "1e9",
         ]) == 0
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.events import EngineFallback
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import (
@@ -359,15 +358,9 @@ class TestEngineSelection:
             PolicySimConfig(n_cpus=8, n_nodes=4, engine="scalar")
         ).simulate_dynamic(trace, self.params())
         assert traced.to_dict() == plain.to_dict()
+        # No tracer-driven demotion: auto + tracer runs the vector engine.
         assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.fallback").value == 0
-        # No tracer-driven demotion exists any more: auto + tracer runs
-        # the vector engine and emits no EngineFallback warning.
-        fallbacks = [
-            e for e in sim.tracer.events()
-            if isinstance(e, EngineFallback)
-        ]
-        assert fallbacks == []
+        assert registry.counter("replay.engine.scalar").value == 0
 
     def test_engine_choice_counted(self):
         registry = MetricsRegistry()
@@ -377,7 +370,7 @@ class TestEngineSelection:
         trace = random_trace(np.random.default_rng(4), n_events=200)
         sim.simulate_dynamic(trace, self.params())
         assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.fallback").value == 0
+        assert registry.counter("replay.engine.scalar").value == 0
 
     def test_competitive_runs_on_both_engines(self):
         trace = random_trace(np.random.default_rng(5), n_events=100)
