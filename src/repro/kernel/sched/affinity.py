@@ -92,7 +92,7 @@ class AffinityScheduler:
                 if self.duty_cycle >= 1.0 or rng.random() < self.duty_cycle:
                     runnable.append(proc.pid)
             self._balance(time, runnable, home, last_ran, idle_streak, rng)
-            running = self._pick_runners(runnable, home, last_ran)
+            running = self._choose_runners(runnable, home, last_ran)
             for pid in running.values():
                 last_ran[pid] = quantum_index
             for cpu in range(self.n_cpus):
@@ -111,7 +111,7 @@ class AffinityScheduler:
             load[cpu] += 1
         return min(range(self.n_cpus), key=lambda c: (load[c], c))
 
-    def _pick_runners(
+    def _choose_runners(
         self,
         runnable: List[int],
         home: Dict[int, int],

@@ -12,9 +12,11 @@ Containers are keyed the same way as the experiment
 workload identity JSON (``{name, scale, seed}``) plus a **generator
 code-version token** — a digest of every source file that shapes trace
 generation (the ``workloads`` package, the schedulers it drives, the
-trace container code, and the RNG plumbing).  Editing any of those
-files changes the token, so stale containers are simply never found;
-there is no manual versioning to forget.
+trace container code, and the RNG plumbing) and numpy's version, whose
+``Generator`` algorithms the generator draws from (NumPy does not
+promise those streams stay the same across releases).  Editing any of
+those files or upgrading numpy changes the token, so stale containers
+are simply never found; there is no manual versioning to forget.
 
 Corrupt, truncated, or stale containers degrade to a miss: the store
 drops them and the caller regenerates and rewrites.  ``store.*``
@@ -30,6 +32,8 @@ import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
+
+import numpy as np
 
 from repro.common.errors import TraceError, TraceStoreError
 from repro.common.locks import FileLock
@@ -90,7 +94,10 @@ def store_enabled() -> bool:
 
 
 def generator_code_token(refresh: bool = False) -> str:
-    """Digest of every generator source file (cached per process)."""
+    """Digest of every generator source file and numpy's version.
+
+    Cached per process; ``refresh`` recomputes it.
+    """
     global _token_cache
     env = os.environ.get(TRACE_TOKEN_ENV)
     if env:
@@ -101,6 +108,8 @@ def generator_code_token(refresh: bool = False) -> str:
 
     root = Path(repro.__file__).parent
     digest = hashlib.sha256()
+    digest.update(f"numpy {np.__version__}".encode("utf-8"))
+    digest.update(b"\0")
     for rel in GENERATOR_SOURCES:
         target = root / rel
         paths = sorted(target.rglob("*.py")) if target.is_dir() else [target]

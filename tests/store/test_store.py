@@ -1,18 +1,27 @@
 """TraceStore: content addressing, replay, degradation, metrics."""
 
+import ast
+import importlib.util
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.common.errors import TraceError, TraceStoreError
 from repro.store import (
+    GENERATOR_SOURCES,
     TRACE_DIR_ENV,
     TRACE_STORE_ENV,
     TRACE_TOKEN_ENV,
     TraceStore,
     default_store,
+    generator_code_token,
     reset_default_store,
     trace_key,
 )
+from repro.store import tracestore
 from repro.trace.record import TraceBuilder
 from repro.workloads import build_spec, generate_trace, trace_for
 
@@ -49,6 +58,78 @@ class TestKeying:
     def test_bad_identity_rejected(self):
         with pytest.raises(TraceError):
             trace_key({"name": "x"}, "t")
+
+    def test_numpy_version_changes_key(self, monkeypatch):
+        # Generated traces follow numpy's Generator algorithms, which a
+        # numpy release may change; a store shared across versions must
+        # not replay another version's recordings.
+        monkeypatch.delenv(TRACE_TOKEN_ENV, raising=False)
+        monkeypatch.setattr(tracestore, "_token_cache", None)
+        generator_code_token(refresh=True)
+        before = trace_key(IDENTITY)
+        monkeypatch.setattr(np, "__version__", "0.0.0+other")
+        generator_code_token(refresh=True)
+        assert trace_key(IDENTITY) != before
+
+
+def _repro_imports(module: str) -> set:
+    """``repro.*`` modules ``module`` imports at module level."""
+    spec = importlib.util.find_spec(module)
+    package = module if spec.submodule_search_locations else module.rpartition(".")[0]
+    tree = ast.parse(Path(spec.origin).read_text(encoding="utf-8"))
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            candidates = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package
+            )
+            candidates = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in candidates:
+            try:
+                if name.startswith("repro.") and importlib.util.find_spec(name):
+                    found.add(name)
+            except ModuleNotFoundError:   # ``from module import attribute``
+                pass
+    return found
+
+
+def test_generator_imports_lie_under_token_sources():
+    """Every module generation imports is hashed into the code token.
+
+    A helper the generator imports from outside ``GENERATOR_SOURCES``
+    could change traces without changing the token, and the store would
+    replay stale recordings.
+    """
+    import repro.workloads
+
+    root = Path(repro.__file__).parent
+    pending = ["repro.workloads"] + [
+        info.name
+        for info in pkgutil.walk_packages(
+            repro.workloads.__path__, "repro.workloads."
+        )
+    ]
+    seen = set()
+    while pending:
+        module = pending.pop()
+        if module not in seen:
+            seen.add(module)
+            pending.extend(_repro_imports(module))
+    outside = []
+    for module in sorted(seen):
+        rel = Path(importlib.util.find_spec(module).origin).relative_to(root)
+        rel = rel.as_posix()
+        if rel == "common/errors.py":
+            continue
+        if not any(rel == src or rel.startswith(src + "/")
+                   for src in GENERATOR_SOURCES):
+            outside.append(module)
+    assert "repro.kernel.sched.process" in seen
+    assert outside == []
 
 
 class TestReplay:
