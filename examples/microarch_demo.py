@@ -14,28 +14,39 @@ why the paper's numbers look the way they do:
 Run:  python examples/microarch_demo.py
 """
 
+import numpy as np
+
 from repro.machine.cache import CacheHierarchy
-from repro.machine.config import MachineConfig
-from repro.machine.tlb import Tlb
+from repro.machine.config import MachineConfig, TlbConfig
+from repro.trace.record import Trace
+from repro.trace.tlbsim import derive_tlb_trace
 
 KB = 1024
+PAGE = 4096
 
 
-def sweep(hierarchy: CacheHierarchy, tlb: Tlb, span_bytes: int, rounds: int = 4):
+def sweep(
+    hierarchy: CacheHierarchy, tlb: TlbConfig, span_bytes: int, rounds: int = 4
+):
     """Walk ``span_bytes`` sequentially ``rounds`` times; report miss rates."""
     line = hierarchy.l2.config.line_size
-    page = 4096
-    l2_misses = l2_accesses = tlb_misses = tlb_accesses = 0
-    for _ in range(rounds):
-        for addr in range(0, span_bytes, line):
-            level = hierarchy.access(addr)
-            l2_accesses += 1
-            if level == CacheHierarchy.MEMORY:
-                l2_misses += 1
-            tlb_accesses += 1
-            if not tlb.access(addr // page):
-                tlb_misses += 1
-    return l2_misses / l2_accesses, tlb_misses / tlb_accesses
+    addrs = list(range(0, span_bytes, line)) * rounds
+    l2_misses = sum(
+        hierarchy.access(addr) == CacheHierarchy.MEMORY for addr in addrs
+    )
+    # One CPU's page-touch stream through the LRU TLB, one touch a record.
+    n = len(addrs)
+    zeros = np.zeros(n, dtype=np.int64)
+    touches = Trace(
+        np.arange(n), zeros, zeros, np.array(addrs) // PAGE,
+        np.ones(n, dtype=np.int64), zeros,
+    )
+    tlb_misses = len(
+        derive_tlb_trace(
+            touches, n_cpus=1, tlb_config=tlb, factor_of_page=lambda p: 1.0
+        )
+    )
+    return l2_misses / n, tlb_misses / n
 
 
 def main() -> None:
@@ -45,8 +56,7 @@ def main() -> None:
     print(f"{'working set':>14s}{'L2 miss rate':>15s}{'TLB miss rate':>15s}")
     for span_kb in (16, 128, 256, 512, 1024, 4096):
         hierarchy = CacheHierarchy(machine.l1i, machine.l1d, machine.l2)
-        tlb = Tlb(machine.tlb)
-        l2_rate, tlb_rate = sweep(hierarchy, tlb, span_kb * KB)
+        l2_rate, tlb_rate = sweep(hierarchy, machine.tlb, span_kb * KB)
         print(f"{span_kb:>11d} KB{l2_rate:>14.1%}{tlb_rate:>15.1%}")
     print(
         "\nBetween 256KB and 512KB the TLB thrashes while the L2 still\n"

@@ -1,4 +1,4 @@
-"""The CC-NUMA hardware substrate: caches, TLBs, memory, directory."""
+"""The CC-NUMA hardware substrate: caches, memory, directory."""
 
 from repro.machine.cache import CacheHierarchy, SetAssociativeCache
 from repro.machine.config import (
@@ -20,7 +20,6 @@ from repro.machine.directory import (
 )
 from repro.machine.interconnect import Interconnect
 from repro.machine.memory import MissService, NumaMemorySystem
-from repro.machine.tlb import Tlb, TlbArray
 
 __all__ = [
     "CacheHierarchy",
@@ -41,6 +40,4 @@ __all__ = [
     "Interconnect",
     "MissService",
     "NumaMemorySystem",
-    "Tlb",
-    "TlbArray",
 ]

@@ -79,6 +79,8 @@ class Trace:
             raise TraceError("record weights must be positive")
         if n and np.any(self.page < 0):
             raise TraceError("page ids must be non-negative")
+        if n and np.any(self.cpu < 0):
+            raise TraceError("cpu ids must be non-negative")
 
     # -- basic shape --------------------------------------------------------------
 

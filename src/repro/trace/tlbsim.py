@@ -22,14 +22,13 @@ between the two streams.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import TraceError
 from repro.machine.config import TlbConfig
-from repro.machine.tlb import Tlb
-from repro.trace.record import FLAG_INSTR, FLAG_KERNEL, Trace, TraceBuilder
+from repro.trace.record import FLAG_INSTR, FLAG_KERNEL, FLAG_WRITE, Trace
 
 DEFAULT_TLB_FACTOR = 0.3
 
@@ -43,6 +42,10 @@ class TlbTraceDeriver:
     produces exactly the records :func:`derive_tlb_trace` would emit
     for the concatenated trace — with only one chunk's cache-miss
     columns live at a time.
+
+    Each CPU's TLB is a plain ``dict`` kept in LRU order: insertion
+    order is recency, so a hit re-inserts its page at the end and a
+    miss into a full TLB evicts the first key.
     """
 
     def __init__(
@@ -52,7 +55,8 @@ class TlbTraceDeriver:
         factor_of_page: Optional[Callable[[int], float]] = None,
     ) -> None:
         self.n_cpus = int(n_cpus)
-        self._tlbs = [Tlb(tlb_config) for _ in range(self.n_cpus)]
+        self._entries = (tlb_config or TlbConfig()).entries
+        self._tlbs: List[dict] = [{} for _ in range(self.n_cpus)]
         self._factor_of_page = factor_of_page
         self._factor_cache: dict = {}
 
@@ -64,49 +68,65 @@ class TlbTraceDeriver:
                 self._factor_of_page = lambda page: DEFAULT_TLB_FACTOR
         return self._factor_of_page
 
+    def _miss_indices(self, cpus: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """Record indices (in record order) whose page missed its CPU's TLB."""
+        order = np.argsort(cpus, kind="stable")
+        bounds = np.searchsorted(cpus[order], np.arange(self.n_cpus + 1))
+        sorted_pages = pages[order].tolist()
+        entries = self._entries
+        missed: List[int] = []
+        for cpu in range(self.n_cpus):
+            lo, hi = int(bounds[cpu]), int(bounds[cpu + 1])
+            tlb = self._tlbs[cpu]
+            for k, page in enumerate(sorted_pages[lo:hi], lo):
+                if tlb.pop(page, False):
+                    tlb[page] = True
+                    continue
+                if len(tlb) >= entries:
+                    del tlb[next(iter(tlb))]
+                tlb[page] = True
+                missed.append(k)
+        return np.sort(order[np.array(missed, dtype=np.intp)])
+
     def feed(self, chunk: Trace) -> Trace:
         """The TLB-miss sub-trace this chunk of cache misses produces.
 
         Timestamps are preserved; the result may be empty when every
-        touch hit a TLB.
+        touch hit a TLB.  A chunk with a CPU outside ``[0, n_cpus)`` is
+        rejected before any TLB state changes.
         """
-        factor_of_page = self._resolve_factor(chunk)
-        tlbs = self._tlbs
-        factor_cache = self._factor_cache
-        builder = TraceBuilder(meta=chunk.meta)
-        times = chunk.time_ns
         cpus = chunk.cpu
-        processes = chunk.process
-        pages = chunk.page
-        weights = chunk.weight
-        flags = chunk.flags
-        for i in range(len(chunk)):
-            cpu = int(cpus[i])
-            if cpu >= self.n_cpus:
-                raise TraceError(f"record cpu {cpu} outside machine")
-            page = int(pages[i])
-            hit = tlbs[cpu].access(page)
-            if hit:
-                continue
+        if len(chunk):
+            low, high = int(cpus.min()), int(cpus.max())
+            if low < 0 or high >= self.n_cpus:
+                bad = low if low < 0 else high
+                raise TraceError(f"record cpu {bad} outside machine")
+        factor_of_page = self._resolve_factor(chunk)
+        miss = self._miss_indices(cpus, chunk.page)
+        pages = chunk.page[miss]
+        unique, inverse = np.unique(pages, return_inverse=True)
+        factor_cache = self._factor_cache
+        factors = np.empty(len(unique), dtype=np.float64)
+        for j, page in enumerate(unique.tolist()):
             factor = factor_cache.get(page)
             if factor is None:
                 factor = factor_cache[page] = float(factor_of_page(page))
-            tlb_weight = max(1, int(round(int(weights[i]) * factor)))
-            flag = int(flags[i])
-            builder.append(
-                int(times[i]),
-                cpu,
-                int(processes[i]),
-                page,
-                weight=tlb_weight,
-                # A software TLB reload sees whether the faulting reference
-                # was a store, so write information survives in the TLB
-                # stream.
-                is_write=bool(flag & 0x1),
-                is_instr=bool(flag & FLAG_INSTR),
-                is_kernel=bool(flag & FLAG_KERNEL),
-            )
-        return builder.build(sort=False)
+            factors[j] = factor
+        # np.rint rounds half to even, like Python's round().
+        weight = np.maximum(
+            1, np.rint(chunk.weight[miss] * factors[inverse])
+        ).astype(np.int64)
+        # A software TLB reload sees whether the faulting reference was a
+        # store, so write information survives in the TLB stream.
+        return Trace(
+            chunk.time_ns[miss],
+            cpus[miss],
+            chunk.process[miss],
+            pages,
+            weight,
+            chunk.flags[miss] & (FLAG_WRITE | FLAG_INSTR | FLAG_KERNEL),
+            meta=chunk.meta,
+        )
 
 
 def derive_tlb_trace(

@@ -69,6 +69,13 @@ class TestValidation:
                 np.array([-1]), np.array([1]), np.array([0]),
             )
 
+    def test_negative_cpu_rejected(self):
+        with pytest.raises(TraceError, match="cpu ids must be non-negative"):
+            Trace(
+                np.array([1]), np.array([-1]), np.array([0]),
+                np.array([0]), np.array([1]), np.array([0]),
+            )
+
     def test_negative_weight_rejected(self):
         with pytest.raises(TraceError):
             Trace(

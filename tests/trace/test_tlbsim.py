@@ -1,10 +1,37 @@
-"""TLB-miss derivation (Section 8.3)."""
+"""TLB-miss derivation (Section 8.3).
 
+The bulk deriver in :mod:`repro.trace.tlbsim` is checked column for
+column against :func:`reference_tlb_trace`, the per-record loop it
+replaced, and against column digests pinned from that loop.
+"""
+
+import hashlib
+from collections import OrderedDict
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.errors import TraceError
 from repro.machine.config import TlbConfig
-from repro.trace.record import TraceBuilder
-from repro.trace.tlbsim import derive_tlb_trace
+from repro.trace.record import (
+    FLAG_INSTR,
+    FLAG_KERNEL,
+    FLAG_WRITE,
+    Trace,
+    TraceBuilder,
+)
+from repro.trace.tlbsim import (
+    DEFAULT_TLB_FACTOR,
+    TlbTraceDeriver,
+    derive_tlb_trace,
+    derive_tlb_trace_chunks,
+    merged_tlb_stream,
+)
+from repro.workloads import WORKLOAD_NAMES, build_spec, generate_trace
+
+COLUMNS = ("time_ns", "cpu", "process", "page", "weight", "flags")
 
 
 def build(rows, meta=None):
@@ -12,6 +39,263 @@ def build(rows, meta=None):
     for r in rows:
         b.append(*r)
     return b.build()
+
+
+def reference_tlb_trace(trace, n_cpus, tlb_config=None, factor_of_page=None):
+    """The per-record derivation the bulk deriver must reproduce.
+
+    One ``OrderedDict`` LRU per CPU, one record at a time, and Python's
+    ``round`` on each missed record's scaled weight.
+    """
+    entries = (tlb_config or TlbConfig()).entries
+    if factor_of_page is None:
+        if trace.meta is not None:
+            factor_of_page = trace.meta.tlb_factor_of_page
+        else:
+            factor_of_page = lambda page: DEFAULT_TLB_FACTOR
+    tlbs = [OrderedDict() for _ in range(n_cpus)]
+    builder = TraceBuilder(meta=trace.meta)
+    for i in range(len(trace)):
+        cpu = int(trace.cpu[i])
+        page = int(trace.page[i])
+        tlb = tlbs[cpu]
+        if page in tlb:
+            tlb.move_to_end(page)
+            continue
+        if len(tlb) >= entries:
+            tlb.popitem(last=False)
+        tlb[page] = True
+        factor = float(factor_of_page(page))
+        flag = int(trace.flags[i])
+        builder.append(
+            int(trace.time_ns[i]),
+            cpu,
+            int(trace.process[i]),
+            page,
+            weight=max(1, int(round(int(trace.weight[i]) * factor))),
+            is_write=bool(flag & FLAG_WRITE),
+            is_instr=bool(flag & FLAG_INSTR),
+            is_kernel=bool(flag & FLAG_KERNEL),
+        )
+    return builder.build(sort=False)
+
+
+def columns_digest(trace):
+    """sha256 over all six columns, in the benchmark's column order."""
+    digest = hashlib.sha256()
+    for column in COLUMNS:
+        digest.update(np.ascontiguousarray(getattr(trace, column)).tobytes())
+    return digest.hexdigest()
+
+
+def assert_same_columns(got, want):
+    for column in COLUMNS:
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype, column
+        assert np.array_equal(a, b), column
+
+
+#: Column sha256 of ``derive_tlb_trace(trace.user_only(), n_cpus)`` for
+#: each named workload, recorded from the per-record loop.
+PINNED_TLB_DIGESTS = {
+    ("engineering", 0.02, 0): "dc5c29b8534f7f8c0de6b7f5ada36d3344c5329659185ce6e0ce85559da13b2d",
+    ("raytrace", 0.02, 0): "d6dada6cc13d75a097f210acabde6729861dc4d8c4b30e916ee5d6c015bfca55",
+    ("splash", 0.02, 0): "3357c4c8a78cba40d9951b913ccfe6200f8a404e147537098bae7a3a73fa8165",
+    ("database", 0.02, 0): "eaca7bca7ca7e6ecde3a1b1a59bc6c534e6201fd7ff4ebae5517373e46085a52",
+    ("pmake", 0.02, 0): "f30cbbbaf983f61f86c2c2679fbd45b86946417aa01a621ffa73048457ca3b24",
+    ("engineering", 0.05, 7): "ed33e0e146fbcd7bee9fb24922df0679612fbe47fe4d9354c854b31a00d5e955",
+    ("raytrace", 0.05, 7): "85cbe0d8643da0c1adeaa48145945b507a08c633bb65718a960a3007f02663cc",
+    ("splash", 0.05, 7): "7fa6792516b762852ab9d499347a300c0c2e8071cc6fcfda2c9326ea462347ed",
+    ("database", 0.05, 7): "370af7b6546b9fc6b6003aeeafe8fd231f296281272a75753440f015bea582ed",
+    ("pmake", 0.05, 7): "0e2ad7dbd9b6f6f0d1cd2396621a38e35a3b40552536003d64b0cc77c66d227f",
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_scale_002_seed_0(self, name):
+        spec = build_spec(name, scale=0.02, seed=0)
+        user = generate_trace(spec).user_only()
+        tlb = derive_tlb_trace(user, n_cpus=spec.n_cpus)
+        assert columns_digest(tlb) == PINNED_TLB_DIGESTS[(name, 0.02, 0)]
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_scale_005_seed_7(self, name, small_workloads):
+        # The session fixture is this exact (scale, seed) pair.
+        spec, trace = small_workloads[name]
+        tlb = derive_tlb_trace(trace.user_only(), n_cpus=spec.n_cpus)
+        assert columns_digest(tlb) == PINNED_TLB_DIGESTS[(name, 0.05, 7)]
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_oracle_matches_on_every_workload(self, name, small_workloads):
+        # Kernel records included: the oracle and the bulk deriver must
+        # agree on the full stream, not only the user half.
+        spec, trace = small_workloads[name]
+        assert_same_columns(
+            derive_tlb_trace(trace, n_cpus=spec.n_cpus),
+            reference_tlb_trace(trace, n_cpus=spec.n_cpus),
+        )
+
+
+#: Both derivations, so each LRU case pins the oracle and the deriver.
+DERIVERS = pytest.mark.parametrize(
+    "derive", [reference_tlb_trace, derive_tlb_trace], ids=["oracle", "bulk"]
+)
+
+
+def _pages(rows, n_cpus=1, entries=None):
+    """Derived (cpu, page) misses for ``(cpu, page)`` touches, weight 1."""
+    trace = build([(t, cpu, 0, page, 1) for t, (cpu, page) in enumerate(rows)])
+    config = TlbConfig(entries) if entries else None
+    return trace, dict(n_cpus=n_cpus, tlb_config=config,
+                       factor_of_page=lambda p: 1.0)
+
+
+class TestLru:
+    """The LRU cases, on the oracle and on the bulk deriver alike."""
+
+    @DERIVERS
+    def test_miss_then_hit(self, derive):
+        trace, kwargs = _pages([(0, 5), (0, 5)])
+        assert derive(trace, **kwargs).page.tolist() == [5]
+
+    @DERIVERS
+    def test_fill_to_default_capacity_then_evict_lru(self, derive):
+        # 64 distinct pages fill the default TLB; page 64 evicts page 0,
+        # so page 0 misses again while page 1 still hits.
+        rows = [(0, p) for p in range(65)] + [(0, 1), (0, 0)]
+        trace, kwargs = _pages(rows)
+        assert derive(trace, **kwargs).page.tolist() == list(range(65)) + [0]
+
+    @DERIVERS
+    def test_hit_promotes_in_eviction_order(self, derive):
+        # Touching 1 again makes 2 the LRU entry, so 3 evicts 2, not 1.
+        rows = [(0, 1), (0, 2), (0, 1), (0, 3), (0, 1), (0, 2)]
+        trace, kwargs = _pages(rows, entries=2)
+        assert derive(trace, **kwargs).page.tolist() == [1, 2, 3, 2]
+
+    @DERIVERS
+    def test_capacity_one(self, derive):
+        rows = [(0, 4), (0, 4), (0, 7), (0, 4), (0, 4)]
+        trace, kwargs = _pages(rows, entries=1)
+        assert derive(trace, **kwargs).page.tolist() == [4, 7, 4]
+
+
+class TestCpuRange:
+    def _trace(self, rows):
+        # Bypass validation: a selected sub-trace is never re-validated,
+        # so the deriver must check CPU ids itself.
+        cols = list(zip(*rows))
+        return Trace(*cols, np.zeros(len(rows)), validate=False)
+
+    def test_negative_cpu_does_not_alias_last_cpu(self):
+        trace = self._trace([(0, -1, 0, 5, 1), (1, 1, 0, 5, 1)])
+        with pytest.raises(TraceError, match="record cpu -1 outside machine"):
+            derive_tlb_trace(trace, n_cpus=2, factor_of_page=lambda p: 1.0)
+
+    def test_cpu_past_machine_rejected(self):
+        trace = self._trace([(0, 0, 0, 5, 1), (1, 2, 0, 6, 1)])
+        with pytest.raises(TraceError, match="record cpu 2 outside machine"):
+            derive_tlb_trace(trace, n_cpus=2, factor_of_page=lambda p: 1.0)
+
+    @pytest.mark.parametrize("bad_cpu", [-1, 2])
+    def test_rejected_chunk_leaves_no_state(self, bad_cpu):
+        bad = self._trace(
+            [(0, 0, 0, 5, 1), (1, 1, 0, 6, 1), (2, bad_cpu, 0, 7, 1)]
+        )
+        good = build([(3, 0, 0, 5, 1), (4, 1, 0, 6, 1), (5, 1, 0, 7, 1)])
+        deriver = TlbTraceDeriver(2, factor_of_page=lambda p: 1.0)
+        with pytest.raises(TraceError):
+            deriver.feed(bad)
+        fresh = TlbTraceDeriver(2, factor_of_page=lambda p: 1.0)
+        got = deriver.feed(good)
+        assert len(got) == 3        # pages 5 and 6 were never filled
+        assert_same_columns(got, fresh.feed(good))
+
+
+# -- hypothesis: the bulk deriver against the oracle ---------------------------
+
+#: Factors that make exact ``.5`` products with small integer weights,
+#: so half-to-even rounding is exercised on both sides.
+FACTORS = (0.5, 1.5, 2.5, 0.25, 0.75, 0.01, 0.3, 1.0)
+
+
+@st.composite
+def tlb_cases(draw):
+    n_cpus = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 120))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    trace = Trace(
+        np.cumsum(steps),
+        draw(ints(0, n_cpus - 1)),
+        draw(ints(0, 3)),
+        draw(ints(0, 20)),
+        draw(ints(1, 40)),
+        draw(ints(0, 15)),
+    )
+    factors = draw(
+        st.lists(st.sampled_from(FACTORS), min_size=21, max_size=21)
+    )
+    entries = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    kwargs = dict(n_cpus=n_cpus, tlb_config=TlbConfig(entries),
+                  factor_of_page=lambda page: factors[page])
+    return trace, kwargs, cuts
+
+
+def _chunks(trace, cuts):
+    bounds = [0] + cuts + [len(trace)]
+    return [trace.select(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestOracleIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(tlb_cases())
+    def test_whole_trace(self, case):
+        trace, kwargs, _ = case
+        assert_same_columns(
+            derive_tlb_trace(trace, **kwargs),
+            reference_tlb_trace(trace, **kwargs),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(tlb_cases())
+    def test_chunks_at_random_cuts(self, case):
+        trace, kwargs, cuts = case
+        want = reference_tlb_trace(trace, **kwargs)
+        pieces = list(derive_tlb_trace_chunks(_chunks(trace, cuts), **kwargs))
+        assert all(len(piece) for piece in pieces)
+        for column in COLUMNS:
+            got = np.concatenate(
+                [getattr(want, column)[:0]]
+                + [getattr(piece, column) for piece in pieces]
+            )
+            assert got.dtype == getattr(want, column).dtype, column
+            assert np.array_equal(got, getattr(want, column)), column
+
+    @settings(max_examples=150, deadline=None)
+    @given(tlb_cases())
+    def test_merged_stream_equals_whole_trace_merge(self, case):
+        trace, kwargs, cuts = case
+        want = reference_tlb_trace(trace, **kwargs)
+        # The whole-trace merge: time order, cost records first on ties.
+        times = np.concatenate([trace.time_ns, want.time_ns])
+        order = np.argsort(times, kind="stable")
+        merged = (
+            times,
+            np.concatenate([trace.cpu, want.cpu]),
+            np.concatenate([trace.page, want.page]),
+            np.concatenate([trace.weight, want.weight]),
+            np.concatenate([trace.is_write, want.is_write]),
+            np.concatenate([np.ones(len(trace), bool),
+                            np.zeros(len(want), bool)]),
+        )
+        batches = list(merged_tlb_stream(_chunks(trace, cuts), **kwargs))
+        for got, column in zip(zip(*batches), merged):
+            got = np.concatenate(got)
+            assert got.dtype == column.dtype
+            assert np.array_equal(got, column[order])
 
 
 def test_resident_page_produces_no_tlb_misses():
