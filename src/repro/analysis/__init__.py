@@ -1,13 +1,5 @@
-"""Analysis helpers: read chains, attribution, table/figure rendering."""
+"""Analysis helpers: read chains, table/figure rendering."""
 
-from repro.analysis.attribution import (
-    GroupActionRow,
-    GroupMissRow,
-    attribution_report,
-    group_actions,
-    group_locality,
-    group_misses,
-)
 from repro.analysis.readchains import (
     DEFAULT_THRESHOLDS,
     chain_survival,
@@ -22,12 +14,6 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "GroupActionRow",
-    "GroupMissRow",
-    "attribution_report",
-    "group_actions",
-    "group_locality",
-    "group_misses",
     "DEFAULT_THRESHOLDS",
     "chain_survival",
     "read_chain_histogram",

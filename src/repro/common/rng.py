@@ -10,7 +10,7 @@ adding a new consumer never perturbs existing ones.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,27 +47,3 @@ def make_rng(seed: int, *labels: Seedable) -> np.random.Generator:
     """
     entropy = [int(seed)] + [_entropy_for(label) for label in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def spawn_seeds(seed: int, count: int) -> list:
-    """Derive ``count`` child seeds from ``seed`` deterministically."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seq = np.random.SeedSequence(int(seed))
-    return [int(s.generate_state(1)[0]) for s in seq.spawn(count)]
-
-
-def weighted_choice(
-    rng: np.random.Generator, items: Iterable, weights: Iterable[float]
-):
-    """Pick one item with the given (unnormalised) weights."""
-    items = list(items)
-    w = np.asarray(list(weights), dtype=float)
-    if len(items) != len(w):
-        raise ValueError("items and weights must have the same length")
-    if len(items) == 0:
-        raise ValueError("cannot choose from an empty sequence")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return items[int(rng.choice(len(items), p=w / total))]

@@ -195,46 +195,6 @@ class SampleStats(OnlineStats):
         return out
 
 
-class TimeWeightedValue:
-    """Time-weighted average of a piecewise-constant quantity.
-
-    Used for the average network queue length in Section 7.1.2: each call to
-    :meth:`update` records that the tracked value held its previous level
-    from the last update time until ``now``.
-    """
-
-    __slots__ = ("_value", "_last_time", "_area", "_start", "maximum")
-
-    def __init__(self, initial: float = 0.0, start_time: int = 0) -> None:
-        self._value = float(initial)
-        self._last_time = int(start_time)
-        self._start = int(start_time)
-        self._area = 0.0
-        self.maximum = float(initial)
-
-    @property
-    def value(self) -> float:
-        """Current level of the tracked quantity."""
-        return self._value
-
-    def update(self, now: int, new_value: float) -> None:
-        """Advance time to ``now`` and set a new level."""
-        if now < self._last_time:
-            raise ValueError("time must be monotonically non-decreasing")
-        self._area += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = float(new_value)
-        self.maximum = max(self.maximum, self._value)
-
-    def average(self, now: int) -> float:
-        """Time-weighted average over [start, now]."""
-        span = now - self._start
-        if span <= 0:
-            return self._value
-        area = self._area + self._value * (now - self._last_time)
-        return area / span
-
-
 @dataclass
 class WeightedHistogram:
     """Histogram over integer-valued samples with integer weights."""

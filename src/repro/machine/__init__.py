@@ -1,8 +1,6 @@
-"""The CC-NUMA hardware substrate: caches, memory, directory."""
+"""The CC-NUMA hardware substrate: memory, interconnect, directory."""
 
-from repro.machine.cache import CacheHierarchy, SetAssociativeCache
 from repro.machine.config import (
-    CacheConfig,
     MachineConfig,
     MemoryConfig,
     NetworkConfig,
@@ -22,9 +20,6 @@ from repro.machine.interconnect import Interconnect
 from repro.machine.memory import MissService, NumaMemorySystem
 
 __all__ = [
-    "CacheHierarchy",
-    "SetAssociativeCache",
-    "CacheConfig",
     "MachineConfig",
     "MemoryConfig",
     "NetworkConfig",

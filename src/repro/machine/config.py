@@ -3,8 +3,6 @@
 The defaults reproduce the configuration of Section 5 of the paper:
 
 * 8 processors at 300 MHz, one per node, 64-entry TLBs;
-* 32 KB 2-way split first-level caches with a 1-cycle hit;
-* 512 KB 2-way unified secondary cache with a 50 ns hit time;
 * 300 ns minimum local miss latency, 1200 ns minimum remote latency for
   CC-NUMA and 3000 ns for CC-NOW (the extra ~2000 ns models 1000 ft of
   fiber).
@@ -12,6 +10,9 @@ The defaults reproduce the configuration of Section 5 of the paper:
 Use :meth:`MachineConfig.flash_ccnuma`, :meth:`MachineConfig.flash_ccnow`
 and :meth:`MachineConfig.zero_network` for the three configurations the
 paper evaluates.
+
+The caches are not modelled: the workload generators emit the
+secondary-cache miss streams the directory controller counts.
 """
 
 from __future__ import annotations
@@ -20,33 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import KB, PAGE_SIZE
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry and hit latency of one cache level."""
-
-    size_bytes: int
-    associativity: int
-    line_size: int
-    hit_ns: float
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.line_size <= 0 or self.associativity <= 0:
-            raise ConfigurationError("cache dimensions must be positive")
-        n_lines = self.size_bytes // self.line_size
-        if n_lines * self.line_size != self.size_bytes:
-            raise ConfigurationError("cache size must be a multiple of line size")
-        if n_lines % self.associativity != 0:
-            raise ConfigurationError(
-                "line count must be divisible by associativity"
-            )
-
-    @property
-    def n_sets(self) -> int:
-        """Number of sets."""
-        return self.size_bytes // self.line_size // self.associativity
+from repro.common.units import PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -115,9 +90,6 @@ class MachineConfig:
     n_nodes: int = 8
     cpu_mhz: int = 300
     page_size: int = PAGE_SIZE
-    l1i: CacheConfig = CacheConfig(32 * KB, 2, 32, hit_ns=3.3)
-    l1d: CacheConfig = CacheConfig(32 * KB, 2, 32, hit_ns=3.3)
-    l2: CacheConfig = CacheConfig(512 * KB, 2, 128, hit_ns=50.0)
     tlb: TlbConfig = TlbConfig(64)
     memory: MemoryConfig = MemoryConfig()
     network: NetworkConfig = NetworkConfig()

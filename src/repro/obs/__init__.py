@@ -42,7 +42,6 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
     ShootdownEvent,
-    SpanEvent,
     TraceEvent,
     TriggerAdjusted,
     event_from_dict,
@@ -95,7 +94,6 @@ from repro.obs.history import (
 )
 from repro.obs.prof import (
     NULL_PROFILER,
-    NullProfiler,
     Profiler,
     RunReport,
     Span,
@@ -109,7 +107,6 @@ from repro.obs.report import (
     build_summary,
     render_html,
     sparkline_svg,
-    write_report,
 )
 from repro.obs.export import (
     JsonlSink,
@@ -154,7 +151,6 @@ __all__ = [
     "ReplicationDecision",
     "RunMeta",
     "ShootdownEvent",
-    "SpanEvent",
     "TraceEvent",
     "TriggerAdjusted",
     "event_from_dict",
@@ -199,7 +195,6 @@ __all__ = [
     "trend_delta",
     "trend_regressions",
     "NULL_PROFILER",
-    "NullProfiler",
     "Profiler",
     "RunReport",
     "Span",
@@ -211,7 +206,6 @@ __all__ = [
     "build_summary",
     "render_html",
     "sparkline_svg",
-    "write_report",
     "JsonlSink",
     "event_to_json",
     "iter_events",

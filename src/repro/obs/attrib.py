@@ -59,7 +59,6 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
     ShootdownEvent,
-    SpanEvent,
     ThreadMigrate,
     TraceEvent,
     TriggerAdjusted,
@@ -303,7 +302,6 @@ class Attribution:
         self.trigger_adjustments = 0
         self.events = 0
         self.miss_events = 0
-        self.spans = 0
         self.first_t: Optional[int] = None
         self.last_t = 0
         self._integral = True        # every stall contribution integral so far
@@ -378,7 +376,7 @@ class Attribution:
         """Consume one event (in emission order)."""
         self.events += 1
         t = event.t
-        if not isinstance(event, (SpanEvent, RunMeta)):
+        if not isinstance(event, RunMeta):
             if self.first_t is None:
                 self.first_t = t
             if t > self.last_t:
@@ -419,8 +417,6 @@ class Attribution:
             self._feed_meta(event)
         elif isinstance(event, TriggerAdjusted):
             self.trigger_adjustments += 1
-        elif isinstance(event, SpanEvent):
-            self.spans += 1
 
     def _feed_meta(self, meta: RunMeta) -> None:
         self.meta = meta

@@ -23,7 +23,6 @@ event                     emitted when
 :class:`TriggerAdjusted`  the adaptive controller moves the trigger threshold
 :class:`PtReplicate`      a page-table page gains a replica on a node
 :class:`ThreadMigrate`    the co-placement policy re-homes a thread
-:class:`SpanEvent`        a profiler span closes (wall-clock, not simulated)
 :class:`RunMeta`          a simulation starts (machine/policy context header)
 ========================  ====================================================
 
@@ -223,26 +222,6 @@ class ThreadMigrate(TraceEvent):
 
 
 @dataclass(frozen=True)
-class SpanEvent(TraceEvent):
-    """A profiler span closed (see :mod:`repro.obs.prof`).
-
-    Unlike every other event, ``t`` is **wall-clock** nanoseconds since
-    the profiler's origin, not simulated time — spans measure where the
-    *host* run's time went.  Logs containing span events are therefore
-    not byte-stable across runs, unlike pure decision logs.
-    """
-
-    name: str = ""
-    path: str = ""               # "sim.run/sim.replay" nesting path
-    dur_ns: int = 0
-    depth: int = 0
-    items: int = 0               # events/misses processed inside the span
-    alloc_bytes: int = 0         # net tracemalloc delta (0 when untracked)
-
-    KIND: ClassVar[str] = "span"
-
-
-@dataclass(frozen=True)
 class RunMeta(TraceEvent):
     """Header event describing the run that produced the stream.
 
@@ -282,7 +261,6 @@ EVENT_TYPES: Tuple[Type[TraceEvent], ...] = (
     TriggerAdjusted,
     PtReplicate,
     ThreadMigrate,
-    SpanEvent,
     RunMeta,
 )
 

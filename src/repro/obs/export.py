@@ -27,7 +27,6 @@ from repro.obs.events import (
     NoActionDecision,
     ReplicationDecision,
     RunMeta,
-    SpanEvent,
     TraceEvent,
     event_from_dict,
 )
@@ -153,9 +152,6 @@ _INSTANT_KINDS = (
     CollapseEvent,
 )
 
-#: Track id of the profiler-span timeline (reset intervals use -1).
-PROFILER_TID = -2
-
 
 def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, list]:
     """Convert an event stream to Chrome trace-event JSON (``ts`` in µs).
@@ -163,33 +159,12 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, list]:
     Tracks: one per CPU (decision/instant events, ``tid = cpu``), plus a
     dedicated "intervals" track (``tid = -1``) carrying each reset
     interval as a duration slice, which is what makes per-interval
-    timelines legible in the viewer.  Profiler spans
-    (:class:`SpanEvent`) render as duration slices on their own track
-    (``tid = -2``); note their timestamps are wall-clock, so mixing
-    them with simulated-time events puts two time bases on one
-    timeline — legible per track, not across tracks.
+    timelines legible in the viewer.
     """
     trace_events: List[dict] = []
     interval_start_us = 0.0
     for event in events:
         ts_us = event.t / 1000.0
-        if isinstance(event, SpanEvent):
-            trace_events.append(
-                {
-                    "name": event.path or event.name,
-                    "ph": "X",
-                    "ts": ts_us,
-                    "dur": event.dur_ns / 1000.0,
-                    "pid": 0,
-                    "tid": PROFILER_TID,
-                    "args": {
-                        "depth": event.depth,
-                        "items": event.items,
-                        "alloc_bytes": event.alloc_bytes,
-                    },
-                }
-            )
-            continue
         if isinstance(event, IntervalReset):
             trace_events.append(
                 {

@@ -635,10 +635,6 @@ class TrendStats:
         return cls(n=len(values), median=median, ewma=ewma, band=band)
 
 
-#: Trend verdict labels (``no-history`` is informational, never gated).
-TREND_VERDICTS = ("improved", "flat", "regressed", "no-history")
-
-
 @dataclass
 class TrendDelta:
     """One metric's history-vs-current comparison (one dashboard cell)."""

@@ -5,24 +5,18 @@ The decision tracer answers *why* the policy acted; this module answers
 for itself.  A :class:`Profiler` hands out nested ``span(...)`` context
 managers around the stack's phase-level seams (simulator setup/replay,
 per-engine replay, per-chunk streaming, sweep tasks, store record vs
-replay) and aggregates per-path wall time, item throughput, peak RSS and
-(optionally) ``tracemalloc`` allocation deltas.
+replay) and aggregates per-path wall time, item throughput and peak RSS.
 
 Design constraints mirror :mod:`repro.obs.tracer`:
 
-1. **Zero cost when disabled.**  ``Profiler(enabled=False)`` (and the
-   shared :data:`NULL_PROFILER`) returns one reusable no-op context
-   manager from :meth:`Profiler.span`, so instrumented seams allocate
-   nothing.  Spans wrap *phases*, never per-event loop bodies.
+1. **Zero cost when disabled.**  ``Profiler(enabled=False)`` (the
+   shared :data:`NULL_PROFILER` is one) returns one reusable no-op
+   context manager from :meth:`Profiler.span`, so instrumented seams
+   allocate nothing.  Spans wrap *phases*, never per-event loop bodies.
 2. **Never perturbs the simulation.**  Spans read the wall clock and
    touch profiler-private state only; engine selection, RNG streams and
    every simulated result are byte-identical with profiling on or off
    (asserted by the test suite).
-3. **Same export paths.**  Completed spans render as
-   :class:`~repro.obs.events.SpanEvent` records, so the existing JSONL
-   and Chrome-trace exporters carry profiles alongside decision events.
-   Span times are wall-clock, so profiled logs are not byte-stable
-   across runs — keep determinism-sensitive logs profile-free.
 
 :class:`RunReport` packages one run's profile — spans, peak RSS, an
 optional metrics snapshot — as a schema-versioned dict following the
@@ -34,13 +28,11 @@ from __future__ import annotations
 import resource
 import sys
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.stats import OnlineStats
-from repro.obs.events import SpanEvent
 
 
 def peak_rss_bytes() -> int:
@@ -78,7 +70,6 @@ class SpanRecord:
     wall_ns: int
     depth: int = 0
     items: int = 0               # events/misses/tasks processed inside
-    alloc_bytes: int = 0         # net tracemalloc delta (0 when untracked)
 
     @property
     def items_per_s(self) -> float:
@@ -95,11 +86,12 @@ class SpanRecord:
             "wall_ns": self.wall_ns,
             "depth": self.depth,
             "items": self.items,
-            "alloc_bytes": self.alloc_bytes,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SpanRecord":
+        # Older reports' spans also carry ``alloc_bytes``; extra keys
+        # are ignored, so they still load.
         return cls(
             name=str(data["name"]),
             path=str(data["path"]),
@@ -107,27 +99,13 @@ class SpanRecord:
             wall_ns=int(data["wall_ns"]),
             depth=int(data["depth"]),
             items=int(data["items"]),
-            alloc_bytes=int(data["alloc_bytes"]),
-        )
-
-    def to_event(self) -> SpanEvent:
-        """The exportable event form (``t`` = wall-clock start_ns)."""
-        return SpanEvent(
-            t=self.start_ns,
-            name=self.name,
-            path=self.path,
-            dur_ns=self.wall_ns,
-            depth=self.depth,
-            items=self.items,
-            alloc_bytes=self.alloc_bytes,
         )
 
 
 class Span:
     """A live span; use as a context manager (``with profiler.span(...)``)."""
 
-    __slots__ = ("_profiler", "name", "items", "path", "depth",
-                 "_start", "_alloc0")
+    __slots__ = ("_profiler", "name", "items", "path", "depth", "_start")
 
     def __init__(self, profiler: "Profiler", name: str, items: int) -> None:
         self._profiler = profiler
@@ -136,7 +114,6 @@ class Span:
         self.path = name
         self.depth = 0
         self._start = 0
-        self._alloc0 = 0
 
     def add_items(self, n: int) -> None:
         """Credit ``n`` more processed items to this span."""
@@ -150,24 +127,19 @@ class Span:
             self.depth = parent.depth + 1
             self.path = f"{parent.path}/{self.name}"
         stack.append(self)
-        if prof._malloc:
-            self._alloc0 = tracemalloc.get_traced_memory()[0]
         self._start = prof._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         prof = self._profiler
         end = prof._clock()
-        alloc = 0
-        if prof._malloc:
-            alloc = tracemalloc.get_traced_memory()[0] - self._alloc0
         stack = prof._stack
         if not stack or stack[-1] is not self:
             raise ConfigurationError(
                 f"span {self.path!r} closed out of order; spans must nest"
             )
         stack.pop()
-        prof._close(self, end - self._start, alloc)
+        prof._close(self, end - self._start)
         return False
 
 
@@ -194,34 +166,13 @@ _NULL_SPAN = _NullSpan()
 class Profiler:
     """Hierarchical wall-clock profiler with per-path aggregates."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace_malloc: bool = False,
-        tracer=None,
-        clock=time.perf_counter_ns,
-    ) -> None:
-        """``tracer`` optionally receives a :class:`SpanEvent` per close.
-
-        ``trace_malloc`` starts :mod:`tracemalloc` (if not already
-        tracing) and records each span's net allocation delta; call
-        :meth:`close` to stop tracing again.
-        """
+    def __init__(self, enabled: bool = True, clock=time.perf_counter_ns) -> None:
         self.enabled = enabled
-        self.tracer = tracer
         self._clock = clock
         self._stack: List[Span] = []
         self.records: List[SpanRecord] = []   # completed spans, close order
         self._by_path: Dict[str, OnlineStats] = {}
         self._items_by_path: Dict[str, int] = {}
-        self._family = None
-        self._owns_tracemalloc = False
-        self._malloc = False
-        if enabled and trace_malloc:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._owns_tracemalloc = True
-            self._malloc = True
         self._origin = clock() if enabled else 0
 
     @property
@@ -235,7 +186,7 @@ class Profiler:
             return _NULL_SPAN
         return Span(self, name, items)
 
-    def _close(self, span: Span, wall_ns: int, alloc_bytes: int) -> None:
+    def _close(self, span: Span, wall_ns: int) -> None:
         record = SpanRecord(
             name=span.name,
             path=span.path,
@@ -243,21 +194,15 @@ class Profiler:
             wall_ns=wall_ns,
             depth=span.depth,
             items=span.items,
-            alloc_bytes=alloc_bytes,
         )
         self.records.append(record)
         stats = self._by_path.get(record.path)
         if stats is None:
             stats = self._by_path[record.path] = OnlineStats()
-            if self._family is not None:
-                self._family.attach(stats, path=record.path)
         stats.add(wall_ns)
         self._items_by_path[record.path] = (
             self._items_by_path.get(record.path, 0) + record.items
         )
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            tracer.emit(record.to_event())
 
     # -- aggregates ------------------------------------------------------------
 
@@ -273,28 +218,6 @@ class Profiler:
     def items(self, path: str) -> int:
         """Total items credited to ``path`` across all its spans."""
         return self._items_by_path.get(path, 0)
-
-    def span_events(self) -> List[SpanEvent]:
-        """Every completed span as an exportable event, in close order."""
-        return [r.to_event() for r in self.records]
-
-    def register_into(self, registry, prefix: str = "prof") -> None:
-        """Surface the profile in a :class:`MetricsRegistry`.
-
-        Per-path wall-time histograms land in a ``<prefix>.span`` family
-        (by reference, so spans closed later still appear); span count
-        and peak RSS are collect-time callbacks.
-        """
-        family = registry.family(f"{prefix}.span")
-        for path, stats in self._by_path.items():
-            family.attach(stats, path=path)
-        self._family = family
-        registry.register_callback(
-            f"{prefix}.spans", lambda: float(len(self.records))
-        )
-        registry.register_callback(
-            f"{prefix}.peak_rss_bytes", lambda: float(peak_rss_bytes())
-        )
 
     def summary(self) -> str:
         """A per-path table: calls, total/mean wall, items, throughput."""
@@ -315,52 +238,9 @@ class Profiler:
             lines.append("(no spans recorded)")
         return "\n".join(lines)
 
-    def close(self) -> None:
-        """Stop tracemalloc if this profiler started it."""
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._owns_tracemalloc = False
-        self._malloc = False
-
-
-class NullProfiler:
-    """The disabled profiler: every operation is a no-op.
-
-    A singleton (:data:`NULL_PROFILER`) stands in wherever no profiler
-    was supplied, mirroring :data:`repro.obs.tracer.NULL_TRACER`.
-    """
-
-    __slots__ = ()
-
-    active = False
-    enabled = False
-    records = ()
-    total_ns = 0
-
-    def span(self, name: str, items: int = 0) -> _NullSpan:
-        return _NULL_SPAN
-
-    def stats(self) -> Dict[str, OnlineStats]:
-        return {}
-
-    def items(self, path: str) -> int:
-        return 0
-
-    def span_events(self) -> List[SpanEvent]:
-        return []
-
-    def register_into(self, registry, prefix: str = "prof") -> None:
-        pass
-
-    def summary(self) -> str:
-        return "(profiling disabled)"
-
-    def close(self) -> None:
-        pass
-
 
 #: Shared disabled profiler; components default to this.
-NULL_PROFILER = NullProfiler()
+NULL_PROFILER = Profiler(enabled=False)
 
 
 def as_profiler(profiler) -> "Profiler":

@@ -253,16 +253,3 @@ def render_html(summary: Dict[str, Any]) -> str:
         )
     parts.append("</body></html>")
     return "\n".join(parts)
-
-
-def write_report(
-    store: HistoryStore,
-    html_path: Optional[str] = None,
-    window: int = DEFAULT_WINDOW,
-) -> Dict[str, Any]:
-    """Build the summary and (optionally) write the HTML dashboard."""
-    summary = build_summary(store, window=window)
-    if html_path:
-        with open(html_path, "w", encoding="utf-8") as fh:
-            fh.write(render_html(summary))
-    return summary

@@ -43,22 +43,16 @@ def first_touch_placement(
 ) -> np.ndarray:
     """FT: the page lives on the node of the CPU that first touched it."""
     n_pages = trace.max_page_id() + 1
-    placement = np.zeros(max(n_pages, 1), dtype=np.int64)
+    # Untouched page ids fall back to RR so the array is total.
+    placement = np.arange(max(n_pages, 1), dtype=np.int64) % max(n_nodes, 1)
     if not len(trace):
         return placement
     n_cpus = int(trace.cpu.max()) + 1
     cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
-    # First occurrence of each page in time order (trace is sorted).
-    first_idx = np.full(n_pages, -1, dtype=np.int64)
-    pages = trace.page
-    # np.unique returns first indices for the *sorted* unique values; we
-    # need first in time order, which a reverse pass gives us cheaply.
-    for i in range(len(pages) - 1, -1, -1):
-        first_idx[pages[i]] = i
-    touched = first_idx >= 0
-    placement[touched] = cpu_nodes[trace.cpu[first_idx[touched]]]
-    # Untouched page ids fall back to RR so the array is total.
-    placement[~touched] = np.nonzero(~touched)[0] % max(n_nodes, 1)
+    # Each page's first record: ``return_index`` sorts stably, so the
+    # index is the page's first occurrence in record (time) order.
+    pages, first_idx = np.unique(trace.page, return_index=True)
+    placement[pages] = cpu_nodes[trace.cpu[first_idx]]
     return placement
 
 

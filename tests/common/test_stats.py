@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.common.stats import (
     OnlineStats,
     SampleStats,
-    TimeWeightedValue,
     WeightedHistogram,
     percent_change,
 )
@@ -145,30 +144,6 @@ class TestOnlineStats:
     def test_add_rejects_other_types(self):
         with pytest.raises(TypeError):
             OnlineStats() + 3
-
-
-class TestTimeWeightedValue:
-    def test_constant_value(self):
-        tw = TimeWeightedValue(initial=5.0)
-        tw.update(100, 5.0)
-        assert tw.average(200) == pytest.approx(5.0)
-
-    def test_step_function(self):
-        tw = TimeWeightedValue(initial=0.0)
-        tw.update(50, 10.0)   # 0 for [0,50), 10 afterwards
-        assert tw.average(100) == pytest.approx(5.0)
-
-    def test_maximum_tracked(self):
-        tw = TimeWeightedValue()
-        tw.update(10, 3.0)
-        tw.update(20, 1.0)
-        assert tw.maximum == 3.0
-
-    def test_time_must_not_go_backwards(self):
-        tw = TimeWeightedValue()
-        tw.update(100, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(50, 2.0)
 
 
 class TestWeightedHistogram:

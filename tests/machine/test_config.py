@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.machine.config import (
-    CacheConfig,
     MachineConfig,
     MemoryConfig,
     NetworkConfig,
@@ -23,18 +22,6 @@ class TestPaperConfiguration:
 
     def test_tlb_64_entries(self):
         assert MachineConfig.flash_ccnuma().tlb.entries == 64
-
-    def test_l1_geometry(self):
-        m = MachineConfig.flash_ccnuma()
-        assert m.l1i.size_bytes == 32 * 1024
-        assert m.l1i.associativity == 2
-        assert m.l1d.size_bytes == 32 * 1024
-
-    def test_l2_geometry(self):
-        l2 = MachineConfig.flash_ccnuma().l2
-        assert l2.size_bytes == 512 * 1024
-        assert l2.associativity == 2
-        assert l2.hit_ns == 50.0
 
     def test_ccnuma_latencies(self):
         m = MachineConfig.flash_ccnuma()
@@ -78,18 +65,6 @@ class TestTopology:
 
 
 class TestValidation:
-    def test_cache_size_line_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            CacheConfig(size_bytes=1000, associativity=2, line_size=128, hit_ns=1)
-
-    def test_cache_associativity_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            CacheConfig(size_bytes=384, associativity=5, line_size=128, hit_ns=1)
-
-    def test_cache_n_sets(self):
-        c = CacheConfig(512 * 1024, 2, 128, 50.0)
-        assert c.n_sets == 2048
-
     def test_remote_below_local_rejected(self):
         with pytest.raises(ConfigurationError):
             MemoryConfig(local_ns=1000, remote_ns=500)

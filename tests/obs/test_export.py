@@ -18,7 +18,6 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
     ShootdownEvent,
-    SpanEvent,
     ThreadMigrate,
     TriggerAdjusted,
     event_from_dict,
@@ -56,8 +55,6 @@ SAMPLE_EVENTS = [
                 walks=64, reason="walk-trigger", latency_ns=310_000.0),
     ThreadMigrate(t=960, process=3, cpu=5, src=1, dst=0,
                   reason="cheaper-than-pt-replica", latency_ns=21_000.0),
-    SpanEvent(t=1000, name="engine.scalar", path="replay.dynamic/engine.scalar",
-              dur_ns=5_000_000, depth=1, items=1234, alloc_bytes=4096),
     RunMeta(t=0, label="engineering:Mig/Rep", n_cpus=8, n_nodes=8,
             local_ns=300.0, remote_ns=1200.0, op_cost_ns=350_000.0,
             trigger=128, reset_interval_ns=100_000_000, engine="scalar"),
@@ -183,14 +180,14 @@ class TestChromeTrace:
     def test_structure(self, tmp_path):
         payload = to_chrome_trace(SAMPLE_EVENTS)
         events = payload["traceEvents"]
-        # 5 instant kinds + 1 interval slice + 1 profiler span
+        # 5 instant kinds + 1 interval slice
         # (miss/shootdown/trigger/PT skipped).
-        assert len(events) == 7
+        assert len(events) == 6
         instants = [e for e in events if e["ph"] == "i"]
         slices = [e for e in events if e["ph"] == "X"]
         assert len(instants) == 5
-        assert len(slices) == 2
-        interval = next(e for e in slices if e["tid"] == -1)
+        (interval,) = slices
+        assert interval["tid"] == -1
         assert interval["ts"] == 0.0
         assert interval["dur"] == pytest.approx(0.8)  # 800 ns in us
         # Decisions land on the acting CPU's track, ts in microseconds.
@@ -199,19 +196,6 @@ class TestChromeTrace:
         assert migr["ts"] == pytest.approx(0.3)
         assert migr["args"]["outcome"] == "migrated"
 
-    def test_span_renders_as_profiler_track_slice(self):
-        payload = to_chrome_trace(SAMPLE_EVENTS)
-        span = next(
-            e for e in payload["traceEvents"] if e["tid"] == -2
-        )
-        assert span["ph"] == "X"
-        assert span["name"] == "replay.dynamic/engine.scalar"
-        assert span["ts"] == pytest.approx(1.0)       # 1000 ns in us
-        assert span["dur"] == pytest.approx(5000.0)   # 5 ms in us
-        assert span["args"] == {
-            "depth": 1, "items": 1234, "alloc_bytes": 4096
-        }
-
     def test_write_chrome_trace(self, tmp_path):
         path = str(tmp_path / "chrome.json")
         counter = {"name": "miss.local_ratio", "ph": "C", "ts": 0.8,
@@ -219,6 +203,6 @@ class TestChromeTrace:
         written = write_chrome_trace(SAMPLE_EVENTS, path, counters=[counter])
         with open(path) as fh:
             payload = json.load(fh)
-        assert written == len(payload["traceEvents"]) == 8
+        assert written == len(payload["traceEvents"]) == 7
         assert payload["traceEvents"][-1] == counter
 

@@ -1,15 +1,13 @@
-"""The span profiler: nesting, zero-cost disable, reports, exports."""
+"""The span profiler: nesting, zero-cost disable, reports."""
 
+import inspect
 import json
 
 import pytest
 
 from repro.common.errors import ConfigurationError, ResultSchemaError
-from repro.obs.events import SpanEvent
-from repro.obs.export import to_chrome_trace, write_jsonl, read_events
 from repro.obs.prof import (
     NULL_PROFILER,
-    NullProfiler,
     Profiler,
     RunReport,
     SpanRecord,
@@ -18,8 +16,6 @@ from repro.obs.prof import (
     peak_rss_bytes,
     resource_usage,
 )
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.sim.results import RESULT_SCHEMA_VERSION
 
 
@@ -129,71 +125,27 @@ class TestDisabled:
 
     def test_null_profiler_is_inert(self):
         assert NULL_PROFILER.span("x") is _NULL_SPAN
-        assert NULL_PROFILER.records == ()
+        with NULL_PROFILER.span("y", items=4) as span:
+            span.add_items(2)
+        assert NULL_PROFILER.records == []
         assert NULL_PROFILER.total_ns == 0
         assert NULL_PROFILER.stats() == {}
-        assert NULL_PROFILER.span_events() == []
-        assert "disabled" in NULL_PROFILER.summary()
-        NULL_PROFILER.register_into(MetricsRegistry())
-        NULL_PROFILER.close()
+        assert NULL_PROFILER.items("y") == 0
+        assert "(no spans recorded)" in NULL_PROFILER.summary()
 
     def test_as_profiler_normalises(self):
         assert as_profiler(None) is NULL_PROFILER
         prof = Profiler()
         assert as_profiler(prof) is prof
-        assert isinstance(NULL_PROFILER, NullProfiler)
+        assert isinstance(NULL_PROFILER, Profiler)
+        assert not NULL_PROFILER.enabled
+
+    def test_constructor_takes_only_enabled_and_clock(self):
+        params = inspect.signature(Profiler).parameters
+        assert list(params) == ["enabled", "clock"]
 
 
-class TestTracemalloc:
-    def test_alloc_delta_recorded(self):
-        prof = Profiler(trace_malloc=True)
-        try:
-            with prof.span("alloc"):
-                blob = [bytearray(64 * 1024) for _ in range(4)]
-            assert len(blob) == 4
-            (record,) = prof.records
-            # blob (256 KiB) is still referenced when the span closes.
-            assert record.alloc_bytes > 200 * 1024
-            with prof.span("alloc2"):
-                keep = bytearray(256 * 1024)
-                assert keep is not None
-                del keep
-        finally:
-            prof.close()
-
-    def test_close_stops_owned_tracing(self):
-        import tracemalloc
-
-        was_tracing = tracemalloc.is_tracing()
-        prof = Profiler(trace_malloc=True)
-        prof.close()
-        assert tracemalloc.is_tracing() == was_tracing
-
-    def test_without_malloc_delta_is_zero(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("x"):
-            data = bytearray(1024)
-            assert data is not None
-        assert prof.records[0].alloc_bytes == 0
-
-
-class TestRegistryIntegration:
-    def test_register_into_surfaces_spans(self):
-        prof = Profiler(clock=fake_clock())
-        registry = MetricsRegistry()
-        with prof.span("early"):
-            pass
-        prof.register_into(registry)
-        # Paths recorded after registration attach too (by reference).
-        with prof.span("late"):
-            pass
-        collected = registry.collect()
-        assert collected["prof.spans"] == 2.0
-        assert collected["prof.peak_rss_bytes"] > 0
-        span_keys = [k for k in collected if k.startswith("prof.span{")]
-        assert any("early" in k for k in span_keys)
-        assert any("late" in k for k in span_keys)
-
+class TestPeakRss:
     def test_peak_rss_is_plausible(self):
         rss = peak_rss_bytes()
         # A running CPython process is at least a few MB resident.
@@ -216,41 +168,6 @@ class TestResourceUsage:
         after = resource_usage()
         assert after["cpu_user_s"] >= before["cpu_user_s"]
         assert after["peak_rss_bytes"] >= before["peak_rss_bytes"]
-
-
-class TestSpanEvents:
-    def test_spans_emit_to_tracer(self):
-        tracer = Tracer(capacity=64)
-        prof = Profiler(clock=fake_clock(), tracer=tracer)
-        with prof.span("outer"):
-            with prof.span("inner"):
-                pass
-        kinds = [e.KIND for e in tracer.events()]
-        assert kinds == ["span", "span"]
-        inner = tracer.events()[0]
-        assert inner.path == "outer/inner"
-        assert inner.dur_ns > 0
-
-    def test_span_event_jsonl_round_trip(self, tmp_path):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("a", items=7):
-            pass
-        path = str(tmp_path / "spans.jsonl")
-        write_jsonl(prof.span_events(), path)
-        (event,) = read_events(path)
-        assert isinstance(event, SpanEvent)
-        assert event.items == 7
-        assert event.name == "a"
-
-    def test_chrome_trace_renders_span_track(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("phase"):
-            pass
-        payload = to_chrome_trace(prof.span_events())
-        (slice_,) = payload["traceEvents"]
-        assert slice_["tid"] == -2
-        assert slice_["ph"] == "X"
-        assert slice_["name"] == "phase"
 
 
 class TestRunReport:
@@ -297,6 +214,19 @@ class TestRunReport:
         rebuilt = RunReport.from_dict(data)
         assert rebuilt.cpu_user_s == 0.0
         assert rebuilt.cpu_sys_s == 0.0
+
+    def test_span_dicts_carry_no_alloc_bytes(self):
+        (outer, inner) = self.make_report().to_dict()["spans"][::-1]
+        keys = {"name", "path", "start_ns", "wall_ns", "depth", "items"}
+        assert set(outer) == set(inner) == keys
+
+    def test_from_dict_ignores_old_alloc_bytes(self):
+        # Reports written while spans could record tracemalloc deltas.
+        report = self.make_report()
+        data = json.loads(json.dumps(report.to_dict()))
+        for span in data["spans"]:
+            span["alloc_bytes"] = 4096
+        assert RunReport.from_dict(data) == report
 
     def test_schema_mismatch_rejected(self):
         data = self.make_report().to_dict()

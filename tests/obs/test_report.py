@@ -12,7 +12,6 @@ from repro.obs.report import (
     build_summary,
     render_html,
     sparkline_svg,
-    write_report,
 )
 
 
@@ -137,12 +136,3 @@ class TestRenderHtml:
         store = HistoryStore(directory=tmp_path / "hist", token="tok")
         html_text = render_html(build_summary(store))
         assert "No runs ingested yet" in html_text
-
-
-class TestWriteReport:
-    def test_writes_html_and_returns_summary(self, tmp_path):
-        out = tmp_path / "report.html"
-        summary = write_report(seeded_store(tmp_path), html_path=str(out))
-        assert out.exists()
-        assert "<svg" in out.read_text()
-        assert summary["history"]["total_runs"] == 5

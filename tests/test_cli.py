@@ -209,6 +209,21 @@ def test_analyze_rejects_old_engine_fallback_log(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_check_rejects_old_span_log(tmp_path, capsys):
+    # Profiler spans could once be written to a log as `span` events.
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"kind":"run-meta","t":0}\n'
+        '{"kind":"span","t":1000,"name":"sim.run","path":"sim.run",'
+        '"dur_ns":5000,"depth":0,"items":3,"alloc_bytes":0}\n'
+    )
+    assert main(["analyze", str(path), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path}:2: unknown event kind: 'span'" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_page_timeline(traced_run, tmp_path, capsys):
     trace_path, _ = traced_run
     page = next(e.page for e in read_events(trace_path)
@@ -901,6 +916,31 @@ class TestProfileOut:
         assert "sim.run/sim.replay" in paths
         assert report.label == "run/database"
         assert report.wall_ns > 0
+
+    def test_history_ingests_old_report_with_alloc_bytes(
+        self, tmp_path, capsys
+    ):
+        # A --profile-out report from before spans dropped tracemalloc.
+        from repro.obs.prof import Profiler, RunReport
+
+        prof = Profiler()
+        with prof.span("sim.run", items=10):
+            with prof.span("sim.replay", items=10):
+                pass
+        data = RunReport.from_profiler("run/splash", prof).to_dict()
+        for span in data["spans"]:
+            span["alloc_bytes"] = 8192
+        path = tmp_path / "old-profile.json"
+        path.write_text(json.dumps(data))
+        hist = str(tmp_path / "hist")
+        assert main(["history", "ingest", str(path),
+                     "--history-dir", hist]) == 0
+        captured = capsys.readouterr()
+        assert "1 ingested, 0 skipped" in captured.out
+        assert "warning:" not in captured.err
+        assert main(["history", "list", "--kind", "report",
+                     "--history-dir", hist]) == 0
+        assert "run/splash" in capsys.readouterr().out
 
     def test_trace_replay_profile_out(self, tmp_path, capsys, monkeypatch):
         from repro.obs.prof import RunReport
