@@ -91,7 +91,7 @@ class BenchRun:
             )
         print()
         print(text)
-        self.results_dir.mkdir(exist_ok=True)
+        self.results_dir.mkdir(parents=True, exist_ok=True)
         (self.results_dir / f"{self.artifact.name}.txt").write_text(
             text + "\n"
         )

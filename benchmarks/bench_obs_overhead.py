@@ -18,7 +18,10 @@ A second artifact (``obs_analyze``) gates the *enabled* analysis path:
 post-hoc attribution of a miss-traced decision log must stay cheap
 relative to the traced replay that produced it — the analyzer is one
 streaming pass over the events, so if its wall time creeps toward the
-simulation's, something in ``repro.obs.attrib`` went quadratic.
+simulation's, something in ``repro.obs.attrib`` went quadratic.  The
+replay it is measured against is the scalar reference core
+(:class:`~repro.trace.policysim.ReferenceTracePolicySimulator`), whose
+per-event cost is the fixed yardstick the committed ratio was set on.
 
 Timing uses best-of-N with alternating order so scheduler noise and
 cache warmup hit both variants evenly.  ``REPRO_OBS_BENCH_SCALE``
@@ -37,7 +40,10 @@ from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import CountingSink, ListSink, Tracer
 from repro.sim.simulator import SimulatorOptions, SystemSimulator
-from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+from repro.trace.policysim import (
+    PolicySimConfig,
+    ReferenceTracePolicySimulator,
+)
 from repro.workloads import build_spec, generate_trace
 
 #: The issue's reference point: the engineering workload at scale 0.25.
@@ -138,9 +144,7 @@ def test_analyzer_overhead(report, once):
     trace = generate_trace(spec)
     stream = trace.user_only()
     params = params_for("engineering")
-    config = PolicySimConfig(
-        n_cpus=spec.n_cpus, n_nodes=spec.n_nodes, engine="scalar"
-    )
+    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
 
     def compute():
         replay_s, analyze_s = [], []
@@ -148,7 +152,7 @@ def test_analyzer_overhead(report, once):
         for _ in range(ROUNDS):
             sink = ListSink()
             tracer = Tracer(capacity=1, sinks=[sink])
-            sim = TracePolicySimulator(config, tracer=tracer)
+            sim = ReferenceTracePolicySimulator(config, tracer=tracer)
             start = time.perf_counter()
             result = sim.simulate_dynamic(stream, params)
             replay_s.append(time.perf_counter() - start)

@@ -21,10 +21,22 @@ from repro.obs.events import ALL_KINDS, MissServiced
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import FULL_CACHE, FULL_TLB, SAMPLED_TLB
 from repro.ptpol import PT_POLICIES, PtPolicySimulator, params_for_pt_policy
-from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+from repro.ptpol.sim import ReferencePtPolicySimulator
+from repro.trace.policysim import (
+    PolicySimConfig,
+    ReferenceTracePolicySimulator,
+    TracePolicySimulator,
+)
 from repro.trace.tlbsim import derive_tlb_trace
 
 METRICS = {"FC": FULL_CACHE, "ST": SAMPLED_TLB, "TLB": FULL_TLB}
+
+#: (data-policy, PT-policy) simulator per timed side: the scalar
+#: reference cores and the production (vectorized) replay.
+SIMULATORS = {
+    "scalar": (ReferenceTracePolicySimulator, ReferencePtPolicySimulator),
+    "vector": (TracePolicySimulator, PtPolicySimulator),
+}
 
 
 def best_of(fn, *args, rounds=2):
@@ -42,14 +54,13 @@ def best_of(fn, *args, rounds=2):
     return best
 
 
-def _config(spec, engine):
-    return PolicySimConfig(
-        n_cpus=spec.n_cpus, n_nodes=spec.n_nodes, engine=engine
-    )
+def _trace_sim(spec, engine, tracer=None):
+    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
+    return SIMULATORS[engine][0](config, tracer=tracer)
 
 
 def replay(spec, stream, params, metric, engine, driver):
-    sim = TracePolicySimulator(_config(spec, engine))
+    sim = _trace_sim(spec, engine)
     t0 = time.perf_counter()
     result = sim.simulate_dynamic(
         stream, params, metric=metric, driver_trace=driver
@@ -58,7 +69,7 @@ def replay(spec, stream, params, metric, engine, driver):
 
 
 def replay_competitive(spec, stream, engine):
-    sim = TracePolicySimulator(_config(spec, engine))
+    sim = _trace_sim(spec, engine)
     t0 = time.perf_counter()
     result = sim.simulate_competitive(stream)
     return time.perf_counter() - t0, result
@@ -71,7 +82,7 @@ def replay_traced(spec, stream, params, engine):
     tracer = Tracer(
         capacity=1 << 10, kinds=ALL_KINDS - {MissServiced.KIND}
     )
-    sim = TracePolicySimulator(_config(spec, engine), tracer=tracer)
+    sim = _trace_sim(spec, engine, tracer=tracer)
     t0 = time.perf_counter()
     result = sim.simulate_dynamic(stream, params)
     return time.perf_counter() - t0, result, tracer.emitted
@@ -84,7 +95,9 @@ def replay_ptpol(spec, stream, engine, driver):
     results = []
     t0 = time.perf_counter()
     for policy in PT_POLICIES:
-        sim = PtPolicySimulator(_config(spec, engine))
+        sim = SIMULATORS[engine][1](
+            PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
+        )
         results.append(
             sim.simulate(
                 stream, params_for_pt_policy(policy), driver_trace=driver

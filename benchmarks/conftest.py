@@ -27,6 +27,9 @@ parallel worker processes.
 
 Each bench prints its table and also writes it to
 ``benchmarks/results/<name>.txt`` so the output survives pytest's capture.
+At any scale other than 1.0 the tables and ``BENCH_*.json`` artifacts go
+to ``benchmarks/results/scale-<scale>/`` instead (gitignored), so a quick
+pass never overwrites the committed full-scale results.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import pytest
 from repro.exp.cache import ResultCache
 from repro.exp.runner import SweepRunner
 from repro.exp.spec import ExperimentSpec
+from repro.obs.bench import results_dir
 from repro.policy.parameters import PolicyParameters
 from repro.sim.results import SimulationResult
 from repro.trace.record import Trace
@@ -50,7 +54,7 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 BENCH_NO_CACHE = os.environ.get("REPRO_BENCH_NO_CACHE", "") not in ("", "0")
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = results_dir(Path(__file__).parent, BENCH_SCALE)
 
 USER_WORKLOADS = ("engineering", "raytrace", "splash", "database")
 ALL_WORKLOADS = USER_WORKLOADS + ("pmake",)
@@ -108,8 +112,8 @@ def store() -> WorkloadStore:
 
 @pytest.fixture(scope="session")
 def emit():
-    """Print a rendered table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print a rendered table and persist it under :data:`RESULTS_DIR`."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
 
     def _emit(name: str, text: str) -> str:
         print()

@@ -41,7 +41,7 @@ Examples::
     repro analyze run.jsonl --check
     repro tracesim --workload engineering --trace-out mr.jsonl --trace-misses
     repro analyze mr.jsonl --ledger
-    repro analyze diff scalar.jsonl auto.jsonl
+    repro analyze diff run-a.jsonl run-b.jsonl
     repro sweep --grid fig9 --jobs 4 --scale 0.25
     repro figures --figure fig9 --jobs 4
     repro trace record --scale 0.25
@@ -338,10 +338,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_tracesim(args: argparse.Namespace) -> int:
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.kernel_only() if args.kernel else trace.user_only()
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
-    config = PolicySimConfig(**config_kwargs)
+    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
     profiler = _make_profiler(args)
     sim = TracePolicySimulator(config, profiler=profiler)
     # The traced simulator records only the flagship run (the full-cache
@@ -405,10 +402,6 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
                      r.migrations + r.replications + r.collapses]
                 )
             title = f"{args.workload}: six policies (Figure 6 methodology)"
-    except ConfigurationError as exc:
-        # e.g. a malformed $REPRO_REPLAY_ENGINE value.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if tracer is not None:
             tracer.close()
@@ -439,8 +432,7 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
         args, f"tracesim/{args.workload}", profiler,
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
-                 "seed": args.seed,
-                 "engine": args.engine or "auto"},
+                 "seed": args.seed},
     )
     return 0
 
@@ -449,10 +441,7 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
     """Page-table policy comparison (the repro.ptpol subsystem)."""
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.user_only()
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
-    config = PolicySimConfig(**config_kwargs)
+    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
     profiler = _make_profiler(args)
     trigger = params_for(args.workload, args.trigger).trigger_threshold
     # The traced run is the flagship CoPlace leg; walk reconciliation
@@ -491,10 +480,6 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
                     int(r.extra.get("thread_migrations", 0.0)),
                 ]
             )
-    except ConfigurationError as exc:
-        # e.g. a malformed $REPRO_REPLAY_ENGINE value.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if tracer is not None:
             tracer.close()
@@ -535,8 +520,7 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
         args, f"ptsim/{args.workload}", profiler,
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
-                 "seed": args.seed,
-                 "engine": args.engine or "auto"},
+                 "seed": args.seed},
     )
     return 0
 
@@ -716,10 +700,13 @@ def _specs_for(args: argparse.Namespace):
         )
     triggers: List[Optional[int]] = [None]
     if args.triggers:
-        triggers = [
-            None if t in ("paper", "default") else int(t)
-            for t in _csv(args.triggers)
-        ]
+        try:
+            triggers = [
+                None if t in ("paper", "default") else int(t)
+                for t in _csv(args.triggers)
+            ]
+        except ValueError as exc:
+            raise ConfigurationError(f"--triggers: {exc}") from exc
     return sweep(
         _csv(args.workloads),
         scales=(args.scale,),
@@ -734,10 +721,6 @@ def _specs_for(args: argparse.Namespace):
 
 def _make_sweep_runner(args: argparse.Namespace):
     """(runner, cache) configured from the shared sweep options."""
-    # Workers build their PolicySimConfig from the environment, so the
-    # --engine choice reaches pool processes with no extra plumbing.
-    if getattr(args, "engine", None):
-        os.environ["REPRO_REPLAY_ENGINE"] = args.engine
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is not None and getattr(args, "clear_cache", False):
         dropped = cache.clear()
@@ -796,7 +779,6 @@ def _sweep_stats(report: SweepReport, cache: Optional[ResultCache]) -> dict:
         "interrupted": report.interrupted,
         "cache": cache.stats() if cache is not None else None,
         "trace_store": store.stats() if store is not None else None,
-        "replay_engine": os.environ.get("REPRO_REPLAY_ENGINE", "auto"),
         "attribution": sweep_attribution(report.outcomes),
         "profile": {
             "phase_wall_s": dict(report.phase_wall_s),
@@ -874,11 +856,7 @@ def _result_row(spec, result, source: str) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        specs = _specs_for(args)
-    except (ValueError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = _specs_for(args)
     runner, cache = _make_sweep_runner(args)
     with _graceful_stop(runner.request_stop):
         report = runner.run(specs)
@@ -979,10 +957,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         load_artifacts,
         read_artifact,
         regressions,
+        results_dir as bench_results_dir,
     )
 
     bench_dir = Path(args.bench_dir)
-    results_dir = bench_dir / "results"
+    scale = args.scale
+    if scale is None:
+        scale = 0.1 if args.quick else 1.0
+    results_dir = bench_results_dir(bench_dir, scale)
 
     if not args.compare_only:
         if args.names:
@@ -991,19 +973,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             names = list(QUICK_BENCHES)
         else:
             names = None  # the whole suite
-        try:
-            targets = (
-                [str(p) for p in _bench_paths(bench_dir, names)]
-                if names is not None
-                else [str(bench_dir)]
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        targets = (
+            [str(p) for p in _bench_paths(bench_dir, names)]
+            if names is not None
+            else [str(bench_dir)]
+        )
         env = dict(os.environ)
-        scale = args.scale
-        if scale is None:
-            scale = 0.1 if args.quick else 1.0
         env["REPRO_BENCH_SCALE"] = str(scale)
         env.setdefault(
             "REPRO_OBS_BENCH_SCALE", str(min(scale, 0.25))
@@ -1414,16 +1389,14 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     spec = build_spec(args.workload, scale=args.scale, seed=args.seed)
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
     profiler = _make_profiler(args)
     if profiler is not None:
         # One profile covers decode and replay: the store's per-chunk
         # spans interleave with the simulator's under replay.chunks.
         store.profiler = profiler
     sim = TracePolicySimulator(
-        PolicySimConfig(**config_kwargs), profiler=profiler
+        PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes),
+        profiler=profiler,
     )
     factories = {
         "migr": PolicyParameters.migration_only,
@@ -1465,8 +1438,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         args, f"trace-replay/{args.workload}", profiler,
         metrics={k: float(v) for k, v in stats.items()},
         context={"workload": args.workload, "scale": args.scale,
-                 "seed": args.seed, "policy": args.policy,
-                 "engine": args.engine or "auto"},
+                 "seed": args.seed, "policy": args.policy},
     )
     return 0
 
@@ -1516,18 +1488,6 @@ def _add_profile_option(parser: argparse.ArgumentParser) -> None:
         "--profile-out", metavar="PATH", default=None,
         help="profile the run's phases and write a schema-versioned "
         "RunReport JSON to PATH (also prints the span summary)",
-    )
-
-
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    """The dynamic-replay engine knob (see docs/PERFORMANCE.md)."""
-    parser.add_argument(
-        "--engine", choices=("auto", "scalar", "vector"), default=None,
-        help=(
-            "dynamic-replay engine (default: $REPRO_REPLAY_ENGINE or "
-            "auto; auto = vectorized on every path, tracing included — "
-            "scalar pins the byte-identical reference core)"
-        ),
     )
 
 
@@ -1606,7 +1566,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="artifact directory ('' disables writing; default "
         "benchmarks/results)",
     )
-    _add_engine_option(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1687,7 +1646,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add the Black-Gupta-Weber competitive strategy as a "
         "related-work baseline row (Section 2 comparator)",
     )
-    _add_engine_option(p)
     _add_profile_option(p)
     p.set_defaults(func=cmd_tracesim)
 
@@ -1701,7 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the CoPlace run (decisions AND misses/walks) to a "
         "JSONL log and reconcile it against the result and the PT tally",
     )
-    _add_engine_option(p)
     _add_profile_option(p)
     p.set_defaults(func=cmd_ptsim)
 
@@ -1841,7 +1798,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel", action="store_true",
         help="replay the kernel-mode records instead of user-mode",
     )
-    _add_engine_option(tp)
     _add_profile_option(tp)
     tp.set_defaults(func=cmd_trace_replay)
 
@@ -1862,7 +1818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scale", type=float, default=None,
         help="REPRO_BENCH_SCALE for the run (default: 0.1 with --quick, "
-        "else 1.0)",
+        "else 1.0); results below 1.0 go to results/scale-<scale>/",
     )
     p.add_argument(
         "--bench-dir", metavar="DIR", default="benchmarks",
@@ -1971,9 +1927,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A :class:`ConfigurationError` — bad input on the command line or in
+    a file it names — is a usage error: one ``error:`` line, exit 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigurationError(
+                f"--jobs must be at least 1, not {args.jobs}"
+            )
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -150,17 +150,9 @@ def execute_spec(
         )
         return sim.run(trace)
     # Trace-driven (Section 8): contentionless fixed-latency model.
-    # The replay engine (scalar or vectorized fastpath) defaults from
-    # $REPRO_REPLAY_ENGINE, which pool workers inherit from the driver;
-    # both engines are byte-identical, so cached results stay valid
-    # whichever engine produced them.
     stream = trace.kernel_only() if spec.kernel_trace else trace.user_only()
     label = POLICY_LABELS[spec.policy]
     if spec.pt_policy:
-        # Page-table policies inherit the engine like every other cell:
-        # the vectorized PT twin (repro.ptpol.fastpath) is
-        # byte-identical to the scalar core, so sweeps mix engines
-        # freely without invalidating cached results.
         from repro.ptpol import PtPolicySimulator
 
         pt_sim = PtPolicySimulator(

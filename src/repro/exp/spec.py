@@ -33,6 +33,7 @@ from repro.kernel.vm.shootdown import ShootdownMode
 from repro.machine.config import MachineConfig
 from repro.policy.parameters import PolicyParameters
 from repro.workloads import WORKLOAD_NAMES
+from repro.workloads.base import check_scale
 
 #: Version of the spec schema itself; folded into the hash so a future
 #: field change never collides with today's keys.
@@ -54,7 +55,7 @@ SYSTEM_POLICIES = ("ft", "migrep")
 FIG6_POLICIES = ("rr", "ft", "pf", "migr", "repl", "migrep")
 
 #: The page-table policy family (:mod:`repro.ptpol`): replayed with the
-#: walk-cost model on either engine, compared among themselves (their
+#: walk-cost model, compared among themselves (their
 #: run times include walk stall the six paper policies do not model).
 PT_TRACE_POLICIES = ("ptft", "ptmigr", "ptrepl", "coplace")
 
@@ -109,8 +110,7 @@ class ExperimentSpec:
                 f"unknown workload {self.workload!r}; "
                 f"pick one of {sorted(WORKLOAD_NAMES)}"
             )
-        if not 0.0 < self.scale <= 1.0:
-            raise ConfigurationError("scale must be in (0, 1]")
+        check_scale(self.scale)
         if self.machine not in MACHINE_LABELS:
             raise ConfigurationError(
                 f"unknown machine {self.machine!r}; "

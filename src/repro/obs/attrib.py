@@ -22,7 +22,8 @@ whether it paid off and where the remaining stall time lives:
   miss-ratio rows for the JSONL/Chrome sinks.
 * **Run diffing** (:func:`diff_attributions`) — per-page divergence
   ranking between two runs of the same spec (policy vs. policy, or
-  scalar vs. auto engine logs, which must not diverge at all).
+  the reference core's log vs. the production log, which must not
+  diverge at all).
 * **Page-table decisions** — streams from the PT-policy family
   (:mod:`repro.ptpol`) carry walk-flagged :class:`MissServiced` events
   plus :class:`PtReplicate` / :class:`ThreadMigrate` decisions; they
@@ -1104,8 +1105,8 @@ def diff_attributions(a: Attribution, b: Attribution) -> AttribDiff:
     """Per-page divergence between two runs, worst stall delta first.
 
     Compares page-level attribution only — run headers (:class:`RunMeta`)
-    and other run-level events are metadata, so a scalar-engine log and
-    an auto-engine log of the same spec diff to zero divergence.
+    and other run-level events are metadata, so two logs that differ
+    only there diff to zero divergence.
     """
     out = AttribDiff(stall_delta_ns=b.stall_ns - a.stall_ns)
     pages_a, pages_b = a.pages, b.pages
@@ -1267,12 +1268,10 @@ def format_summary(attrib: Attribution) -> str:
     lines: List[str] = []
     meta = attrib.meta
     if meta is not None:
-        engine = f" engine={meta.engine}" if meta.engine else ""
         lines.append(
             f"run: {meta.label or '(unlabelled)'}  "
             f"{meta.n_cpus} CPUs / {meta.n_nodes} nodes  "
             f"local={meta.local_ns:.0f}ns remote={meta.remote_ns:.0f}ns"
-            f"{engine}"
         )
     lines.append(
         f"events: {attrib.events}  (misses: {attrib.miss_events}, "

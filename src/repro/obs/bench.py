@@ -182,6 +182,18 @@ def read_artifact(path: Union[str, Path]) -> BenchArtifact:
         raise ResultSchemaError(f"{path}: {exc}") from exc
 
 
+def results_dir(bench_dir: Union[str, Path], scale: float) -> Path:
+    """Where a bench run at ``scale`` writes its tables and artifacts.
+
+    Full-scale (1.0) results live in ``<bench_dir>/results``, the
+    committed set.  A run at any other scale writes
+    ``<bench_dir>/results/scale-<scale>/`` instead, so a quick pass
+    never overwrites the committed numbers.
+    """
+    base = Path(bench_dir) / "results"
+    return base if scale == 1.0 else base / f"scale-{scale:g}"
+
+
 def load_artifacts(directory: Union[str, Path]) -> Dict[str, BenchArtifact]:
     """Every ``BENCH_*.json`` under ``directory``, keyed by bench name."""
     directory = Path(directory)

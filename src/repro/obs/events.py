@@ -240,7 +240,6 @@ class RunMeta(TraceEvent):
     op_cost_ns: float = 0.0      # per migrate/replicate/collapse op cost
     trigger: int = 0             # hot-page trigger threshold
     reset_interval_ns: int = 0
-    engine: str = ""             # replay engine ("" for the system sim)
     pt_walk_local_ns: float = 0.0   # PT-walk latencies (0 when the run
     pt_walk_remote_ns: float = 0.0  # has no page-table model)
     pt_span_pages: int = 0          # data pages per PT page (0 = no PT model)
@@ -282,6 +281,10 @@ def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
     if cls is None:
         raise TraceError(f"unknown event kind: {kind!r}")
     payload = {k: v for k, v in data.items() if k != "kind"}
+    if cls is RunMeta:
+        # Older headers also name the replay engine; there is only one
+        # now, so the key is dropped and those logs still load.
+        payload.pop("engine", None)
     try:
         return cls(**payload)
     except TypeError as exc:

@@ -348,8 +348,7 @@ class HistoryStore:
         samples = [
             MetricSample(metric, value) for metric, value in flat.items()
         ]
-        context = {"replay_engine": data.get("replay_engine", "auto")}
-        return self.ingest("sweep", name, samples, t=t, context=context)
+        return self.ingest("sweep", name, samples, t=t)
 
     def ingest_file(self, path: Union[str, Path]) -> Tuple[Optional[int], str]:
         """Sniff and ingest one JSON artifact file — never raises.

@@ -4,7 +4,7 @@ The decision tracer answers *why* the policy acted; this module answers
 *where the host's time went* doing it — the reproduction's own Table 5/6
 for itself.  A :class:`Profiler` hands out nested ``span(...)`` context
 managers around the stack's phase-level seams (simulator setup/replay,
-per-engine replay, per-chunk streaming, sweep tasks, store record vs
+policy replay, per-chunk streaming, sweep tasks, store record vs
 replay) and aggregates per-path wall time, item throughput and peak RSS.
 
 Design constraints mirror :mod:`repro.obs.tracer`:
@@ -14,9 +14,9 @@ Design constraints mirror :mod:`repro.obs.tracer`:
    context manager from :meth:`Profiler.span`, so instrumented seams
    allocate nothing.  Spans wrap *phases*, never per-event loop bodies.
 2. **Never perturbs the simulation.**  Spans read the wall clock and
-   touch profiler-private state only; engine selection, RNG streams and
-   every simulated result are byte-identical with profiling on or off
-   (asserted by the test suite).
+   touch profiler-private state only; RNG streams and every simulated
+   result are byte-identical with profiling on or off (asserted by the
+   test suite).
 
 :class:`RunReport` packages one run's profile — spans, peak RSS, an
 optional metrics snapshot — as a schema-versioned dict following the

@@ -64,14 +64,13 @@ from repro.ptpol.sim import _PtReplayState
 def replay_pt_vector(sim, trace, driver, params, result) -> None:
     """Replay ``trace`` + walk ``driver`` under one PT-family policy.
 
-    Byte-identical to :meth:`PtPolicySimulator._replay_pt` — results,
-    tally, replica table and (when tracing) the event log.
+    Byte-identical to :meth:`ReferencePtPolicySimulator._replay_pt` —
+    results, tally, replica table and (when tracing) the event log.
     """
     if params.enable_replication:
         raise ConfigurationError(
-            "the vectorized PT replay assumes single-copy data pages; "
-            "no PT-family policy enables data replication — re-run "
-            "this parameter set with --engine scalar"
+            "PT-family replay assumes single-copy data pages, and no "
+            "PT-family policy enables data replication"
         )
     if trace.meta is not driver.meta and trace.meta is not None:
         if driver.meta is not None and trace.meta.name != driver.meta.name:
@@ -106,9 +105,9 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
         [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
     )
     # Stable sort with the cost block first: at equal timestamps the
-    # cost record precedes the driver record (the
-    # ``_merged_process_events`` tie rule) and driver records keep
-    # their derivation order.
+    # cost record precedes the driver record (the tie rule of
+    # ``ReferencePtPolicySimulator._merged_process_events``) and driver
+    # records keep their derivation order.
     order = np.argsort(times, kind="stable")
     times = times[order]
     cpus = cpus[order]

@@ -119,14 +119,15 @@ def params_for_pt_policy(policy: str, trigger: int = 128) -> PolicyParameters:
 
 
 class _PtReplayState:
-    """The PT-policy replay state machine, shared by both engines.
+    """The PT-policy replay state machine, shared by both replay paths.
 
     Holds every piece of mutable replay state — data-page copies and
     counters, the CPU->node map (mutable, so thread re-homing sticks),
     the replica table, walk counters, the pending action queues and the
     per-interval demand/maintenance structures — plus the action
-    handlers that mutate it.  The scalar core drives it one merged
-    record at a time (:meth:`drain` / :meth:`reset` / :meth:`process`);
+    handlers that mutate it.  The scalar reference core
+    (:class:`ReferencePtPolicySimulator`) drives it one merged record
+    at a time (:meth:`drain` / :meth:`reset` / :meth:`process`);
     the vector engine (:mod:`repro.ptpol.fastpath`) drives the same
     object per interval segment, bulk-accounting cold records and
     sub-replaying hot candidates through :meth:`process`, so every
@@ -500,13 +501,12 @@ class _PtReplayState:
 class PtPolicySimulator(TracePolicySimulator):
     """Replay a trace under the page-table placement policies.
 
-    Both engines run it: the scalar core drives :class:`_PtReplayState`
-    one merged record at a time, while ``engine="vector"`` — what
-    ``"auto"`` picks — replays interval segments through
+    The replay runs interval segments through
     :mod:`repro.ptpol.fastpath`, bulk-accounting cold misses and walks
-    and sub-replaying the hot candidates through the very same state
-    machine.  Results and event logs are byte-identical between the
-    two.
+    and sub-replaying the hot candidates through
+    :class:`_PtReplayState`.  :class:`ReferencePtPolicySimulator`
+    drives that state machine one merged record at a time instead;
+    results and event logs are byte-identical between the two.
     """
 
     def __init__(
@@ -517,9 +517,9 @@ class PtPolicySimulator(TracePolicySimulator):
         profiler=None,
         costs: Optional[PtCostModel] = None,
     ) -> None:
-        super().__init__(
-            config=config, tracer=tracer, metrics=metrics, profiler=profiler
-        )
+        super().__init__(config=config, tracer=tracer, profiler=profiler)
+        #: Registry the run's ``ptpol.*`` tally callbacks go into, if any.
+        self.metrics = metrics
         self.costs = costs or DEFAULT_PT_COSTS
         #: Tally of the most recent :meth:`simulate` run.
         self.tally: PtTally = PtTally()
@@ -543,24 +543,18 @@ class PtPolicySimulator(TracePolicySimulator):
         in :meth:`simulate_dynamic`.
         """
         cfg = self.config
-        engine = self._resolve_engine("ptpol")
         if driver_trace is None:
             driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
         result = PolicySimResult(label=label or self._pt_label(params))
         self._emit_run_meta(result.label, params, pt=True)
         n_events = len(trace) + len(driver_trace)
         with self.profiler.span("replay.ptpol", items=n_events):
-            if engine == "vector":
-                from repro.ptpol.fastpath import replay_pt_vector
-
-                replay_pt_vector(self, trace, driver_trace, params, result)
-            else:
-                self._replay_pt(trace, driver_trace, params, result)
+            self._replay_pt(trace, driver_trace, params, result)
         if self.metrics is not None:
             self._register_metrics()
         return result
 
-    # -- the replay core -----------------------------------------------------------
+    # -- the replay hook -----------------------------------------------------------
 
     def _replay_pt(
         self,
@@ -569,52 +563,10 @@ class PtPolicySimulator(TracePolicySimulator):
         params: PolicyParameters,
         result: PolicySimResult,
     ) -> None:
-        """The scalar core: one merged record at a time, in order."""
-        st = _PtReplayState(self, params, result)
-        for time, cpu, pid, page, weight, is_write, is_cost in (
-            self._merged_process_events(trace, driver)
-        ):
-            st.drain(time)
-            if time >= st.next_reset:
-                st.reset(time)
-            st.process(time, cpu, pid, page, weight, is_write, is_cost)
-        st.drain(None)
-        st.finalize()
+        """Replay hook of :meth:`simulate`: the vectorized engine."""
+        from repro.ptpol.fastpath import replay_pt_vector
 
-    # -- helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def _merged_process_events(cost: Trace, driver: Trace):
-        """Merge data misses and walks in time order, with processes.
-
-        The PT twin of ``_merged_events``: driver (walk) events sort
-        *after* cost events at equal timestamps, so a PT action never
-        retroactively cheapens the walk that triggered it — and since
-        every derived TLB record shares a timestamp with the cache-miss
-        record that produced it, the first sighting of a page is always
-        the data miss that faults its mapping in.
-        """
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError(
-                    "cost and driver traces are from different workloads"
-                )
-        i = j = 0
-        n_cost, n_driver = len(cost), len(driver)
-        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
-        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
-        c_pr, d_pr = cost.process.tolist(), driver.process.tolist()
-        c_p, d_p = cost.page.tolist(), driver.page.tolist()
-        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
-        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
-        while i < n_cost or j < n_driver:
-            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
-            if take_cost:
-                yield (c_t[i], c_c[i], c_pr[i], c_p[i], c_wt[i], c_w[i], True)
-                i += 1
-            else:
-                yield (d_t[j], d_c[j], d_pr[j], d_p[j], d_wt[j], d_w[j], False)
-                j += 1
+        replay_pt_vector(self, trace, driver, params, result)
 
     def _register_metrics(self) -> None:
         """Publish the run's tally under the ``ptpol.*`` namespace.
@@ -650,6 +602,70 @@ class PtPolicySimulator(TracePolicySimulator):
         if params.enable_migration:
             return PT_POLICY_LABELS["ptmigr"]
         return PT_POLICY_LABELS["ptft"]
+
+
+class ReferencePtPolicySimulator(PtPolicySimulator):
+    """The scalar reference core of :class:`PtPolicySimulator`.
+
+    Overrides only the replay hook: :class:`_PtReplayState` steps
+    every merged data-miss and walk record in time order.  It also
+    takes parameter sets the vector engine refuses (data replication
+    on), which no PT-family policy produces.  The differential suites
+    and the scalar-vs-vector benches run it against the production
+    path.
+    """
+
+    def _replay_pt(
+        self,
+        trace: Trace,
+        driver: Trace,
+        params: PolicyParameters,
+        result: PolicySimResult,
+    ) -> None:
+        """One merged record at a time, in order."""
+        st = _PtReplayState(self, params, result)
+        for time, cpu, pid, page, weight, is_write, is_cost in (
+            self._merged_process_events(trace, driver)
+        ):
+            st.drain(time)
+            if time >= st.next_reset:
+                st.reset(time)
+            st.process(time, cpu, pid, page, weight, is_write, is_cost)
+        st.drain(None)
+        st.finalize()
+
+    @staticmethod
+    def _merged_process_events(cost: Trace, driver: Trace):
+        """Merge data misses and walks in time order, with processes.
+
+        The PT twin of ``_merged_events``: driver (walk) events sort
+        *after* cost events at equal timestamps, so a PT action never
+        retroactively cheapens the walk that triggered it — and since
+        every derived TLB record shares a timestamp with the cache-miss
+        record that produced it, the first sighting of a page is always
+        the data miss that faults its mapping in.
+        """
+        if cost.meta is not driver.meta and cost.meta is not None:
+            if driver.meta is not None and cost.meta.name != driver.meta.name:
+                raise TraceError(
+                    "cost and driver traces are from different workloads"
+                )
+        i = j = 0
+        n_cost, n_driver = len(cost), len(driver)
+        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
+        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
+        c_pr, d_pr = cost.process.tolist(), driver.process.tolist()
+        c_p, d_p = cost.page.tolist(), driver.page.tolist()
+        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
+        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
+        while i < n_cost or j < n_driver:
+            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
+            if take_cost:
+                yield (c_t[i], c_c[i], c_pr[i], c_p[i], c_wt[i], c_w[i], True)
+                i += 1
+            else:
+                yield (d_t[j], d_c[j], d_pr[j], d_p[j], d_wt[j], d_w[j], False)
+                j += 1
 
 
 def simulate_ptpol(

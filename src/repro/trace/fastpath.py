@@ -96,7 +96,7 @@ class _VectorEngine:
         tracer=None,
     ) -> None:
         # Imported here (not at module top) because policysim imports
-        # this module lazily from its dispatch path.
+        # this module at load time.
         from repro.trace.policysim import _pager_act
 
         self._pager_act = _pager_act
@@ -552,9 +552,10 @@ class _VectorEngine:
     def _replay_hot(self, t, c, p, w, iw, cf, cn, gx=None) -> None:
         """The scalar core, over candidate-page events only.
 
-        Mirrors ``policysim._replay_dynamic`` exactly — minus interval
-        resets (segments never span one) and sampling (``cn`` holds the
-        precomputed surviving weights) — and shares ``_pager_act``.
+        Mirrors ``ReferenceTracePolicySimulator._replay_dynamic``
+        exactly — minus interval resets (segments never span one) and
+        sampling (``cn`` holds the precomputed surviving weights) — and
+        shares ``_pager_act``.
         ``gx`` carries each event's global stream index for batched
         emission (None when untraced).
         """

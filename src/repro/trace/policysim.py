@@ -10,13 +10,15 @@ miss trace is replayed against a simple memory model (300 ns local miss,
 optionally driven by approximate information (sampled cache misses or
 TLB misses, Section 8.3).  Static policies are evaluated fully vectorised;
 dynamic policies replay the merged driver/cost streams through the same
-counter bank and decision tree the kernel implementation uses.
+counter bank and decision tree the kernel implementation uses, on the
+vectorized engines of :mod:`repro.trace.fastpath`.  The scalar core,
+:class:`ReferenceTracePolicySimulator`, is the oracle the tests and the
+scalar-vs-vector bench compare them against.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
@@ -48,6 +50,7 @@ from repro.policy.placement import (
     static_stall_ns,
 )
 from repro.sim.results import RESULT_SCHEMA_VERSION, check_schema
+from repro.trace import fastpath
 from repro.trace.record import Trace
 from repro.trace.tlbsim import derive_tlb_trace, merged_tlb_stream
 
@@ -58,21 +61,6 @@ class StaticPolicy(enum.Enum):
     ROUND_ROBIN = "RR"
     FIRST_TOUCH = "FT"
     POST_FACTO = "PF"
-
-
-#: Valid values of :attr:`PolicySimConfig.engine`.
-REPLAY_ENGINES = ("auto", "scalar", "vector")
-
-
-def _engine_from_env() -> str:
-    """Default replay engine, overridable via ``REPRO_REPLAY_ENGINE``.
-
-    Reading the environment in the field default means sweep workers —
-    which build a fresh :class:`PolicySimConfig` in-process — pick up
-    the engine chosen on the driver's command line with no extra
-    plumbing (the environment is inherited across the pool).
-    """
-    return os.environ.get("REPRO_REPLAY_ENGINE", "auto")
 
 
 @dataclass(frozen=True)
@@ -105,18 +93,6 @@ class PolicySimConfig:
     """Data pages mapped by one page-table page (4 KB of 8-byte PTEs);
     the granularity at which PT pages are homed and replicated."""
 
-    engine: str = field(default_factory=_engine_from_env)
-    """Dynamic-replay engine: ``"auto"``, ``"scalar"`` or ``"vector"``.
-
-    ``"vector"`` selects the segmented batch engines of
-    :mod:`repro.trace.fastpath` and :mod:`repro.ptpol.fastpath`
-    (byte-identical results — event logs included, emitted through the
-    batched buffer of :mod:`repro.obs.batch` — and much faster);
-    ``"auto"`` (the default, overridable via ``REPRO_REPLAY_ENGINE``)
-    always picks the vector engine.  ``"scalar"`` pins the reference
-    core, mainly for the differential suites and for debugging.
-    """
-
     def __post_init__(self) -> None:
         if self.n_cpus <= 0 or self.n_nodes <= 0:
             raise ConfigurationError("need positive CPU and node counts")
@@ -134,11 +110,6 @@ class PolicySimConfig:
             )
         if self.pt_span_pages <= 0:
             raise ConfigurationError("PT span must be positive")
-        if self.engine not in REPLAY_ENGINES:
-            raise ConfigurationError(
-                f"unknown replay engine {self.engine!r}; "
-                f"expected one of {REPLAY_ENGINES}"
-            )
 
     def node_of_cpu(self, cpu: int) -> int:
         """Home node of ``cpu``."""
@@ -411,12 +382,10 @@ class TracePolicySimulator:
         self,
         config: Optional[PolicySimConfig] = None,
         tracer=None,
-        metrics=None,
         profiler=None,
     ) -> None:
         self.config = config or PolicySimConfig()
         self.tracer = as_tracer(tracer)
-        self.metrics = metrics
         self.profiler = as_profiler(profiler)
         self._cpu_nodes = np.asarray(
             [self.config.node_of_cpu(c) for c in range(self.config.n_cpus)],
@@ -447,33 +416,11 @@ class TracePolicySimulator:
                 reset_interval_ns=(
                     params.reset_interval_ns if params is not None else 0
                 ),
-                engine=cfg.engine,
                 pt_walk_local_ns=float(cfg.pt_walk_local_ns) if pt else 0.0,
                 pt_walk_remote_ns=float(cfg.pt_walk_remote_ns) if pt else 0.0,
                 pt_span_pages=cfg.pt_span_pages if pt else 0,
             )
         )
-
-    def _resolve_engine(self, path: str = "dynamic") -> str:
-        """Pick the replay engine for this run.
-
-        Every replay path now has a vectorized twin, and an active
-        tracer composes with the vector engines through batched
-        emission (:mod:`repro.obs.batch`), so ``auto`` simply picks
-        ``vector`` — there is no tracer-driven fallback and no
-        vector+tracer error any more.  The choice lands in the
-        aggregate ``replay.engine.<engine>`` counter and the per-path
-        ``replay.engine.<path>.<engine>`` counter when a metrics
-        registry is attached (``path`` is ``"dynamic"``, ``"chunks"``
-        or ``"competitive"``; :mod:`repro.ptpol` counts under
-        ``"ptpol"``).
-        """
-        engine = self.config.engine
-        choice = "vector" if engine == "auto" else engine
-        if self.metrics is not None:
-            self.metrics.counter(f"replay.engine.{choice}").inc()
-            self.metrics.counter(f"replay.engine.{path}.{choice}").inc()
-        return choice
 
     # -- static policies ----------------------------------------------------------
 
@@ -566,38 +513,27 @@ class TracePolicySimulator:
             params = params.scaled_for_sampling(metric.sampling_rate)
         result = PolicySimResult(label=label or self._default_label(params, metric))
         placement = self.placement_for(trace, initial)
-        profiler = self.profiler
         n_events = len(trace) + (len(driver_trace) if driver_trace is not None else 0)
 
         self._emit_run_meta(result.label, params)
-        engine = self._resolve_engine("dynamic")
-        with profiler.span("replay.dynamic", items=n_events):
-            if engine == "vector":
-                from repro.trace import fastpath
-
-                with profiler.span("engine.vector", items=n_events):
-                    fastpath.replay_dynamic_vector(
-                        self.config, trace, params, result, placement,
-                        sampling_rate=metric.sampling_rate,
-                        driver_trace=driver_trace,
-                        profiler=profiler,
-                        tracer=self.tracer,
-                    )
-                return result
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(placement[page])
-
-            if driver_trace is None:
-                events = self._single_stream_events(trace)
-            else:
-                events = self._merged_events(trace, driver_trace)
-            with profiler.span("engine.scalar", items=n_events):
-                self._replay_dynamic(
-                    events, params, result, initial_node,
-                    sampling_rate=metric.sampling_rate,
-                )
+        with self.profiler.span("replay.dynamic", items=n_events):
+            self._replay_trace(
+                trace, driver_trace, params, result, placement,
+                metric.sampling_rate,
+            )
         return result
+
+    def _replay_trace(
+        self, trace, driver_trace, params, result, placement, sampling_rate
+    ) -> None:
+        """Replay hook of :meth:`simulate_dynamic`: the vectorized engine."""
+        fastpath.replay_dynamic_vector(
+            self.config, trace, params, result, placement,
+            sampling_rate=sampling_rate,
+            driver_trace=driver_trace,
+            profiler=self.profiler,
+            tracer=self.tracer,
+        )
 
     def simulate_dynamic_chunks(
         self,
@@ -624,7 +560,6 @@ class TracePolicySimulator:
         TLB-driven metrics derive and merge the TLB stream chunk by
         chunk (:func:`repro.trace.tlbsim.merged_tlb_stream`).
         """
-        cfg = self.config
         if callable(chunks):
             factory = chunks
         elif isinstance(chunks, (list, tuple)):
@@ -635,19 +570,11 @@ class TracePolicySimulator:
         if metric.sampling_rate > 1:
             params = params.scaled_for_sampling(metric.sampling_rate)
         result = PolicySimResult(label=label or self._default_label(params, metric))
-        cpu_nodes = self._cpu_nodes
         placement: Optional[np.ndarray] = None
         if initial is StaticPolicy.FIRST_TOUCH:
             initial_kind: Optional[str] = "ft"
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(cpu_nodes[cpu])
         elif initial is StaticPolicy.ROUND_ROBIN:
             initial_kind = "rr"
-            n_nodes = cfg.n_nodes
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(page % n_nodes)
         else:
             if factory is None:
                 raise ConfigurationError(
@@ -658,56 +585,34 @@ class TracePolicySimulator:
                 )
             initial_kind = None
             placement = self._post_facto_from_chunks(factory)
-            pf_placement = placement
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(pf_placement[page])
         stream = factory() if factory is not None else chunks
-        profiler = self.profiler
         self._emit_run_meta(result.label, params)
-        engine = self._resolve_engine("chunks")
-        with profiler.span("replay.chunks") as run_span:
-            if engine == "vector":
-                from repro.trace import fastpath
-
-                with profiler.span("engine.vector") as engine_span:
-                    if metric.uses_tlb:
-                        fastpath.replay_batches_vector(
-                            self.config,
-                            merged_tlb_stream(stream, cfg.n_cpus),
-                            params, result,
-                            initial_kind=initial_kind,
-                            sampling_rate=metric.sampling_rate,
-                            profiler=profiler,
-                            tracer=self.tracer,
-                            placement=placement,
-                        )
-                    else:
-                        fastpath.replay_chunks_vector(
-                            self.config, stream, params, result,
-                            initial_kind=initial_kind,
-                            sampling_rate=metric.sampling_rate,
-                            profiler=profiler,
-                            tracer=self.tracer,
-                            placement=placement,
-                        )
-                    engine_span.add_items(result.total_misses)
-                run_span.add_items(result.total_misses)
-                return result
-            if metric.uses_tlb:
-                events = self._batch_stream_events(
-                    merged_tlb_stream(stream, cfg.n_cpus), profiler
-                )
-            else:
-                events = self._chunk_stream_events(stream, profiler)
-            with profiler.span("engine.scalar") as engine_span:
-                self._replay_dynamic(
-                    events, params, result, initial_node,
-                    sampling_rate=metric.sampling_rate,
-                )
-                engine_span.add_items(result.total_misses)
+        with self.profiler.span("replay.chunks") as run_span:
+            self._replay_stream(
+                stream, metric, params, result, initial_kind, placement
+            )
             run_span.add_items(result.total_misses)
         return result
+
+    def _replay_stream(
+        self, stream, metric, params, result, initial_kind, placement
+    ) -> None:
+        """Replay hook of :meth:`simulate_dynamic_chunks`: the
+        vectorized engine, fed the merged cost/TLB batches when
+        ``metric`` is TLB-driven."""
+        if metric.uses_tlb:
+            replay = fastpath.replay_batches_vector
+            stream = merged_tlb_stream(stream, self.config.n_cpus)
+        else:
+            replay = fastpath.replay_chunks_vector
+        replay(
+            self.config, stream, params, result,
+            initial_kind=initial_kind,
+            sampling_rate=metric.sampling_rate,
+            profiler=self.profiler,
+            tracer=self.tracer,
+            placement=placement,
+        )
 
     def _post_facto_from_chunks(self, factory) -> np.ndarray:
         """Majority-count pass: post-facto placement from streamed chunks.
@@ -743,6 +648,144 @@ class TracePolicySimulator:
             touched = per_page.sum(axis=1) > 0
             placement[touched] = per_page[touched].argmax(axis=1)
         return placement
+
+    # -- the competitive baseline [BGW89] ------------------------------------------
+
+    def simulate_competitive(
+        self,
+        trace: Trace,
+        initial: StaticPolicy = StaticPolicy.FIRST_TOUCH,
+        label: str = "Competitive",
+    ) -> PolicySimResult:
+        """The Black–Gupta–Weber competitive strategy, as a baseline.
+
+        The related-work comparator (Section 2): per-page per-processor
+        counters accumulate *remote* references, and a page moves once the
+        accumulated remote penalty would have paid for the move — the
+        classic rent-vs-buy break-even, ``op_cost / (remote - local)``
+        misses.  A recently-written page migrates, an unwritten one
+        replicates.
+
+        What it lacks, by design, is the paper's selectivity: no reset
+        interval (stale history still counts), no write-shared veto (only
+        a "written recently" hint), and no migrate limit.  On workloads
+        with fine-grain write sharing it therefore replicates pages it
+        should leave alone and pays for the collapses — the behaviour the
+        paper's Section 2 argues coherent caches make unaffordable.
+
+        The vector engine
+        (:func:`repro.trace.fastpath.replay_competitive_vector`) steps
+        only events of pages whose remote weight can reach the
+        break-even watermark through :class:`_CompetitiveCore` and
+        bulk-sums the rest; the reference steps every event through
+        the same core.
+        """
+        cfg = self.config
+        break_even = max(
+            1, -(-cfg.op_cost_ns // max(cfg.remote_ns - cfg.local_ns, 1))
+        )
+        result = PolicySimResult(label=label)
+        self._emit_run_meta(label)
+        with self.profiler.span("replay.competitive", items=len(trace)):
+            placement = self.placement_for(trace, initial)
+            core = _CompetitiveCore(
+                cfg, result, placement, self._cpu_nodes, break_even
+            )
+            self._replay_competitive(trace, result, placement, core)
+            result.extra["local_stall_ns"] = core.local_stall
+            result.extra["break_even_misses"] = float(break_even)
+        return result
+
+    def _replay_competitive(self, trace, result, placement, core) -> None:
+        """Replay hook of :meth:`simulate_competitive`: the vector engine."""
+        fastpath.replay_competitive_vector(
+            self.config, trace, result, placement, core,
+            profiler=self.profiler,
+        )
+
+    @staticmethod
+    def _default_label(params: PolicyParameters, metric: Metric) -> str:
+        if params.enable_migration and params.enable_replication:
+            base = "Mig/Rep"
+        elif params.enable_migration:
+            base = "Migr"
+        elif params.enable_replication:
+            base = "Repl"
+        else:
+            base = "Static"
+        if metric is not FULL_CACHE:
+            base += f" ({metric.label})"
+        return base
+
+
+class ReferenceTracePolicySimulator(TracePolicySimulator):
+    """The scalar reference core: every event stepped in time order.
+
+    :class:`TracePolicySimulator` replays through the vectorized
+    engines of :mod:`repro.trace.fastpath`.  This subclass overrides
+    only their three replay hooks; set-up, placement, sampling
+    scaling, labels and the run-meta header are the base class's.  Its
+    results and event logs are byte-identical to the production path,
+    which the differential suites and the scalar-vs-vector benches
+    check by running both.
+    """
+
+    def _replay_trace(
+        self, trace, driver_trace, params, result, placement, sampling_rate
+    ) -> None:
+        if driver_trace is None:
+            events = self._single_stream_events(trace)
+        else:
+            events = self._merged_events(trace, driver_trace)
+        self._replay_dynamic(
+            events, params, result, self._initial_node(None, placement),
+            sampling_rate=sampling_rate,
+        )
+
+    def _replay_stream(
+        self, stream, metric, params, result, initial_kind, placement
+    ) -> None:
+        if metric.uses_tlb:
+            events = self._batch_stream_events(
+                merged_tlb_stream(stream, self.config.n_cpus), self.profiler
+            )
+        else:
+            events = self._chunk_stream_events(stream, self.profiler)
+        self._replay_dynamic(
+            events, params, result,
+            self._initial_node(initial_kind, placement),
+            sampling_rate=metric.sampling_rate,
+        )
+
+    def _replay_competitive(self, trace, result, placement, core) -> None:
+        step = core.step
+        rows = zip(
+            trace.cpu.tolist(), trace.page.tolist(),
+            trace.weight.tolist(), trace.is_write.tolist(),
+        )
+        for cpu, page, weight, is_write in rows:
+            step(cpu, page, weight, is_write)
+
+    def _initial_node(self, initial_kind: Optional[str], placement):
+        """``initial_node(page, cpu)``: a page's node at first touch.
+
+        ``"ft"`` places on the toucher's node, ``"rr"`` by page number,
+        and ``None`` reads the full ``placement`` array.
+        """
+        if initial_kind == "ft":
+            cpu_nodes = self._cpu_nodes
+
+            def initial_node(page: int, cpu: int) -> int:
+                return int(cpu_nodes[cpu])
+        elif initial_kind == "rr":
+            n_nodes = self.config.n_nodes
+
+            def initial_node(page: int, cpu: int) -> int:
+                return int(page % n_nodes)
+        else:
+            def initial_node(page: int, cpu: int) -> int:
+                return int(placement[page])
+        return initial_node
 
     def _replay_dynamic(
         self,
@@ -960,79 +1003,3 @@ class TracePolicySimulator:
             else:
                 yield (d_t[j], d_c[j], d_p[j], d_wt[j], d_w[j], False, True)
                 j += 1
-
-    # -- the competitive baseline [BGW89] ------------------------------------------
-
-    def simulate_competitive(
-        self,
-        trace: Trace,
-        initial: StaticPolicy = StaticPolicy.FIRST_TOUCH,
-        label: str = "Competitive",
-    ) -> PolicySimResult:
-        """The Black–Gupta–Weber competitive strategy, as a baseline.
-
-        The related-work comparator (Section 2): per-page per-processor
-        counters accumulate *remote* references, and a page moves once the
-        accumulated remote penalty would have paid for the move — the
-        classic rent-vs-buy break-even, ``op_cost / (remote - local)``
-        misses.  A recently-written page migrates, an unwritten one
-        replicates.
-
-        What it lacks, by design, is the paper's selectivity: no reset
-        interval (stale history still counts), no write-shared veto (only
-        a "written recently" hint), and no migrate limit.  On workloads
-        with fine-grain write sharing it therefore replicates pages it
-        should leave alone and pays for the collapses — the behaviour the
-        paper's Section 2 argues coherent caches make unaffordable.
-
-        Both engines run it: the scalar loop steps every event through
-        :class:`_CompetitiveCore`; the vector engine
-        (:func:`repro.trace.fastpath.replay_competitive_vector`) steps
-        only events of pages whose remote weight can reach the
-        break-even watermark through the same core and bulk-sums the
-        rest, byte-identically.
-        """
-        cfg = self.config
-        break_even = max(
-            1, -(-cfg.op_cost_ns // max(cfg.remote_ns - cfg.local_ns, 1))
-        )
-        result = PolicySimResult(label=label)
-        self._emit_run_meta(label)
-        engine = self._resolve_engine("competitive")
-        with self.profiler.span("replay.competitive", items=len(trace)):
-            placement = self.placement_for(trace, initial)
-            core = _CompetitiveCore(
-                cfg, result, placement, self._cpu_nodes, break_even
-            )
-            if engine == "vector":
-                from repro.trace import fastpath
-
-                fastpath.replay_competitive_vector(
-                    cfg, trace, result, placement, core,
-                    profiler=self.profiler,
-                )
-            else:
-                step = core.step
-                rows = zip(
-                    trace.cpu.tolist(), trace.page.tolist(),
-                    trace.weight.tolist(), trace.is_write.tolist(),
-                )
-                for cpu, page, weight, is_write in rows:
-                    step(cpu, page, weight, is_write)
-            result.extra["local_stall_ns"] = core.local_stall
-            result.extra["break_even_misses"] = float(break_even)
-        return result
-
-    @staticmethod
-    def _default_label(params: PolicyParameters, metric: Metric) -> str:
-        if params.enable_migration and params.enable_replication:
-            base = "Mig/Rep"
-        elif params.enable_migration:
-            base = "Migr"
-        elif params.enable_replication:
-            base = "Repl"
-        else:
-            base = "Static"
-        if metric is not FULL_CACHE:
-            base += f" ({metric.label})"
-        return base

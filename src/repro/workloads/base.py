@@ -246,8 +246,18 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
     return TraceGenerator(spec).generate()
 
 
+def check_scale(scale: float) -> None:
+    """Reject a run-length scale outside ``(0, 1]``.
+
+    A scale is a fraction of the paper's run length; the one check that
+    every workload builder and :class:`~repro.exp.spec.ExperimentSpec`
+    share.
+    """
+    if not 0.0 < scale <= 1.0:
+        raise ConfigurationError(f"scale must be in (0, 1], not {scale}")
+
+
 def scaled_duration(base_duration_ns: int, scale: float) -> int:
     """Scale a workload duration, keeping it positive."""
-    if scale <= 0:
-        raise ConfigurationError("scale must be positive")
+    check_scale(scale)
     return max(int(base_duration_ns * scale), 1_000_000)

@@ -12,9 +12,9 @@ workloads, not synthetic streams:
 * a system-sim run reconciles against ``pager.tally`` and the stall
   breakdown (float tolerance: contention latencies sum in a different
   order);
-* the auto engine runs vectorized, traced or not, and its traced log
-  diffs to zero against scalar — and sweep workers produce the exact
-  results a traced rerun attributes.
+* the production replay's traced log diffs to zero against the scalar
+  reference core's — and sweep workers produce the exact results a
+  traced rerun attributes and the reference core computes.
 """
 
 import pytest
@@ -33,10 +33,13 @@ from repro.obs.attrib import (
     expected_from_policysim,
     expected_from_system,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.simulator import SystemSimulator
-from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+from repro.trace.policysim import (
+    PolicySimConfig,
+    ReferenceTracePolicySimulator,
+    TracePolicySimulator,
+)
 from repro.workloads import build_spec, generate_trace
 
 SCALE = 0.25
@@ -57,20 +60,17 @@ def traces():
     return out
 
 
-def run_attributed(cell, workload_spec, trace, engine="scalar",
-                   metrics=None):
+def run_attributed(cell, workload_spec, trace, cls=TracePolicySimulator):
     """One grid cell with an AttributionSink attached (O(pages) memory)."""
     stream = trace.kernel_only() if cell.kernel_trace else trace.user_only()
     sink = AttributionSink()
     tracer = Tracer(capacity=1, sinks=[sink])
-    sim = TracePolicySimulator(
+    sim = cls(
         PolicySimConfig(
             n_cpus=workload_spec.n_cpus,
             n_nodes=workload_spec.n_nodes,
-            engine=engine,
         ),
         tracer=tracer,
-        metrics=metrics,
     )
     if cell.policy in _STATIC_POLICIES:
         result = sim.simulate_static(stream, _STATIC_POLICIES[cell.policy])
@@ -114,29 +114,29 @@ def test_system_sim_reconciles_against_pager_tally():
     assert attrib.shootdown_cost_ns > 0
 
 
-class TestAutoEngineReconciliation:
-    """A traced auto-engine run stays vectorized and reconciles."""
+class TestReferenceReconciliation:
+    """The reference core's traced run reconciles and matches production."""
 
     def dynamic_cell(self):
         return next(c for c in GRID if c.policy not in _STATIC_POLICIES)
 
-    def test_auto_engine_traced_run_stays_vectorized(self, traces):
+    def test_reference_traced_run_reconciles(self, traces):
         cell = self.dynamic_cell()
         spec, trace = traces[cell.workload]
-        registry = MetricsRegistry()
         result, attrib = run_attributed(
-            cell, spec, trace, engine="auto", metrics=registry,
+            cell, spec, trace, cls=ReferenceTracePolicySimulator
         )
-        assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.scalar").value == 0
+        assert attrib.integral
         assert attrib.reconcile(expected_from_policysim(result)) == []
 
-    def test_scalar_and_auto_logs_diff_to_zero(self, traces):
+    def test_reference_and_production_logs_diff_to_zero(self, traces):
         cell = self.dynamic_cell()
         spec, trace = traces[cell.workload]
-        _, scalar = run_attributed(cell, spec, trace, engine="scalar")
-        _, auto = run_attributed(cell, spec, trace, engine="auto")
-        diff = diff_attributions(scalar, auto)
+        _, reference = run_attributed(
+            cell, spec, trace, cls=ReferenceTracePolicySimulator
+        )
+        _, production = run_attributed(cell, spec, trace)
+        diff = diff_attributions(reference, production)
         assert diff.is_identical
         assert diff.stall_delta_ns == 0.0
 
@@ -148,22 +148,35 @@ class TestSweepWorkers:
         for policy in ("ft", "migrep")
     ]
 
-    def run_sweep(self, monkeypatch, engine):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", engine)
+    def run_sweep(self):
         report = SweepRunner(cache=None, jobs=2).run(self.SPECS)
         assert report.failures == []
         return report
 
-    def test_workers_never_fall_back_and_engines_agree(self, monkeypatch):
-        """Pool workers trace nothing, so auto never downgrades — and the
-        vector results they produce match scalar byte-for-byte."""
-        auto = self.run_sweep(monkeypatch, "auto")
-        scalar = self.run_sweep(monkeypatch, "scalar")
-        for a, s in zip(auto.results, scalar.results):
-            assert a.to_dict() == s.to_dict()
+    def test_worker_results_match_the_reference_core(self):
+        """The production results pool workers return match the scalar
+        reference core, run in-process, byte-for-byte."""
+        report = self.run_sweep()
+        for outcome in report.outcomes:
+            spec = outcome.spec
+            wspec = build_spec(spec.workload, scale=spec.scale,
+                               seed=spec.seed)
+            sim = ReferenceTracePolicySimulator(
+                PolicySimConfig(n_cpus=wspec.n_cpus, n_nodes=wspec.n_nodes)
+            )
+            stream = generate_trace(wspec).user_only()
+            if spec.policy in _STATIC_POLICIES:
+                expected = sim.simulate_static(
+                    stream, _STATIC_POLICIES[spec.policy]
+                )
+            else:
+                expected = sim.simulate_dynamic(
+                    stream, spec.params(), label=POLICY_LABELS[spec.policy]
+                )
+            assert outcome.result.to_dict() == expected.to_dict()
 
-    def test_traced_rerun_reconciles_with_worker_results(self, monkeypatch):
-        report = self.run_sweep(monkeypatch, "auto")
+    def test_traced_rerun_reconciles_with_worker_results(self):
+        report = self.run_sweep()
         for outcome in report.outcomes:
             spec = outcome.spec
             wspec = build_spec(spec.workload, scale=spec.scale,
@@ -171,10 +184,7 @@ class TestSweepWorkers:
             trace = generate_trace(wspec)
             sink = AttributionSink()
             sim = TracePolicySimulator(
-                PolicySimConfig(
-                    n_cpus=wspec.n_cpus, n_nodes=wspec.n_nodes,
-                    engine="auto",
-                ),
+                PolicySimConfig(n_cpus=wspec.n_cpus, n_nodes=wspec.n_nodes),
                 tracer=Tracer(capacity=1, sinks=[sink]),
             )
             if spec.policy in _STATIC_POLICIES:
@@ -190,8 +200,8 @@ class TestSweepWorkers:
                 )
             sim.tracer.close()
             attrib = sink.attribution
-            # The traced rerun stays vectorized (batched emission) and
-            # attributes exactly what the worker recorded.
+            # The traced rerun (batched emission) attributes exactly
+            # what the worker recorded.
             assert attrib.reconcile(
                 expected_from_policysim(outcome.result)
             ) == []

@@ -1,13 +1,14 @@
-"""Vectorized replay engine identity over the full figure grids.
+"""Production replay identity with the scalar reference over the grids.
 
-The fastpath engines (``repro.trace.fastpath`` and
-``repro.ptpol.fastpath``) must reproduce the scalar cores byte-for-byte
-on the real paper workloads, not just on synthetic traces.  This runs
-every fig6, fig9, ptpol6 and ptpol9 grid cell at the default experiment
-scale (0.25) under both engines and compares
+The production replay (the fastpath engines ``repro.trace.fastpath``
+and ``repro.ptpol.fastpath``) must reproduce the scalar reference
+cores byte-for-byte on the real paper workloads, not just on synthetic
+traces.  This runs every fig6, fig9, ptpol6 and ptpol9 grid cell at the
+default experiment scale (0.25) on both and compares
 ``PolicySimResult.to_dict()`` exactly — the same bar the trace store
 replay tests hold themselves to — plus a competitive-baseline cell and
-a traced cell per workload, where identity extends to the event log.
+a traced cell per workload, where identity extends to the event log,
+compared unmasked.
 """
 
 import pytest
@@ -16,7 +17,12 @@ from repro.exp.runner import POLICY_LABELS, _METRICS_BY_LABEL, _STATIC_POLICIES
 from repro.exp.spec import NAMED_GRIDS
 from repro.obs.tracer import Tracer
 from repro.ptpol import PtPolicySimulator
-from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+from repro.ptpol.sim import ReferencePtPolicySimulator
+from repro.trace.policysim import (
+    PolicySimConfig,
+    ReferenceTracePolicySimulator,
+    TracePolicySimulator,
+)
 from repro.workloads import build_spec, generate_trace
 
 SCALE = 0.25
@@ -40,23 +46,28 @@ def traces():
     return out
 
 
-def _config(workload_spec, engine):
+#: (data-policy, PT-policy) simulators: the reference cores, then the
+#: production path.
+REFERENCE = (ReferenceTracePolicySimulator, ReferencePtPolicySimulator)
+PRODUCTION = (TracePolicySimulator, PtPolicySimulator)
+
+
+def _config(workload_spec):
     return PolicySimConfig(
-        n_cpus=workload_spec.n_cpus,
-        n_nodes=workload_spec.n_nodes,
-        engine=engine,
+        n_cpus=workload_spec.n_cpus, n_nodes=workload_spec.n_nodes
     )
 
 
-def run_cell(cell, workload_spec, trace, engine):
+def run_cell(cell, workload_spec, trace, simulators):
     """One grid cell exactly as ``execute_spec`` runs it."""
+    data_sim, pt_sim = simulators
     stream = trace.kernel_only() if cell.kernel_trace else trace.user_only()
     if cell.pt_policy:
-        sim = PtPolicySimulator(_config(workload_spec, engine))
+        sim = pt_sim(_config(workload_spec))
         return sim.simulate(
             stream, cell.params(), label=POLICY_LABELS[cell.policy]
         )
-    sim = TracePolicySimulator(_config(workload_spec, engine))
+    sim = data_sim(_config(workload_spec))
     if cell.policy in _STATIC_POLICIES:
         return sim.simulate_static(stream, _STATIC_POLICIES[cell.policy])
     return sim.simulate_dynamic(
@@ -71,17 +82,13 @@ def run_cell(cell, workload_spec, trace, engine):
 def test_grid_cell_identical_scalar_vs_vector(cell, traces):
     spec, trace = traces[cell.workload]
     assert (
-        run_cell(cell, spec, trace, "scalar").to_dict()
-        == run_cell(cell, spec, trace, "vector").to_dict()
+        run_cell(cell, spec, trace, REFERENCE).to_dict()
+        == run_cell(cell, spec, trace, PRODUCTION).to_dict()
     )
 
 
-def _normalized(tracer):
-    """Event dicts with the run-meta engine field masked."""
-    return [
-        dict(d, engine="<engine>") if d.get("kind") == "run-meta" else d
-        for d in (e.to_dict() for e in tracer.events())
-    ]
+def _events(tracer):
+    return [e.to_dict() for e in tracer.events()]
 
 
 @pytest.mark.parametrize(
@@ -90,11 +97,11 @@ def _normalized(tracer):
 def test_competitive_identical_scalar_vs_vector(workload, traces):
     spec, trace = traces[workload]
     stream = trace.user_only()
-    results = {}
-    for engine in ("scalar", "vector"):
-        sim = TracePolicySimulator(_config(spec, engine))
-        results[engine] = sim.simulate_competitive(stream).to_dict()
-    assert results["scalar"] == results["vector"]
+    reference, production = (
+        sims[0](_config(spec)).simulate_competitive(stream).to_dict()
+        for sims in (REFERENCE, PRODUCTION)
+    )
+    assert reference == production
 
 
 @pytest.mark.parametrize(
@@ -106,16 +113,17 @@ def test_traced_migrep_event_logs_identical(workload, traces):
 
     spec, trace = traces[workload]
     stream = trace.user_only()
-    logs = {}
-    for engine in ("scalar", "vector"):
+    logs = []
+    for sims in (REFERENCE, PRODUCTION):
         tracer = Tracer(capacity=1 << 22)
-        sim = TracePolicySimulator(_config(spec, engine), tracer=tracer)
+        sim = sims[0](_config(spec), tracer=tracer)
         result = sim.simulate_dynamic(
             stream, params_for(workload, None), label="Mig/Rep"
         )
-        logs[engine] = (result.to_dict(), _normalized(tracer))
-    assert logs["scalar"][0] == logs["vector"][0]
-    assert logs["scalar"][1] == logs["vector"][1]
+        logs.append((result.to_dict(), _events(tracer)))
+    reference, production = logs
+    assert reference[0] == production[0]
+    assert reference[1] == production[1]
 
 
 @pytest.mark.parametrize(
@@ -127,13 +135,14 @@ def test_traced_coplace_event_logs_identical(workload, traces):
 
     spec, trace = traces[workload]
     stream = trace.user_only()
-    logs = {}
-    for engine in ("scalar", "vector"):
+    logs = []
+    for sims in (REFERENCE, PRODUCTION):
         tracer = Tracer(capacity=1 << 22)
-        sim = PtPolicySimulator(_config(spec, engine), tracer=tracer)
+        sim = sims[1](_config(spec), tracer=tracer)
         result = sim.simulate(
             stream, params_for_pt_policy("coplace"), label="CoPlace"
         )
-        logs[engine] = (result.to_dict(), _normalized(tracer))
-    assert logs["scalar"][0] == logs["vector"][0]
-    assert logs["scalar"][1] == logs["vector"][1]
+        logs.append((result.to_dict(), _events(tracer)))
+    reference, production = logs
+    assert reference[0] == production[0]
+    assert reference[1] == production[1]

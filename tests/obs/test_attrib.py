@@ -43,7 +43,7 @@ from repro.obs.tracer import Tracer
 META = RunMeta(
     t=0, label="synthetic", n_cpus=4, n_nodes=2,
     local_ns=300.0, remote_ns=1200.0, op_cost_ns=350_000.0,
-    trigger=128, reset_interval_ns=100_000_000, engine="scalar",
+    trigger=128, reset_interval_ns=100_000_000,
 )
 
 LOCAL, REMOTE = 300.0, 1200.0

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -57,7 +58,7 @@ SAMPLE_EVENTS = [
                   reason="cheaper-than-pt-replica", latency_ns=21_000.0),
     RunMeta(t=0, label="engineering:Mig/Rep", n_cpus=8, n_nodes=8,
             local_ns=300.0, remote_ns=1200.0, op_cost_ns=350_000.0,
-            trigger=128, reset_interval_ns=100_000_000, engine="scalar"),
+            trigger=128, reset_interval_ns=100_000_000),
 ]
 
 
@@ -134,7 +135,7 @@ class TestGzipAndWindows:
 
     def test_truncated_gzip_is_a_trace_error(self, tmp_path):
         path = self.write_gz(tmp_path, SAMPLE_EVENTS)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         truncated = tmp_path / "trunc.jsonl.gz"
         truncated.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceError, match="gzip"):

@@ -132,7 +132,6 @@ class TestIngest:
         stats = {
             "specs": 4, "executed": 2, "from_cache": 2, "wall_s": 1.5,
             "cache": {"hits": 2, "misses": 2},
-            "replay_engine": "vector",
             "non_numeric": "ignored",
         }
         store.ingest_sweep_stats(stats, name="fig9", t=1.0)

@@ -26,7 +26,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import CountingSink, ListSink, Tracer
 from repro.policy.parameters import PolicyParameters
 from repro.sim.simulator import SimulatorOptions, SystemSimulator
-from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+from repro.trace.policysim import (
+    PolicySimConfig,
+    ReferenceTracePolicySimulator,
+    TracePolicySimulator,
+)
 
 
 def _run(spec, trace, tracer=None, metrics=None, **options):
@@ -272,21 +276,20 @@ class TestProfilerTransparency:
         assert "sim.run/sim.replay" in paths
         assert profiler.items("sim.run") == len(trace)
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_policysim_byte_identical_with_profiling(self, engineering, engine):
+    @pytest.mark.parametrize(
+        "cls", [ReferenceTracePolicySimulator, TracePolicySimulator],
+        ids=["scalar", "vector"],
+    )
+    def test_policysim_byte_identical_with_profiling(self, engineering, cls):
         spec, trace = engineering
-        config = PolicySimConfig(
-            n_cpus=spec.n_cpus, n_nodes=spec.n_nodes, engine=engine
-        )
+        config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
         params = PolicyParameters.engineering_base()
-        plain = TracePolicySimulator(config).simulate_dynamic(
+        plain = cls(config).simulate_dynamic(trace.user_only(), params)
+        profiler = Profiler()
+        profiled = cls(config, profiler=profiler).simulate_dynamic(
             trace.user_only(), params
         )
-        profiler = Profiler()
-        profiled = TracePolicySimulator(
-            config, profiler=profiler
-        ).simulate_dynamic(trace.user_only(), params)
         assert profiled.to_dict() == plain.to_dict()
         names = {r.name for r in profiler.records}
         assert "replay.dynamic" in names
-        assert f"engine.{engine}" in names
+        assert not any(name.startswith("engine.") for name in names)

@@ -178,7 +178,7 @@ class TestRunReport:
                 pass
         return RunReport.from_profiler(
             "unit-test", prof, command="pytest",
-            metrics={"replay.engine.vector": 1.0},
+            metrics={"replay.misses": 1.0},
             context={"workload": "raytrace"},
         )
 

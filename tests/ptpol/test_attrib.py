@@ -32,7 +32,7 @@ from repro.trace.record import TraceBuilder
 META = RunMeta(
     t=0, label="synthetic-pt", n_cpus=2, n_nodes=2,
     local_ns=300.0, remote_ns=1200.0, op_cost_ns=350_000.0,
-    trigger=128, reset_interval_ns=100_000_000, engine="scalar",
+    trigger=128, reset_interval_ns=100_000_000,
     pt_walk_local_ns=1_000.0, pt_walk_remote_ns=4_000.0, pt_span_pages=4,
 )
 
@@ -228,7 +228,7 @@ class TestLiveRun:
         sim = PtPolicySimulator(
             config=PolicySimConfig(
                 n_cpus=2, n_nodes=2, pt_span_pages=4,
-                decision_delay_ns=1, engine="scalar",
+                decision_delay_ns=1,
             ),
             tracer=tracer,
             costs=PtCostModel(

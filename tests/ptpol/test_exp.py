@@ -87,10 +87,9 @@ class TestGrids:
 
 
 class TestExecuteSpec:
-    def test_pt_cell_runs_scalar_even_under_a_vector_env(self, monkeypatch):
-        # The sweep path must pin the scalar engine for PT cells, or a
-        # vector-engined sweep would die on its PT rows.
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vector")
+    def test_pt_cell_runs_on_the_production_replay(self):
+        # A sweep's PT rows replay on PtPolicySimulator like any other
+        # call site: every PT-family policy runs there.
         result = execute_spec(_pt_spec("coplace"))
         assert result.label == "CoPlace"
         assert result.total_misses > 0

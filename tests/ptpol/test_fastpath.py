@@ -1,9 +1,10 @@
-"""Differential tests: the vectorized PT replay vs the scalar core.
+"""Differential tests: the production PT replay vs the scalar reference.
 
 Same contract as :mod:`tests.trace.test_fastpath`, one level down the
 translation path: results, tallies, replica tables and — when tracing —
-the event *log* must match the scalar engine byte for byte, across all
-four PT-family policies.  The workloads are seeded-random but shaped so
+the event *log* of :class:`PtPolicySimulator` must match
+:class:`ReferencePtPolicySimulator` byte for byte, across all four
+PT-family policies.  The workloads are seeded-random but shaped so
 the policies actually act: skewed page popularity pushes walk counters
 over the trigger (PT replications, co-placement arbitrations), and a
 first-touch-on-node-0 / hammer-from-node-3 variant forces data
@@ -17,6 +18,7 @@ from repro.obs.tracer import Tracer
 from repro.ptpol.sim import (
     PT_POLICIES,
     PtPolicySimulator,
+    ReferencePtPolicySimulator,
     params_for_pt_policy,
 )
 from repro.ptpol.state import reconcile_events
@@ -65,23 +67,17 @@ def remote_heavy_trace(rng, n_events=3000, n_cpus=8, n_pages=512,
     return b.build(sort=False)
 
 
-def run_engine(policy, trace, engine, traced=False, trigger=24):
-    config = PolicySimConfig(
-        n_cpus=8, n_nodes=4, engine=engine, pt_span_pages=64
-    )
+#: The reference core first, then the production path.
+SIMULATORS = (ReferencePtPolicySimulator, PtPolicySimulator)
+
+
+def replay(policy, trace, cls, traced=False, trigger=24):
+    config = PolicySimConfig(n_cpus=8, n_nodes=4, pt_span_pages=64)
     tracer = Tracer(capacity=1 << 20) if traced else None
-    sim = PtPolicySimulator(config=config, tracer=tracer)
+    sim = cls(config=config, tracer=tracer)
     result = sim.simulate(trace, params_for_pt_policy(policy, trigger=trigger))
     events = [e.to_dict() for e in tracer.events()] if traced else None
     return result, sim.tally, sim.replicas, events
-
-
-def normalized(events):
-    """Mask the run-meta engine field — the only legitimate difference."""
-    return [
-        dict(e, engine="<engine>") if e.get("kind") == "run-meta" else e
-        for e in events
-    ]
 
 
 class TestDifferentialRandom:
@@ -89,8 +85,8 @@ class TestDifferentialRandom:
     @pytest.mark.parametrize("policy", PT_POLICIES)
     def test_skewed_byte_identical(self, seed, policy):
         trace = skewed_trace(np.random.default_rng(seed))
-        rs, ts, reps_s, _ = run_engine(policy, trace, "scalar")
-        rv, tv, reps_v, _ = run_engine(policy, trace, "vector")
+        rs, ts, reps_s, _ = replay(policy, trace, ReferencePtPolicySimulator)
+        rv, tv, reps_v, _ = replay(policy, trace, PtPolicySimulator)
         assert vars(rs) == vars(rv)
         assert ts == tv
         assert vars(reps_s) == vars(reps_v)
@@ -99,8 +95,8 @@ class TestDifferentialRandom:
     @pytest.mark.parametrize("policy", ("ptmigr", "coplace"))
     def test_remote_heavy_migrations_byte_identical(self, seed, policy):
         trace = remote_heavy_trace(np.random.default_rng(100 + seed))
-        rs, ts, reps_s, _ = run_engine(policy, trace, "scalar")
-        rv, tv, reps_v, _ = run_engine(policy, trace, "vector")
+        rs, ts, reps_s, _ = replay(policy, trace, ReferencePtPolicySimulator)
+        rv, tv, reps_v, _ = replay(policy, trace, PtPolicySimulator)
         assert vars(rs) == vars(rv)
         assert ts == tv
         assert vars(reps_s) == vars(reps_v)
@@ -109,11 +105,11 @@ class TestDifferentialRandom:
         # Guard the suite's strength: the workloads must exercise the
         # trigger/arbitration paths, or identity proves nothing.
         trace = skewed_trace(np.random.default_rng(0), n_events=6000)
-        _, tally, _, _ = run_engine("coplace", trace, "vector")
+        _, tally, _, _ = replay("coplace", trace, PtPolicySimulator)
         assert tally.pt_replications > 0
         assert tally.arbitrations > 0
         migr = remote_heavy_trace(np.random.default_rng(4), n_events=6000)
-        result, _, _, _ = run_engine("ptmigr", migr, "vector")
+        result, _, _, _ = replay("ptmigr", migr, PtPolicySimulator)
         assert result.hot_events > 0
 
     def test_boundary_straddling_migration(self):
@@ -132,23 +128,24 @@ class TestDifferentialRandom:
         b.append(130 * ms, 1, 1, 0, weight=1)       # next interval: light
         b.append(180 * ms, 1, 1, 0, weight=1)       # ...still local now
         trace = b.build(sort=False)
-        out = {}
-        for engine in ("scalar", "vector"):
+        out = []
+        for cls in SIMULATORS:
             config = PolicySimConfig(
-                n_cpus=2, n_nodes=2, engine=engine, pt_span_pages=4,
+                n_cpus=2, n_nodes=2, pt_span_pages=4,
                 decision_delay_ns=45 * ms,
             )
-            sim = PtPolicySimulator(config=config)
+            sim = cls(config=config)
             params = params_for_pt_policy("ptmigr", trigger=24)
             result = sim.simulate(trace, params)
-            out[engine] = (vars(result), sim.tally)
-        assert out["scalar"][0]["migrations"] == 1
-        assert out["scalar"] == out["vector"]
+            out.append((vars(result), sim.tally))
+        reference, production = out
+        assert reference[0]["migrations"] == 1
+        assert reference == production
 
     def test_empty_trace(self):
         empty = TraceBuilder().build()
-        rs, ts, _, _ = run_engine("coplace", empty, "scalar")
-        rv, tv, _, _ = run_engine("coplace", empty, "vector")
+        rs, ts, _, _ = replay("coplace", empty, ReferencePtPolicySimulator)
+        rv, tv, _, _ = replay("coplace", empty, PtPolicySimulator)
         assert vars(rs) == vars(rv)
         assert ts == tv
 
@@ -158,17 +155,19 @@ class TestDifferentialTraced:
     @pytest.mark.parametrize("policy", PT_POLICIES)
     def test_traced_event_logs_byte_identical(self, seed, policy):
         trace = skewed_trace(np.random.default_rng(200 + seed))
-        rs, ts, _, es = run_engine(policy, trace, "scalar", traced=True)
-        rv, tv, _, ev = run_engine(policy, trace, "vector", traced=True)
+        rs, ts, _, es = replay(
+            policy, trace, ReferencePtPolicySimulator, traced=True
+        )
+        rv, tv, _, ev = replay(
+            policy, trace, PtPolicySimulator, traced=True
+        )
         assert vars(rs) == vars(rv)
         assert ts == tv
-        assert normalized(es) == normalized(ev)
+        assert es == ev
 
-    def test_vector_stream_reconciles(self):
+    def test_production_stream_reconciles(self):
         trace = skewed_trace(np.random.default_rng(7), n_events=5000)
-        config = PolicySimConfig(
-            n_cpus=8, n_nodes=4, engine="vector", pt_span_pages=64
-        )
+        config = PolicySimConfig(n_cpus=8, n_nodes=4, pt_span_pages=64)
         tracer = Tracer(capacity=1 << 20)
         sim = PtPolicySimulator(config=config, tracer=tracer)
         sim.simulate(trace, params_for_pt_policy("coplace", trigger=24))

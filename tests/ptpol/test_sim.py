@@ -18,6 +18,7 @@ from repro.ptpol.sim import (
     PT_POLICIES,
     PT_POLICY_LABELS,
     PtPolicySimulator,
+    ReferencePtPolicySimulator,
     params_for_pt_policy,
     simulate_ptpol,
 )
@@ -32,7 +33,6 @@ def _config(**overrides):
     overrides.setdefault("n_nodes", 2)
     overrides.setdefault("pt_span_pages", 4)
     overrides.setdefault("decision_delay_ns", 1)
-    overrides.setdefault("engine", "scalar")
     return PolicySimConfig(**overrides)
 
 
@@ -238,44 +238,69 @@ class TestCoPlacement:
         assert replicas[0].reason == "pt-replica-cheaper"
 
 
-class TestEngineParity:
-    def test_vector_engine_matches_scalar_by_name(self):
+class TestReferenceParity:
+    def test_reference_matches_production_by_name(self):
         cost = _trace([(0, 0, 0, 0, 1), (50, 1, 1, 4, 2)])
         driver = _trace([(10, 1, 1, 1, 1), (60, 0, 0, 5, 3)])
-        results = {}
-        for engine in ("scalar", "vector"):
-            result, tally = simulate_ptpol(
-                cost, "ptrepl", config=_config(engine=engine),
-                driver_trace=driver,
+        results = []
+        for cls in (ReferencePtPolicySimulator, PtPolicySimulator):
+            sim = cls(config=_config())
+            result = sim.simulate(
+                cost, params_for_pt_policy("ptrepl"), driver_trace=driver
             )
-            results[engine] = (dict(vars(result)), tally)
-        assert results["scalar"] == results["vector"]
+            results.append((dict(vars(result)), sim.tally))
+        assert results[0] == results[1]
 
-    def test_auto_engine_picks_the_vector_core(self):
-        cost = _trace([(0, 0, 0, 0, 1)])
-        driver = _trace([(10, 1, 1, 1, 1)])
+    def test_simulate_ptpol_runs_the_production_path(self):
         from repro.obs.registry import MetricsRegistry
 
+        cost = _trace([(0, 0, 0, 0, 1)])
+        driver = _trace([(10, 1, 1, 1, 1)])
         metrics = MetricsRegistry()
         result, tally = simulate_ptpol(
-            cost, "ptft", config=_config(engine="auto"),
-            driver_trace=driver, metrics=metrics,
+            cost, "ptft", config=_config(), driver_trace=driver,
+            metrics=metrics,
         )
         assert tally.walks == 1
         assert result.total_misses == 1
-        assert metrics.counter("replay.engine.ptpol.vector").value == 1
+        assert metrics.collect()["ptpol.walks"] == 1.0
+        reference = ReferencePtPolicySimulator(config=_config())
+        expected = reference.simulate(
+            cost, params_for_pt_policy("ptft"), label=result.label,
+            driver_trace=driver,
+        )
+        assert vars(result) == vars(expected)
+        assert tally == reference.tally
 
     def test_data_replication_parameters_are_rejected(self):
-        # No PT-family policy enables data replication; the vector
-        # engine's cold accounting leans on the single-copy invariant
-        # and refuses a hand-built parameter set that breaks it.
+        # No PT-family policy enables data replication; the production
+        # replay's cold accounting leans on the single-copy invariant
+        # and refuses a hand-built parameter set that breaks it, in one
+        # line that names no way round it.
         cost = _trace([(0, 0, 0, 0, 1)])
-        sim = PtPolicySimulator(config=_config(engine="vector"))
+        sim = PtPolicySimulator(config=_config())
         params = PolicyParameters(
             enable_replication=True, reset_interval_ns=10_000_000
         )
-        with pytest.raises(ConfigurationError, match="--engine scalar"):
+        with pytest.raises(ConfigurationError, match="single-copy") as err:
             sim.simulate(cost, params)
+        assert "\n" not in str(err.value)
+        assert "re-run" not in str(err.value)
+
+    def test_reference_replays_data_replication_parameters(self):
+        # The reference core keeps covering the parameter sets the
+        # production path refuses: a page read remotely past the
+        # trigger replicates to the reader's node.
+        cost = _trace([(0, 0, 0, 0, 1), (10, 1, 1, 0, 8), (30, 1, 1, 0, 1)])
+        sim = ReferencePtPolicySimulator(config=_config())
+        params = PolicyParameters(
+            trigger_threshold=4, sharing_threshold=1,
+            enable_replication=True, reset_interval_ns=10_000_000,
+        )
+        result = sim.simulate(cost, params, driver_trace=_trace([]))
+        assert result.replications == 1
+        assert result.migrations == 0
+        assert result.local_misses == 2
 
 
 class TestParamsForPtPolicy:

@@ -195,6 +195,40 @@ def test_analyze_check_rejects_corrupt_log(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+#: A run-meta header as logs written before the replay engine switch was
+#: retired carry it (``"engine"``), and the same header without it.
+OLD_RUN_META = (
+    '{"kind":"run-meta","t":0,"label":"Mig/Rep","n_cpus":2,"n_nodes":2,'
+    '"local_ns":300.0,"remote_ns":1200.0,"op_cost_ns":350000.0,'
+    '"trigger":128,"reset_interval_ns":100000000,"engine":"auto",'
+    '"pt_walk_local_ns":0.0,"pt_walk_remote_ns":0.0,"pt_span_pages":0}'
+)
+NEW_RUN_META = OLD_RUN_META.replace('"engine":"auto",', "")
+MISS_LINES = (
+    '{"kind":"miss","t":5,"cpu":1,"page":3,"node":0,"weight":2,'
+    '"latency_ns":1200.0,"remote":true}\n'
+    '{"kind":"miss","t":9,"cpu":0,"page":3,"node":0,"weight":1,'
+    '"latency_ns":300.0,"remote":false}\n'
+)
+
+
+def test_analyze_loads_logs_with_an_engine_header(tmp_path, capsys):
+    old = tmp_path / "old.jsonl"
+    old.write_text(OLD_RUN_META + "\n" + MISS_LINES)
+    new = tmp_path / "new.jsonl"
+    new.write_text(NEW_RUN_META + "\n" + MISS_LINES)
+    assert main(["analyze", str(old), "--check"]) == 0
+    capsys.readouterr()
+    reports = []
+    for path in (old, new):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["meta"]["label"] == "Mig/Rep"
+    assert reports[0]["totals"]["stall_ns"] == 2 * 1200.0 + 300.0
+
+
 def test_analyze_rejects_old_engine_fallback_log(tmp_path, capsys):
     path = tmp_path / "old.jsonl"
     path.write_text(
@@ -335,14 +369,49 @@ def test_ptsim_trace_out_reconciles(tmp_path, capsys):
     assert "miss" in kinds          # walk reconciliation needs misses
 
 
-def test_ptsim_vector_engine(capsys):
-    assert main(
-        ["ptsim", "--workload", "splash", "--scale", "0.05",
-         "--engine", "vector"]
-    ) == 0
-    out = capsys.readouterr().out
-    for label in ("PT-FT", "PT-Migr", "PT-Repl", "CoPlace"):
-        assert label in out
+@pytest.mark.parametrize("argv", [
+    ["tracesim", "--workload", "splash"],
+    ["ptsim", "--workload", "splash"],
+    ["trace", "replay", "--workload", "splash"],
+    ["sweep", "--grid", "fig9"],
+    ["figures", "--figure", "fig9"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_replay_engine_flag_is_gone(argv, capsys):
+    # There is one replay path; the old engine switch is an unknown
+    # argument on every command that used to take it.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--engine", "scalar"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine scalar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--workload", "database", "--scale", "0"],
+    ["run", "--workload", "database", "--scale", "1.5"],
+    ["workloads", "--scale", "0"],
+    ["chains", "--workload", "database", "--scale", "-1"],
+    ["verify", "--scale", "0"],
+    ["trace", "record", "--workload", "database", "--scale", "0"],
+    ["figures", "--figure", "fig9", "--scale", "0", "--no-cache",
+     "--out", ""],
+    ["sweep", "--grid", "fig9", "--scale", "1.5", "--no-cache", "--out", ""],
+    ["run", "--workload", "database", "--scale", "0.02", "--trigger", "0"],
+    ["tracesim", "--workload", "database", "--scale", "0.02",
+     "--trigger", "0"],
+    ["ptsim", "--workload", "database", "--scale", "0.02",
+     "--trigger", "-5"],
+    ["run", "--workload", "database", "--scale", "0.02", "--jobs", "0"],
+    ["sweep", "--grid", "fig9", "--scale", "0.02", "--jobs", "-1",
+     "--no-cache", "--out", ""],
+    ["sweep", "--workloads", "database", "--triggers", "lots",
+     "--no-cache", "--out", ""],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _sweep_args(tmp_path, *extra):
@@ -752,6 +821,43 @@ class TestBenchCommand:
         ]) == 2
         assert "no such bench" in capsys.readouterr().err
 
+    def test_scaled_run_leaves_full_scale_results_alone(self, tmp_path,
+                                                        capsys):
+        # A bench run below scale 1.0 writes results/scale-<s>/ and
+        # reads them back; the committed results/ stay byte-identical.
+        pytest.importorskip("pytest_benchmark")  # `repro bench` needs it
+        import shutil
+        from pathlib import Path
+
+        real = Path(__file__).resolve().parent.parent / "benchmarks"
+        bench_dir = self._bench_dir(tmp_path)
+        for name in ("conftest.py", "_reporting.py"):
+            shutil.copy(real / name, bench_dir / name)
+        (bench_dir / "bench_stub.py").write_text(
+            "def test_stub(report):\n"
+            "    run = report('demo')\n"
+            "    run.metric('speedup.all', 9.0, unit='x', tolerance=0.5)\n"
+            "    run.emit('stub table')\n"
+        )
+        committed = bench_dir / "results" / "BENCH_demo.json"
+        before = committed.read_bytes()
+        assert main([
+            "bench", "--names", "stub", "--scale", "0.1",
+            "--bench-dir", str(bench_dir),
+        ]) == 0
+        assert committed.read_bytes() == before
+        scaled = bench_dir / "results" / "scale-0.1"
+        assert (scaled / "BENCH_demo.json").is_file()
+        assert (scaled / "demo.txt").read_text() == "stub table\n"
+        assert f"Bench artifacts in {scaled}" in capsys.readouterr().out
+        # --compare-only reads the directory of the scale it names.
+        assert main([
+            "bench", "--compare-only", "--quick",
+            "--bench-dir", str(bench_dir),
+            "--compare", str(committed),
+        ]) == 0
+        assert "speedup.all" in capsys.readouterr().out
+
     def test_write_baseline_copies_artifacts(self, tmp_path, capsys):
         bench_dir = self._bench_dir(tmp_path)
         baseline = tmp_path / "new-baseline"
@@ -965,17 +1071,40 @@ class TestProfileOut:
 
 @pytest.fixture(scope="module")
 def analyze_logs(tmp_path_factory):
-    """Scalar- and auto-engine miss-traced logs of the same tracesim run."""
+    """Miss-traced logs of the traced tracesim leg: the command's own
+    (production) log, and the scalar reference core's log of the same
+    run."""
+    from repro.exp.spec import params_for
+    from repro.obs.export import JsonlSink
+    from repro.obs.tracer import Tracer
+    from repro.policy.parameters import PolicyParameters
+    from repro.trace.policysim import (
+        PolicySimConfig,
+        ReferenceTracePolicySimulator,
+    )
+    from repro.workloads import load_workload
+
     tmp = tmp_path_factory.mktemp("cli-analyze")
-    paths = {}
-    for engine in ("scalar", "auto"):
-        path = str(tmp / f"{engine}.jsonl")
-        assert main([
-            "tracesim", "--workload", "database", "--scale", "0.05",
-            "--engine", engine, "--trace-out", path, "--trace-misses",
-        ]) == 0
-        paths[engine] = path
-    return paths
+    production = str(tmp / "production.jsonl")
+    assert main([
+        "tracesim", "--workload", "database", "--scale", "0.05",
+        "--trace-out", production, "--trace-misses",
+    ]) == 0
+    reference = str(tmp / "reference.jsonl")
+    spec, trace = load_workload("database", scale=0.05, seed=0)
+    tracer = Tracer(sinks=[JsonlSink(reference)])
+    ReferenceTracePolicySimulator(
+        PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes),
+        tracer=tracer,
+    ).simulate_dynamic(
+        trace.user_only(),
+        PolicyParameters.base(
+            trigger_threshold=params_for("database", None).trigger_threshold
+        ),
+        label="Mig/Rep",
+    )
+    tracer.close()
+    return {"production": production, "reference": reference}
 
 
 class TestAnalyzeCommand:
@@ -996,26 +1125,26 @@ class TestAnalyzeCommand:
         assert "attribution reconciled:" in capsys.readouterr().out
 
     def test_summary_and_top_pages(self, analyze_logs, capsys):
-        assert main(["analyze", analyze_logs["scalar"]]) == 0
+        assert main(["analyze", analyze_logs["production"]]) == 0
         out = capsys.readouterr().out
         assert "stall:" in out
         assert "actions:" in out
         assert "page" in out
 
     def test_ledger(self, analyze_logs, capsys):
-        assert main(["analyze", analyze_logs["scalar"], "--ledger"]) == 0
+        assert main(["analyze", analyze_logs["production"], "--ledger"]) == 0
         out = capsys.readouterr().out
         assert "verdict" in out
 
     def test_nodes(self, analyze_logs, capsys):
-        assert main(["analyze", analyze_logs["scalar"], "--nodes"]) == 0
+        assert main(["analyze", analyze_logs["production"], "--nodes"]) == 0
         assert "resident" in capsys.readouterr().out
 
     def test_page_lifecycle(self, analyze_logs, capsys):
-        events = read_events(analyze_logs["scalar"])
+        events = read_events(analyze_logs["production"])
         page = next(e.page for e in events if e.KIND == "migration")
         assert main([
-            "analyze", analyze_logs["scalar"], "--page", str(page),
+            "analyze", analyze_logs["production"], "--page", str(page),
         ]) == 0
         assert f"page {page}:" in capsys.readouterr().out
 
@@ -1025,7 +1154,7 @@ class TestAnalyzeCommand:
         series_path = tmp_path / "series.jsonl"
         chrome_path = tmp_path / "counters.json"
         assert main([
-            "analyze", analyze_logs["scalar"],
+            "analyze", analyze_logs["production"],
             "--json", str(json_path),
             "--series-out", str(series_path),
             "--chrome", str(chrome_path),
@@ -1039,10 +1168,15 @@ class TestAnalyzeCommand:
         chrome = json.loads(chrome_path.read_text())
         assert {"i", "C"} <= {c["ph"] for c in chrome["traceEvents"]}
 
-    def test_diff_scalar_vs_auto_is_identical(self, analyze_logs, capsys):
-        assert main([
-            "analyze", "diff", analyze_logs["scalar"], analyze_logs["auto"],
-        ]) == 0
+    def test_diff_reference_vs_production_is_identical(self, analyze_logs,
+                                                        capsys):
+        production, reference = (
+            analyze_logs["production"], analyze_logs["reference"]
+        )
+        # Compared as written: the two logs are the same bytes.
+        with open(production, "rb") as a, open(reference, "rb") as b:
+            assert a.read() == b.read()
+        assert main(["analyze", "diff", production, reference]) == 0
         out = capsys.readouterr().out
         assert "identical at page granularity" in out
         assert "0 divergent" in out
@@ -1056,17 +1190,17 @@ class TestAnalyzeCommand:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "analyze", "diff", analyze_logs["scalar"], other,
+            "analyze", "diff", analyze_logs["production"], other,
         ]) == 1
         assert "divergent" in capsys.readouterr().out
 
     def test_diff_wrong_arity_is_usage_error(self, analyze_logs, capsys):
-        assert main(["analyze", "diff", analyze_logs["scalar"]]) == 2
+        assert main(["analyze", "diff", analyze_logs["production"]]) == 2
         assert "diff takes exactly two logs" in capsys.readouterr().err
 
     def test_too_many_logs_is_usage_error(self, analyze_logs, capsys):
         assert main([
-            "analyze", analyze_logs["scalar"], analyze_logs["auto"],
+            "analyze", analyze_logs["production"], analyze_logs["reference"],
         ]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -1074,7 +1208,7 @@ class TestAnalyzeCommand:
         import gzip as gz
 
         path = tmp_path / "scalar.jsonl.gz"
-        with open(analyze_logs["scalar"], "rb") as src:
+        with open(analyze_logs["production"], "rb") as src:
             with gz.open(path, "wb") as dst:
                 dst.write(src.read())
         assert main(["analyze", str(path)]) == 0
@@ -1083,12 +1217,12 @@ class TestAnalyzeCommand:
 
     def test_time_window(self, analyze_logs, capsys):
         assert main([
-            "analyze", analyze_logs["scalar"], "--since", "0",
+            "analyze", analyze_logs["production"], "--since", "0",
             "--until", "1e9",
         ]) == 0
         capsys.readouterr()
         assert main([
-            "analyze", analyze_logs["scalar"], "--intervals", "--since", "0",
+            "analyze", analyze_logs["production"], "--intervals", "--since", "0",
             "--until", "1e9",
         ]) == 0
 

@@ -1,21 +1,20 @@
-"""Differential tests: the vectorized replay engine vs the scalar core.
+"""Differential tests: the production replay vs the scalar reference.
 
 The fastpath's whole contract is byte-identity — ``PolicySimResult``
-(including ``extra`` floats) must match the scalar engine exactly, not
+(including ``extra`` floats) from :class:`TracePolicySimulator` must
+match :class:`ReferenceTracePolicySimulator` exactly, not
 approximately.  These tests hammer that contract with seeded-random
 traces across trigger thresholds, reset intervals, sampling rates,
 metric sources, initial placements (post-facto included), chunked
 streaming, the competitive baseline and traced runs — where byte
 identity extends to the event *log*, emitted through the batched
-buffer of :mod:`repro.obs.batch` — plus the engine-selection plumbing
-(config validation, env default, per-path metrics counters).
+buffer of :mod:`repro.obs.batch` and compared unmasked.
 """
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.prof import Profiler
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import (
     FULL_CACHE,
@@ -25,8 +24,8 @@ from repro.policy.metrics import (
 )
 from repro.policy.parameters import PolicyParameters
 from repro.trace.policysim import (
-    REPLAY_ENGINES,
     PolicySimConfig,
+    ReferenceTracePolicySimulator,
     StaticPolicy,
     TracePolicySimulator,
 )
@@ -73,32 +72,38 @@ def split_chunks(trace, n_chunks):
     return out
 
 
+#: The reference core first, then the production path.
+SIMULATORS = (ReferenceTracePolicySimulator, TracePolicySimulator)
+
+
 def run_pair(trace, params, metric=FULL_CACHE, initial=StaticPolicy.FIRST_TOUCH,
              n_cpus=8, n_nodes=4, driver_trace=None):
-    results = {}
-    for engine in ("scalar", "vector"):
-        sim = TracePolicySimulator(
-            PolicySimConfig(n_cpus=n_cpus, n_nodes=n_nodes, engine=engine)
-        )
-        results[engine] = sim.simulate_dynamic(
+    results = []
+    for cls in SIMULATORS:
+        sim = cls(PolicySimConfig(n_cpus=n_cpus, n_nodes=n_nodes))
+        results.append(sim.simulate_dynamic(
             trace, params, metric=metric, initial=initial,
             driver_trace=driver_trace,
-        ).to_dict()
-    return results["scalar"], results["vector"]
+        ).to_dict())
+    return results
 
 
-def events_normalized(tracer):
-    """The tracer's log as dicts, with the run-meta engine masked.
+def traced_pair(run):
+    """``run(sim)`` on a traced reference and production simulator.
 
-    A scalar and a vector run differ *only* in the ``engine`` field of
-    the run-meta header; everything else must match byte for byte.
+    Returns ``[(result dict, event dicts)]`` per simulator, reference
+    first; the logs are compared as they are, run-meta header included.
     """
     out = []
-    for event in tracer.events():
-        d = event.to_dict()
-        if d.get("kind") == "run-meta":
-            d = dict(d, engine="<engine>")
-        out.append(d)
+    for cls in SIMULATORS:
+        sim = cls(
+            PolicySimConfig(n_cpus=8, n_nodes=4),
+            tracer=Tracer(capacity=1 << 20),
+        )
+        result = run(sim)
+        out.append(
+            (result.to_dict(), [e.to_dict() for e in sim.tracer.events()])
+        )
     return out
 
 
@@ -190,11 +195,9 @@ class TestDifferentialChunked:
         trace = random_trace(rng)
         params = PolicyParameters(trigger_threshold=16, sharing_threshold=4)
         chunks = split_chunks(trace, n_chunks)
-        results = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine)
-            )
+        results = []
+        for cls in SIMULATORS:
+            sim = cls(PolicySimConfig(n_cpus=8, n_nodes=4))
             # Post-facto placement replays the stream twice, so it needs
             # a re-iterable chunk source; the others take a one-shot
             # iterator.
@@ -202,44 +205,43 @@ class TestDifferentialChunked:
                 chunks if initial is StaticPolicy.POST_FACTO
                 else iter(chunks)
             )
-            results[engine] = sim.simulate_dynamic_chunks(
+            results.append(sim.simulate_dynamic_chunks(
                 source, params, initial=initial
-            ).to_dict()
-        assert results["scalar"] == results["vector"]
+            ).to_dict())
+        reference, production = results
+        assert reference == production
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n_chunks", [3, 9])
     def test_chunked_tlb_metric_byte_identical(self, seed, n_chunks):
         # TLB-derived metrics stream the deriver's output through the
-        # segmented engine (merged_tlb_stream); the scalar engine on
-        # the whole trace is the reference.
+        # segmented engine (merged_tlb_stream); the reference core on
+        # the whole trace is the oracle.
         rng = np.random.default_rng(600 + seed)
         trace = random_trace(rng)
         params = PolicyParameters(trigger_threshold=16, sharing_threshold=4)
         chunked = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="vector")
+            PolicySimConfig(n_cpus=8, n_nodes=4)
         ).simulate_dynamic_chunks(
             iter(split_chunks(trace, n_chunks)), params, metric=FULL_TLB
         )
-        scalar = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="scalar")
+        reference = ReferenceTracePolicySimulator(
+            PolicySimConfig(n_cpus=8, n_nodes=4)
         ).simulate_dynamic(trace, params, metric=FULL_TLB)
-        assert chunked.to_dict() == scalar.to_dict()
+        assert chunked.to_dict() == reference.to_dict()
 
     def test_chunked_sampled_matches_full(self):
         rng = np.random.default_rng(77)
         trace = random_trace(rng)
         params = PolicyParameters(trigger_threshold=16, sharing_threshold=4)
-        sim = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="vector")
-        )
+        sim = TracePolicySimulator(PolicySimConfig(n_cpus=8, n_nodes=4))
         chunked = sim.simulate_dynamic_chunks(
             iter(split_chunks(trace, 5)), params, metric=SAMPLED_CACHE
         )
-        scalar = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="scalar")
+        reference = ReferenceTracePolicySimulator(
+            PolicySimConfig(n_cpus=8, n_nodes=4)
         ).simulate_dynamic(trace, params, metric=SAMPLED_CACHE)
-        assert chunked.to_dict() == scalar.to_dict()
+        assert chunked.to_dict() == reference.to_dict()
 
 
 class TestDifferentialTraced:
@@ -251,16 +253,11 @@ class TestDifferentialTraced:
         rng = np.random.default_rng(3000 * seed + pidx)
         trace = random_trace(rng, n_events=2500)
         params = PolicyParameters(**PARAM_GRID[pidx])
-        logs = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine),
-                tracer=Tracer(capacity=1 << 20),
-            )
-            result = sim.simulate_dynamic(trace, params)
-            logs[engine] = (result.to_dict(), events_normalized(sim.tracer))
-        assert logs["scalar"][0] == logs["vector"][0]
-        assert logs["scalar"][1] == logs["vector"][1]
+        reference, production = traced_pair(
+            lambda sim: sim.simulate_dynamic(trace, params)
+        )
+        assert reference[0] == production[0]
+        assert reference[1] == production[1]
 
     @pytest.mark.parametrize("n_chunks", [3, 7])
     def test_traced_chunked_event_logs(self, n_chunks):
@@ -270,31 +267,21 @@ class TestDifferentialTraced:
         rng = np.random.default_rng(77)
         trace = random_trace(rng, n_events=2500)
         params = PolicyParameters(trigger_threshold=8, sharing_threshold=2)
-        logs = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine),
-                tracer=Tracer(capacity=1 << 20),
-            )
-            result = sim.simulate_dynamic_chunks(
+        reference, production = traced_pair(
+            lambda sim: sim.simulate_dynamic_chunks(
                 iter(split_chunks(trace, n_chunks)), params
             )
-            logs[engine] = (result.to_dict(), events_normalized(sim.tracer))
-        assert logs["scalar"] == logs["vector"]
+        )
+        assert reference == production
 
     def test_traced_tlb_metric_event_logs(self):
         rng = np.random.default_rng(31)
         trace = random_trace(rng, n_events=2000)
         params = PolicyParameters(trigger_threshold=8, sharing_threshold=2)
-        logs = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine),
-                tracer=Tracer(capacity=1 << 20),
-            )
-            result = sim.simulate_dynamic(trace, params, metric=FULL_TLB)
-            logs[engine] = (result.to_dict(), events_normalized(sim.tracer))
-        assert logs["scalar"] == logs["vector"]
+        reference, production = traced_pair(
+            lambda sim: sim.simulate_dynamic(trace, params, metric=FULL_TLB)
+        )
+        assert reference == production
 
 
 class TestDifferentialCompetitive:
@@ -306,85 +293,69 @@ class TestDifferentialCompetitive:
     def test_competitive_byte_identical(self, seed, initial):
         rng = np.random.default_rng(4000 + seed)
         trace = random_trace(rng, n_events=3000)
-        results = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine)
-            )
-            results[engine] = sim.simulate_competitive(
+        reference, production = (
+            cls(PolicySimConfig(n_cpus=8, n_nodes=4)).simulate_competitive(
                 trace, initial=initial
             ).to_dict()
-        assert results["scalar"] == results["vector"]
+            for cls in SIMULATORS
+        )
+        assert reference == production
 
 
-class TestEngineSelection:
+class TestReferenceSimulator:
+    """The reference shares every step but the replay with production."""
+
     def params(self):
         return PolicyParameters(trigger_threshold=16, sharing_threshold=4)
 
-    def test_engine_validation(self):
-        with pytest.raises(ConfigurationError):
-            PolicySimConfig(engine="turbo")
-        for engine in REPLAY_ENGINES:
-            assert PolicySimConfig(engine=engine).engine == engine
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "scalar")
-        assert PolicySimConfig().engine == "scalar"
-        monkeypatch.delenv("REPRO_REPLAY_ENGINE")
-        assert PolicySimConfig().engine == "auto"
-
-    def test_vector_with_tracer_runs_and_matches_scalar(self):
-        trace = random_trace(np.random.default_rng(0), n_events=800)
-        logs = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine),
-                tracer=Tracer(capacity=1 << 18),
-            )
-            result = sim.simulate_dynamic(trace, self.params())
-            logs[engine] = (result.to_dict(), events_normalized(sim.tracer))
-        assert logs["scalar"] == logs["vector"]
-
-    def test_auto_with_tracer_stays_vector(self):
-        registry = MetricsRegistry()
-        sim = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="auto"),
-            tracer=Tracer(capacity=1 << 16),
-            metrics=registry,
-        )
+    def test_traced_production_matches_untraced_reference(self):
+        # Tracing changes nothing on the production path: its result
+        # equals the reference core's untraced one.
         trace = random_trace(np.random.default_rng(3), n_events=500)
-        traced = sim.simulate_dynamic(trace, self.params())
-        plain = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="scalar")
+        traced = TracePolicySimulator(
+            PolicySimConfig(n_cpus=8, n_nodes=4),
+            tracer=Tracer(capacity=1 << 16),
+        ).simulate_dynamic(trace, self.params())
+        plain = ReferenceTracePolicySimulator(
+            PolicySimConfig(n_cpus=8, n_nodes=4)
         ).simulate_dynamic(trace, self.params())
         assert traced.to_dict() == plain.to_dict()
-        # No tracer-driven demotion: auto + tracer runs the vector engine.
-        assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.scalar").value == 0
 
-    def test_engine_choice_counted(self):
-        registry = MetricsRegistry()
-        sim = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4), metrics=registry
+    def test_run_meta_header_is_shared(self):
+        trace = random_trace(np.random.default_rng(0), n_events=200)
+        reference, production = traced_pair(
+            lambda sim: sim.simulate_dynamic(trace, self.params())
         )
-        trace = random_trace(np.random.default_rng(4), n_events=200)
+        headers = [log[1][0] for log in (reference, production)]
+        assert headers[0] == headers[1]
+        assert headers[0]["kind"] == "run-meta"
+        assert "engine" not in headers[0]
+
+    @pytest.mark.parametrize("cls", SIMULATORS, ids=lambda c: c.__name__)
+    def test_replay_spans_nest_under_the_entry_point(self, cls):
+        # One span per entry point, and no per-engine span between it
+        # and the replay's own children.
+        trace = random_trace(np.random.default_rng(4), n_events=300)
+        profiler = Profiler()
+        sim = cls(PolicySimConfig(n_cpus=8, n_nodes=4), profiler=profiler)
         sim.simulate_dynamic(trace, self.params())
-        assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.scalar").value == 0
+        sim.simulate_dynamic_chunks(split_chunks(trace, 3), self.params())
+        sim.simulate_competitive(trace)
+        paths = {r.path for r in profiler.records}
+        assert {
+            "replay.dynamic", "replay.chunks", "replay.competitive"
+        } <= paths
+        assert not any("engine." in path for path in paths)
+        chunk_paths = {p for p in paths if p.endswith("/replay.chunk")}
+        assert chunk_paths == {"replay.chunks/replay.chunk"}
 
-    def test_competitive_runs_on_both_engines(self):
+    def test_competitive_labels_match(self):
         trace = random_trace(np.random.default_rng(5), n_events=100)
-        results = {}
-        for engine in ("scalar", "vector"):
-            sim = TracePolicySimulator(
-                PolicySimConfig(n_cpus=8, n_nodes=4, engine=engine)
+        reference, production = (
+            cls(PolicySimConfig(n_cpus=8, n_nodes=4)).simulate_competitive(
+                trace
             )
-            results[engine] = sim.simulate_competitive(trace).to_dict()
-        assert results["scalar"] == results["vector"]
-        # auto picks the vector competitive path.
-        registry = MetricsRegistry()
-        auto = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4), metrics=registry
+            for cls in SIMULATORS
         )
-        assert auto.simulate_competitive(trace).label == "Competitive"
-        assert registry.counter("replay.engine.competitive.vector").value == 1
+        assert reference.to_dict() == production.to_dict()
+        assert production.label == "Competitive"

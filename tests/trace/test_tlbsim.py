@@ -502,22 +502,30 @@ class TestChunkedIdentity:
                 ), (size, column)
 
     def test_both_paths_drive_identical_pt_walk_counters(self):
-        from repro.ptpol.sim import simulate_ptpol
+        from repro.ptpol.sim import (
+            PtPolicySimulator,
+            ReferencePtPolicySimulator,
+            params_for_pt_policy,
+        )
         from repro.trace.policysim import PolicySimConfig
 
         full, streamed, _ = self._full_and_streamed(size=31)
         trace = build(self.ROWS)
         config = PolicySimConfig(
-            n_cpus=2, n_nodes=2, pt_span_pages=4,
-            decision_delay_ns=1, engine="scalar",
+            n_cpus=2, n_nodes=2, pt_span_pages=4, decision_delay_ns=1,
         )
-        result_a, tally_a = simulate_ptpol(
-            trace, "ptrepl", config=config, trigger=4, driver_trace=full
-        )
-        result_b, tally_b = simulate_ptpol(
-            trace, "ptrepl", config=config, trigger=4, driver_trace=streamed
-        )
-        assert tally_a.to_dict() == tally_b.to_dict()
+        params = params_for_pt_policy("ptrepl", trigger=4)
+        # Each derivation drives the reference core and the production
+        # replay; all four runs must agree.
+        runs = []
+        for driver in (full, streamed):
+            for cls in (ReferencePtPolicySimulator, PtPolicySimulator):
+                sim = cls(config=config)
+                result = sim.simulate(trace, params, driver_trace=driver)
+                runs.append((result, sim.tally))
+        result_a, tally_a = runs[0]
         assert tally_a.walks > 0
-        assert result_a.stall_ns == result_b.stall_ns
-        assert result_a.extra == result_b.extra
+        for result_b, tally_b in runs[1:]:
+            assert tally_a.to_dict() == tally_b.to_dict()
+            assert result_a.stall_ns == result_b.stall_ns
+            assert result_a.extra == result_b.extra
