@@ -1,18 +1,13 @@
 """Observability overhead: instrumentation must be free when unused.
 
 The ``repro.obs`` layer promises zero cost when disabled: call sites
-guard event construction behind ``tracer.active``, metric registration
-is collect-time-only, and profiler spans wrap phases (never per-event
-loop bodies), so a disabled profiler costs one attribute check per
-phase.  This bench holds the promise to numbers:
-
-* a full-system Mig/Rep run with a *disabled* tracer (plus an attached
-  counting sink and an external metrics registry) must stay within 5%
-  of the plain uninstrumented run's wall time, and the sink must have
-  seen exactly zero events;
-* the same run with a *disabled* profiler must stay within 2% — the
-  span seams are phase-level, so the disabled path is a handful of
-  no-op ``span()`` calls per run.
+guard event construction behind ``tracer.active`` and metric
+registration is collect-time-only.  This bench holds the promise to
+numbers: a full-system Mig/Rep run with a *disabled* tracer (plus an
+attached counting sink and an external metrics registry) must stay
+within 5% of the plain uninstrumented run's wall time, and the sink
+must have seen exactly zero events.  (The layer profiler needs no such
+gate: without ``--profile-out`` it installs nothing.)
 
 A second artifact (``obs_analyze``) gates the *enabled* analysis path:
 post-hoc attribution of a miss-traced decision log must stay cheap
@@ -36,7 +31,6 @@ from conftest import params_for
 
 from repro.analysis.tables import format_table
 from repro.obs.attrib import Attribution, expected_from_policysim
-from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import CountingSink, ListSink, Tracer
 from repro.sim.simulator import SimulatorOptions, SystemSimulator
@@ -50,13 +44,12 @@ from repro.workloads import build_spec, generate_trace
 OBS_BENCH_SCALE = float(os.environ.get("REPRO_OBS_BENCH_SCALE", "0.25"))
 ROUNDS = 3
 TRACER_TOLERANCE = 1.05
-PROFILER_TOLERANCE = 1.02
 #: Analyzing a log must cost at most as much as the traced replay that
 #: wrote it (in practice it is a small fraction of it).
 ANALYZE_TOLERANCE = 1.0
 
 
-def _run(spec, trace, tracer=None, metrics=None, profiler=None) -> float:
+def _run(spec, trace, tracer=None, metrics=None) -> float:
     """One full Mig/Rep run; returns wall seconds of the hot loop."""
     sim = SystemSimulator(
         spec,
@@ -64,7 +57,6 @@ def _run(spec, trace, tracer=None, metrics=None, profiler=None) -> float:
         options=SimulatorOptions(dynamic=True),
         tracer=tracer,
         metrics=metrics,
-        profiler=profiler,
     )
     start = time.perf_counter()
     sim.run(trace)
@@ -77,7 +69,7 @@ def test_disabled_instrumentation_overhead(report, once):
     sink = CountingSink()
 
     def compute():
-        times = {"baseline": [], "tracer": [], "profiler": []}
+        times = {"baseline": [], "tracer": []}
         _run(spec, trace)  # warmup: caches, allocator, JIT-free but fair
         for round_idx in range(ROUNDS):
             variants = [
@@ -86,28 +78,22 @@ def test_disabled_instrumentation_overhead(report, once):
                     tracer=Tracer(sinks=[sink], enabled=False),
                     metrics=MetricsRegistry(),
                 )),
-                ("profiler", dict(profiler=Profiler(enabled=False))),
             ]
-            # Rotate the order so warmth and scheduler noise hit every
-            # variant evenly across rounds.
-            rotated = variants[round_idx % 3:] + variants[:round_idx % 3]
+            # Alternate the order so warmth and scheduler noise hit both
+            # variants evenly across rounds.
+            rotated = variants[round_idx % 2:] + variants[:round_idx % 2]
             for label, kwargs in rotated:
                 times[label].append(_run(spec, trace, **kwargs))
         return {label: min(values) for label, values in times.items()}
 
     best = once(compute)
     tracer_ratio = best["tracer"] / best["baseline"]
-    profiler_ratio = best["profiler"] / best["baseline"]
 
     run = report("obs_overhead", scale=OBS_BENCH_SCALE, rounds=ROUNDS)
-    # The two ratios are the contract; gate them with room for container
-    # noise above their in-bench assertion budgets.
+    # The ratio is the contract; gate it with room for container noise
+    # above its in-bench assertion budget.
     run.metric(
         "ratio.disabled_tracer", tracer_ratio,
-        direction="lower", tolerance=0.10,
-    )
-    run.metric(
-        "ratio.disabled_profiler", profiler_ratio,
         direction="lower", tolerance=0.10,
     )
     run.metric(
@@ -122,8 +108,6 @@ def test_disabled_instrumentation_overhead(report, once):
                 ["uninstrumented", best["baseline"], 1.0, "-"],
                 ["disabled tracer + registry", best["tracer"], tracer_ratio,
                  f"{(TRACER_TOLERANCE - 1) * 100:.0f}%"],
-                ["disabled profiler", best["profiler"], profiler_ratio,
-                 f"{(PROFILER_TOLERANCE - 1) * 100:.0f}%"],
             ],
         ),
     )
@@ -131,10 +115,6 @@ def test_disabled_instrumentation_overhead(report, once):
     assert tracer_ratio <= TRACER_TOLERANCE, (
         f"disabled instrumentation cost {100 * (tracer_ratio - 1):.1f}% "
         f"(budget {100 * (TRACER_TOLERANCE - 1):.0f}%)"
-    )
-    assert profiler_ratio <= PROFILER_TOLERANCE, (
-        f"disabled profiler cost {100 * (profiler_ratio - 1):.1f}% "
-        f"(budget {100 * (PROFILER_TOLERANCE - 1):.0f}%)"
     )
 
 

@@ -149,30 +149,38 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_profiler(args: argparse.Namespace):
-    """A live profiler when ``--profile-out`` was given, else ``None``."""
-    if not getattr(args, "profile_out", None):
-        return None
-    from repro.obs.prof import Profiler
+def _run_profiled(args: argparse.Namespace) -> int:
+    """Run the command with every layer boundary timed (``--profile-out``).
 
-    return Profiler()
+    The command's :func:`_write_profile` call reads the installed trace
+    from ``args.layer_profile``; the wrappers come off when it returns.
+    """
+    from repro.obs.layers import LayerTrace, calibrate
+
+    calibration = calibrate()
+    with LayerTrace() as trace:
+        args.layer_profile = (trace, calibration, time.perf_counter_ns())
+        return args.func(args)
 
 
 def _write_profile(
     args: argparse.Namespace,
     label: str,
-    profiler,
     metrics=None,
     context=None,
 ) -> None:
     """Persist a :class:`RunReport` for ``--profile-out`` and say so."""
-    if profiler is None or not args.profile_out:
+    if not getattr(args, "layer_profile", None):
         return
     from repro.obs.prof import RunReport
 
-    report = RunReport.from_profiler(
+    trace, calibration, start_ns = args.layer_profile
+    wall_ns = time.perf_counter_ns() - start_ns
+    layers = trace.rows([wall_ns / 1e9], *calibration)
+    report = RunReport.capture(
         label,
-        profiler,
+        wall_ns,
+        layers,
         command=" ".join(sys.argv[1:]) or args.command,
         metrics=metrics,
         context=context,
@@ -180,8 +188,22 @@ def _write_profile(
     with open(args.profile_out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"\n{profiler.summary()}")
-    print(f"wrote profile ({len(report.spans)} spans) to {args.profile_out}")
+    ranked = sorted(
+        (name for name, row in layers.items()
+         if row["calls"] or name == "other"),
+        key=lambda name: -layers[name]["share"],
+    )
+    print()
+    print(
+        format_table(
+            f"Layer profile: {label} ({wall_ns / 1e9:.2f} s wall)",
+            ["Layer", "Calls", "Self (s)", "Share"],
+            [[name, int(layers[name]["calls"]), layers[name]["self_s"],
+              f"{layers[name]['share']:.1%}"] for name in ranked],
+            float_format="{:.3f}",
+        )
+    )
+    print(f"wrote profile ({len(layers)} layers) to {args.profile_out}")
 
 
 def _window_ns(args: argparse.Namespace):
@@ -256,8 +278,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         else None
     )
     attrib = None
-    profiler = _make_profiler(args)
-    if tracer is None and profiler is None and args.jobs > 1:
+    # A profiled run stays in-process: the layer wrappers live here.
+    if tracer is None and not args.profile_out and args.jobs > 1:
         # The two legs are independent: run them in worker processes.
         results = run_policy_comparison(
             spec, trace, machine=machine, params=params,
@@ -269,7 +291,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ft = SystemSimulator(
             spec, machine=machine, params=params,
             options=SimulatorOptions(dynamic=False, shootdown_mode=mode),
-            profiler=profiler,
         ).run(trace)
         try:
             mr = SystemSimulator(
@@ -279,7 +300,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                     adaptive_trigger=args.adaptive,
                 ),
                 tracer=tracer,
-                profiler=profiler,
             ).run(trace)
         finally:
             if tracer is not None:
@@ -327,7 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote {len(mr.metrics)} metrics to {args.metrics_out}")
     _write_profile(
-        args, f"run/{args.workload}", profiler,
+        args, f"run/{args.workload}",
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed, "machine": args.machine},
@@ -339,8 +359,7 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.kernel_only() if args.kernel else trace.user_only()
     config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    profiler = _make_profiler(args)
-    sim = TracePolicySimulator(config, profiler=profiler)
+    sim = TracePolicySimulator(config)
     # The traced simulator records only the flagship run (the full-cache
     # Mig/Rep policy) so one log holds one coherent decision stream.
     tracer = (
@@ -349,11 +368,7 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
         else None
     )
     traced_result = None
-    traced_sim = (
-        TracePolicySimulator(config, tracer=tracer, profiler=profiler)
-        if tracer
-        else sim
-    )
+    traced_sim = TracePolicySimulator(config, tracer=tracer) if tracer else sim
     params = params_for(args.workload, args.trigger)
     rows = []
     try:
@@ -429,7 +444,7 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
                 f"{len(attrib.intervals)} intervals"
             )
     _write_profile(
-        args, f"tracesim/{args.workload}", profiler,
+        args, f"tracesim/{args.workload}",
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed},
@@ -442,7 +457,6 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.user_only()
     config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    profiler = _make_profiler(args)
     trigger = params_for(args.workload, args.trigger).trigger_threshold
     # The traced run is the flagship CoPlace leg; walk reconciliation
     # needs the per-miss stream, so misses are always recorded.
@@ -458,7 +472,6 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
             sim = PtPolicySimulator(
                 config,
                 tracer=tracer if policy == "coplace" else None,
-                profiler=profiler,
             )
             r = sim.simulate(
                 user,
@@ -517,7 +530,7 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
             f"{attrib.thread_migrations} thread migrations"
         )
     _write_profile(
-        args, f"ptsim/{args.workload}", profiler,
+        args, f"ptsim/{args.workload}",
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed},
@@ -832,10 +845,17 @@ def _graceful_stop(on_stop):
             signal.signal(signum, old)
 
 
-def _write_artifact(out_dir: Optional[str], stem: str, text: str) -> None:
-    if not out_dir:
+def _write_artifact(args: argparse.Namespace, stem: str, text: str) -> None:
+    """Write one ``--out`` table; by default where ``repro bench`` would
+    at this scale, so a reduced-scale run leaves the committed set alone."""
+    if args.out == "":
         return
-    directory = Path(out_dir)
+    if args.out is None:
+        from repro.obs.bench import results_dir
+
+        directory = results_dir("benchmarks", args.scale)
+    else:
+        directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{stem}.txt").write_text(text + "\n")
 
@@ -886,7 +906,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         + (f", {report.cancelled} cancelled" if report.cancelled else "")
     )
     stem, text = timing_summary(grid_name, report, args.scale, args.seed)
-    _write_artifact(args.out, stem, text)
+    _write_artifact(args, stem, text)
     if args.stats_out or args.history_ingest:
         stats = _sweep_stats(report, cache)
         if args.stats_out:
@@ -1244,9 +1264,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
             f"\n{figure}: {report.executed} executed, "
             f"{report.from_cache} from cache in {report.wall_s:.2f} s"
         )
-        _write_artifact(args.out, FIGURE_ARTIFACTS[figure], table)
+        _write_artifact(args, FIGURE_ARTIFACTS[figure], table)
         stem, text = timing_summary(figure, report, args.scale, args.seed)
-        _write_artifact(args.out, stem, text)
+        _write_artifact(args, stem, text)
     return status
 
 
@@ -1389,14 +1409,8 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     spec = build_spec(args.workload, scale=args.scale, seed=args.seed)
-    profiler = _make_profiler(args)
-    if profiler is not None:
-        # One profile covers decode and replay: the store's per-chunk
-        # spans interleave with the simulator's under replay.chunks.
-        store.profiler = profiler
     sim = TracePolicySimulator(
-        PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes),
-        profiler=profiler,
+        PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
     )
     factories = {
         "migr": PolicyParameters.migration_only,
@@ -1435,7 +1449,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         f"read, {stats['decode_seconds']:.3f} s decoding"
     )
     _write_profile(
-        args, f"trace-replay/{args.workload}", profiler,
+        args, f"trace-replay/{args.workload}",
         metrics={k: float(v) for k, v in stats.items()},
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed, "policy": args.policy},
@@ -1483,11 +1497,11 @@ def _add_window_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_profile_option(parser: argparse.ArgumentParser) -> None:
-    """The span-profile report knob (see docs/OBSERVABILITY.md)."""
+    """The layer-profile report knob (see docs/OBSERVABILITY.md)."""
     parser.add_argument(
         "--profile-out", metavar="PATH", default=None,
-        help="profile the run's phases and write a schema-versioned "
-        "RunReport JSON to PATH (also prints the span summary)",
+        help="time the command's layers and write a schema-versioned "
+        "RunReport JSON to PATH (also prints the layer table)",
     )
 
 
@@ -1562,9 +1576,10 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="drop every cache entry before running",
     )
     parser.add_argument(
-        "--out", metavar="DIR", default="benchmarks/results",
+        "--out", metavar="DIR", default=None,
         help="artifact directory ('' disables writing; default "
-        "benchmarks/results)",
+        "benchmarks/results at scale 1.0, else "
+        "benchmarks/results/scale-<scale>)",
     )
 
 
@@ -1938,6 +1953,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigurationError(
                 f"--jobs must be at least 1, not {args.jobs}"
             )
+        if getattr(args, "profile_out", None):
+            return _run_profiled(args)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ each execution attempt; tests inject failures and timeouts through it.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
@@ -50,7 +51,6 @@ import numpy as np
 from repro.common.stats import SampleStats
 from repro.exp.cache import ResultCache, ResultType
 from repro.exp.spec import ExperimentSpec, machine_for
-from repro.obs.prof import Profiler, as_profiler
 from repro.policy.metrics import ALL_METRICS
 from repro.sim.simulator import SimulatorOptions, SystemSimulator
 from repro.trace.policysim import (
@@ -246,7 +246,6 @@ class SweepRunner:
         retries: int = 1,
         fault_hook: Optional[FaultHook] = None,
         progress: Optional[Callable[[SweepOutcome, int, int], None]] = None,
-        profiler=None,
         stop_event: Optional[threading.Event] = None,
     ) -> None:
         self.cache = cache
@@ -261,10 +260,6 @@ class SweepRunner:
         self.stop_event = (
             stop_event if stop_event is not None else threading.Event()
         )
-        # Sweeps always carry a profiler: the spans are phase-level
-        # (4-5 per run), so the cost is negligible and every report can
-        # attribute its wall clock.  Pass ``profiler=`` to share one.
-        self.profiler = Profiler() if profiler is None else as_profiler(profiler)
 
     # -- public API -----------------------------------------------------------
 
@@ -298,51 +293,51 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(outcome, done, len(outcomes))
 
-        profiler = self.profiler
-        first_record = len(profiler.records)
-        with profiler.span("sweep.run", items=len(outcomes)):
-            to_run: List[int] = []
-            with profiler.span("sweep.cache"):
-                for i, outcome in enumerate(outcomes):
-                    cached = (
-                        self.cache.get(outcome.spec)
-                        if self.cache is not None
-                        else None
-                    )
-                    if cached is not None:
-                        outcome.result = cached
-                        outcome.cached = True
-                        report(outcome)
-                    else:
-                        to_run.append(i)
+        phase_wall_s: Dict[str, float] = {}
 
-            if to_run and not self.stopped:
-                if self.jobs > 1 and len(to_run) > 1:
-                    with profiler.span("sweep.prewarm"):
-                        self._prewarm_traces(
-                            [outcomes[i].spec for i in to_run]
-                        )
-                    with profiler.span("sweep.pool", items=len(to_run)):
-                        retry = self._run_pool(outcomes, to_run, report)
+        @contextlib.contextmanager
+        def phase(name: str):
+            phase_start = time.perf_counter()
+            yield
+            phase_wall_s[name] = time.perf_counter() - phase_start
+
+        to_run: List[int] = []
+        with phase("cache"):
+            for i, outcome in enumerate(outcomes):
+                cached = (
+                    self.cache.get(outcome.spec)
+                    if self.cache is not None
+                    else None
+                )
+                if cached is not None:
+                    outcome.result = cached
+                    outcome.cached = True
+                    report(outcome)
                 else:
-                    retry = to_run
-                with profiler.span("sweep.serial", items=len(retry)):
-                    self._run_serial(outcomes, retry, report)
-            elif to_run:
-                for i in to_run:
-                    self._cancel(outcomes[i])
-                    report(outcomes[i])
+                    to_run.append(i)
+
+        if to_run and not self.stopped:
+            if self.jobs > 1 and len(to_run) > 1:
+                with phase("prewarm"):
+                    self._prewarm_traces([outcomes[i].spec for i in to_run])
+                with phase("pool"):
+                    retry = self._run_pool(outcomes, to_run, report)
+            else:
+                retry = to_run
+            with phase("serial"):
+                self._run_serial(outcomes, retry, report)
+        elif to_run:
+            for i in to_run:
+                self._cancel(outcomes[i])
+                report(outcomes[i])
 
         report_obj = SweepReport(
             outcomes=outcomes,
             wall_s=time.monotonic() - start,
             jobs=self.jobs,
             interrupted=self.stopped,
+            phase_wall_s=phase_wall_s,
         )
-        for record in profiler.records[first_record:]:
-            if record.depth == 1 and record.name.startswith("sweep."):
-                phase = record.name.split(".", 1)[1]
-                report_obj.phase_wall_s[phase] = record.wall_ns / 1e9
         for outcome in outcomes:
             if outcome.ok and not outcome.cached:
                 report_obj.task_stats.add(outcome.duration_s)

@@ -16,8 +16,10 @@ same attribution power at runtime:
 * :mod:`repro.obs.attrib` — post-hoc stall-time attribution, the
   per-decision payoff ledger, per-page decision timelines and run
   diffing (``repro analyze``);
-* :mod:`repro.obs.prof` — the hierarchical span profiler and
-  :class:`RunReport` (``--profile-out``);
+* :mod:`repro.obs.layers` — the layer profiler: per-layer calls and
+  calibrated self time (``--profile-out``);
+* :mod:`repro.obs.prof` — :class:`RunReport`, the ``--profile-out``
+  file, and resource telemetry;
 * :mod:`repro.obs.bench` — the machine-readable benchmark artifact
   schema behind ``repro bench`` and its regression gating;
 * :mod:`repro.obs.history` — the sqlite-backed longitudinal run-history
@@ -93,12 +95,7 @@ from repro.obs.history import (
     trend_regressions,
 )
 from repro.obs.prof import (
-    NULL_PROFILER,
-    Profiler,
     RunReport,
-    Span,
-    SpanRecord,
-    as_profiler,
     peak_rss_bytes,
     resource_usage,
 )
@@ -194,12 +191,7 @@ __all__ = [
     "format_trends",
     "trend_delta",
     "trend_regressions",
-    "NULL_PROFILER",
-    "Profiler",
     "RunReport",
-    "Span",
-    "SpanRecord",
-    "as_profiler",
     "peak_rss_bytes",
     "resource_usage",
     "REPORT_SCHEMA_VERSION",

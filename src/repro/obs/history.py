@@ -2,7 +2,7 @@
 
 Every other artifact in the stack is a *one-shot* snapshot: a
 ``BENCH_<name>.json`` gates against a single committed baseline, a
-profiler :class:`~repro.obs.prof.RunReport` describes one run, and a
+``--profile-out`` :class:`~repro.obs.prof.RunReport` describes one run, and a
 sweep ``--stats-out`` blob describes one sweep.  This module gives those
 artifacts a trajectory: a schema-versioned, single-file **sqlite**
 database (stdlib ``sqlite3``, no new dependencies) that ingests all
@@ -313,7 +313,7 @@ class HistoryStore:
     def ingest_report(
         self, data: Dict[str, Any], t: Optional[float] = None
     ) -> int:
-        """Ingest one profiler RunReport payload (validated)."""
+        """Ingest one ``--profile-out`` RunReport payload (validated)."""
         from repro.obs.prof import RunReport
 
         report = RunReport.from_dict(data)
@@ -322,7 +322,10 @@ class HistoryStore:
             MetricSample("peak_rss_bytes", float(report.peak_rss), "bytes"),
             MetricSample("cpu_user_s", float(report.cpu_user_s), "s"),
             MetricSample("cpu_sys_s", float(report.cpu_sys_s), "s"),
-            MetricSample("spans", float(len(report.spans))),
+        ]
+        samples += [
+            MetricSample(f"layer.{name}.self_s", row["self_s"], "s")
+            for name, row in sorted(report.layers.items())
         ]
         samples += [
             MetricSample(key, value)

@@ -212,7 +212,7 @@ def _metric_table(metrics: Dict[str, Any]) -> str:
 
 _KIND_TITLES = {
     "bench": "Bench trends",
-    "report": "Profiler runs",
+    "report": "Profiled runs",
     "sweep": "Sweep stats",
 }
 

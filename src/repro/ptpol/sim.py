@@ -514,10 +514,9 @@ class PtPolicySimulator(TracePolicySimulator):
         config=None,
         tracer=None,
         metrics=None,
-        profiler=None,
         costs: Optional[PtCostModel] = None,
     ) -> None:
-        super().__init__(config=config, tracer=tracer, profiler=profiler)
+        super().__init__(config=config, tracer=tracer)
         #: Registry the run's ``ptpol.*`` tally callbacks go into, if any.
         self.metrics = metrics
         self.costs = costs or DEFAULT_PT_COSTS
@@ -547,9 +546,7 @@ class PtPolicySimulator(TracePolicySimulator):
             driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
         result = PolicySimResult(label=label or self._pt_label(params))
         self._emit_run_meta(result.label, params, pt=True)
-        n_events = len(trace) + len(driver_trace)
-        with self.profiler.span("replay.ptpol", items=n_events):
-            self._replay_pt(trace, driver_trace, params, result)
+        self._replay_pt(trace, driver_trace, params, result)
         if self.metrics is not None:
             self._register_metrics()
         return result
@@ -675,7 +672,6 @@ def simulate_ptpol(
     trigger: int = 128,
     tracer=None,
     metrics=None,
-    profiler=None,
     costs: Optional[PtCostModel] = None,
     driver_trace: Optional[Trace] = None,
 ) -> Tuple[PolicySimResult, PtTally]:
@@ -685,8 +681,7 @@ def simulate_ptpol(
     caller can reconcile against a captured event stream).
     """
     sim = PtPolicySimulator(
-        config=config, tracer=tracer, metrics=metrics, profiler=profiler,
-        costs=costs,
+        config=config, tracer=tracer, metrics=metrics, costs=costs,
     )
     params = params_for_pt_policy(policy, trigger=trigger)
     result = sim.simulate(

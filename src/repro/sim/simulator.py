@@ -40,7 +40,6 @@ from repro.obs.events import (
     RunMeta,
     TriggerAdjusted,
 )
-from repro.obs.prof import as_profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import as_tracer
 from repro.policy.adaptive import AdaptiveTriggerController, IntervalFeedback
@@ -87,12 +86,10 @@ class SystemSimulator:
         costs: Optional[KernelCostModel] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler=None,
     ) -> None:
         self.spec = spec
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
-        self.profiler = as_profiler(profiler)
         if machine is None:
             machine = MachineConfig.flash_ccnuma(
                 n_cpus=spec.n_cpus, n_nodes=spec.n_nodes
@@ -157,17 +154,9 @@ class SystemSimulator:
         spec = self.spec
         if trace is None:
             trace = generate_trace(spec)
-        # Spans wrap the run's phases (setup / replay / finalize), never
-        # the per-event loop body, so profiling costs nothing per miss
-        # and cannot perturb the simulated result.
-        with self.profiler.span("sim.run", items=len(trace)):
-            with self.profiler.span("sim.setup"):
-                state = self._setup(trace)
-            with self.profiler.span("sim.replay", items=len(trace)):
-                self._replay(trace, *state)
-            with self.profiler.span("sim.finalize"):
-                result = self._finalize(trace, *state)
-        return result
+        state = self._setup(trace)
+        self._replay(trace, *state)
+        return self._finalize(trace, *state)
 
     def _setup(self, trace: Trace):
         """Build the machine/kernel stack for one run (the setup phase)."""

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.common.errors import TraceError, TraceStoreError
 from repro.common.locks import FileLock
-from repro.obs.prof import as_profiler
 from repro.obs.registry import MetricsRegistry
 from repro.store.format import (
     DEFAULT_CHUNK_RECORDS,
@@ -163,14 +162,10 @@ class TraceStore:
         metrics: Optional[MetricsRegistry] = None,
         token: Optional[str] = None,
         chunk_records: int = DEFAULT_CHUNK_RECORDS,
-        profiler=None,
     ) -> None:
         self.directory = Path(directory) if directory else default_store_dir()
         self.token = token if token is not None else generator_code_token()
         self.chunk_records = int(chunk_records)
-        # Reassignable: the CLI attaches its run profiler to the shared
-        # default store after the fact.
-        self.profiler = as_profiler(profiler)
         registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = registry
         self._hits = registry.counter("store.hits")
@@ -237,11 +232,10 @@ class TraceStore:
         path = self.path_for(identity)
         if not path.is_file():
             return False
-        with self.profiler.span("store.verify"):
-            try:
-                ContainerReader(path).close()
-            except TraceError:
-                return False
+        try:
+            ContainerReader(path).close()
+        except TraceError:
+            return False
         return True
 
     def get(self, identity: Dict[str, object], meta=None) -> Optional[Trace]:
@@ -256,18 +250,16 @@ class TraceStore:
             self._misses.inc()
             return None
         t0 = time.monotonic()
-        with self.profiler.span("store.replay") as span:
-            try:
-                with ContainerReader(path) as reader:
-                    trace = reader.read_trace(meta=meta)
-            except TraceError:
-                # Corrupt, truncated, or stale container: drop and let the
-                # caller regenerate and rewrite.  Never an error.
-                self._misses.inc()
-                self._invalidations.inc()
-                self._remove(path)
-                return None
-            span.add_items(len(trace))
+        try:
+            with ContainerReader(path) as reader:
+                trace = reader.read_trace(meta=meta)
+        except TraceError:
+            # Corrupt, truncated, or stale container: drop and let the
+            # caller regenerate and rewrite.  Never an error.
+            self._misses.inc()
+            self._invalidations.inc()
+            self._remove(path)
+            return None
         self._decode_s.add(time.monotonic() - t0)
         self._hits.inc()
         try:
@@ -316,13 +308,12 @@ class TraceStore:
                 else:
                     self._dedup.inc()
                     return path
-            with self.profiler.span("store.record", items=len(trace)):
-                nbytes = write_container(
-                    path,
-                    trace,
-                    identity=canonical_identity(identity),
-                    chunk_records=self.chunk_records,
-                )
+            nbytes = write_container(
+                path,
+                trace,
+                identity=canonical_identity(identity),
+                chunk_records=self.chunk_records,
+            )
             self._stores.inc()
             self._bytes_written.inc(nbytes)
         return path
@@ -370,14 +361,9 @@ class TraceStore:
             )
             while True:
                 t0 = time.monotonic()
-                # The span closes before the yield: a span held across a
-                # yield would interleave with the consumer's own spans
-                # and break strict nesting.
-                with self.profiler.span("store.chunk") as span:
-                    chunk = next(chunk_iter, None)
-                    if chunk is None:
-                        break
-                    span.add_items(len(chunk))
+                chunk = next(chunk_iter, None)
+                if chunk is None:
+                    break
                 self._decode_s.add(time.monotonic() - t0)
                 yield chunk
 

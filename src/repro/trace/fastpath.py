@@ -37,12 +37,11 @@ addition is exact — so bulk sums reproduce the scalar engine's
 per-event float accumulation bit for bit, in any order.
 
 The public entry points are :func:`replay_dynamic_vector` (whole
-trace, optional merged TLB driver stream), :func:`replay_chunks_vector`
-(streaming chunks; intervals spanning a chunk boundary carry
-bank/armed/pending state across, with cold counter sums written back to
-the bank in batch), :func:`replay_batches_vector` (pre-merged column
-batches, e.g. the streamed TLB-driver merge of
-:func:`repro.trace.tlbsim.merged_tlb_stream`) and
+trace, optional merged TLB driver stream), :func:`replay_stream_vector`
+(streamed column batches: trace chunks or the TLB-driver merge of
+:func:`repro.trace.tlbsim.merged_tlb_stream`; intervals spanning a
+batch boundary carry bank/armed/pending state across, with cold counter
+sums written back to the bank in batch) and
 :func:`replay_competitive_vector` (the [BGW89] competitive baseline).
 Results — the full :class:`~repro.trace.policysim.PolicySimResult`,
 including ``extra["local_stall_ns"]`` — are byte-identical to the
@@ -79,7 +78,6 @@ from repro.obs.events import (
     IntervalReset,
     MissServiced,
 )
-from repro.obs.prof import as_profiler
 
 
 class _VectorEngine:
@@ -665,7 +663,6 @@ def replay_dynamic_vector(
     placement: np.ndarray,
     sampling_rate: int = 1,
     driver_trace=None,
-    profiler=None,
     tracer=None,
 ) -> None:
     """Vectorized equivalent of the scalar whole-trace dynamic replay.
@@ -673,25 +670,20 @@ def replay_dynamic_vector(
     ``params`` must already be scaled for sampling (the caller does this
     for both engines).  With ``driver_trace`` the cost and driver
     streams are merged by a stable sort — cost events win timestamp
-    ties, exactly like the scalar two-pointer merge.  ``profiler``
-    times the batch replay; spans touch no simulation state, so the
-    result stays byte-identical with profiling on.  An active ``tracer``
+    ties, exactly like the scalar two-pointer merge.  An active ``tracer``
     receives the scalar core's exact event sequence via batched
     emission.
     """
-    prof = as_profiler(profiler)
     engine = _VectorEngine(
         config, params, result, sampling_rate, placement=placement,
         tracer=tracer,
     )
     if driver_trace is None:
-        n = len(trace)
-        ones = np.ones(n, dtype=bool)
-        with prof.span("fastpath.batch", items=n):
-            engine.run_batch(
-                trace.time_ns, trace.cpu, trace.page, trace.weight,
-                trace.is_write, ones, ones, streaming=False,
-            )
+        ones = np.ones(len(trace), dtype=bool)
+        engine.run_batch(
+            trace.time_ns, trace.cpu, trace.page, trace.weight,
+            trace.is_write, ones, ones, streaming=False,
+        )
     else:
         cost, driver = trace, driver_trace
         if cost.meta is not driver.meta and cost.meta is not None:
@@ -705,92 +697,57 @@ def replay_dynamic_vector(
         costmask = np.concatenate(
             [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
         )[order]
-        with prof.span("fastpath.batch", items=n_cost + n_driver):
-            engine.run_batch(
-                times[order],
-                np.concatenate([cost.cpu, driver.cpu])[order],
-                np.concatenate([cost.page, driver.page])[order],
-                np.concatenate([cost.weight, driver.weight])[order],
-                np.concatenate([cost.is_write, driver.is_write])[order],
-                costmask,
-                ~costmask,
-                streaming=False,
-            )
+        engine.run_batch(
+            times[order],
+            np.concatenate([cost.cpu, driver.cpu])[order],
+            np.concatenate([cost.page, driver.page])[order],
+            np.concatenate([cost.weight, driver.weight])[order],
+            np.concatenate([cost.is_write, driver.is_write])[order],
+            costmask,
+            ~costmask,
+            streaming=False,
+        )
     engine.finish()
 
 
-def replay_chunks_vector(
-    config,
-    chunks,
-    params,
-    result,
-    initial_kind: Optional[str],
-    sampling_rate: int = 1,
-    profiler=None,
-    tracer=None,
-    placement: Optional[np.ndarray] = None,
-) -> None:
-    """Vectorized streaming replay over time-ordered trace chunks.
-
-    ``initial_kind`` is ``"ft"`` (first-touch) or ``"rr"``
-    (round-robin), or ``None`` when ``placement`` supplies a full
-    initial placement array (the post-facto two-pass path: the caller
-    streams the chunks once to majority-count them, then replays here).
-    Bank counters, armed pages, pending interrupts and sampling carries
-    flow across chunk boundaries, so the streamed result is
-    byte-identical to the whole-trace replay.  ``profiler`` gets one
-    ``replay.chunk`` span per chunk.
-    """
-    prof = as_profiler(profiler)
-    engine = _VectorEngine(
-        config, params, result, sampling_rate,
-        placement=placement, initial_kind=initial_kind,
-        tracer=tracer,
-    )
-    for chunk in chunks:
-        n = len(chunk)
-        ones = np.ones(n, dtype=bool)
-        with prof.span("replay.chunk", items=n):
-            engine.run_batch(
-                chunk.time_ns, chunk.cpu, chunk.page, chunk.weight,
-                chunk.is_write, ones, ones, streaming=True,
-            )
-    engine.finish()
-
-
-def replay_batches_vector(
+def replay_stream_vector(
     config,
     batches,
     params,
     result,
     initial_kind: Optional[str],
     sampling_rate: int = 1,
-    profiler=None,
     tracer=None,
     placement: Optional[np.ndarray] = None,
 ) -> None:
-    """Vectorized streaming replay over pre-merged column batches.
+    """Vectorized streaming replay over time-ordered column batches.
 
-    Each batch is a ``(times, cpus, pages, weights, iswrite, costmask)``
-    tuple of aligned arrays — the shape
-    :func:`repro.trace.tlbsim.merged_tlb_stream` yields, where TLB-miss
-    driver events (``costmask`` False) are interleaved with the cost
-    stream in exact scalar merge order.  Driver events count toward
-    triggers but carry no stall; cost events do both.  ``initial_kind``
-    and ``placement`` behave as in :func:`replay_chunks_vector`.
+    Each batch is a ``(times, cpus, pages, weights, iswrite, costmask,
+    cntmask)`` tuple of aligned arrays: ``costmask`` marks events that
+    charge stall, ``cntmask`` events that drive the counters.  A plain
+    trace chunk does both (all-true masks); the streamed TLB-driver
+    merge of :func:`repro.trace.tlbsim.merged_tlb_stream` interleaves
+    cost events with TLB-miss driver events (``cntmask`` is
+    ``~costmask``) in exact scalar merge order.
+
+    ``initial_kind`` is ``"ft"`` (first-touch) or ``"rr"``
+    (round-robin), or ``None`` when ``placement`` supplies a full
+    initial placement array (the post-facto two-pass path: the caller
+    streams the chunks once to majority-count them, then replays here).
+    Bank counters, armed pages, pending interrupts and sampling carries
+    flow across batch boundaries, so the streamed result is
+    byte-identical to the whole-trace replay.
     """
-    prof = as_profiler(profiler)
     engine = _VectorEngine(
         config, params, result, sampling_rate,
         placement=placement, initial_kind=initial_kind,
         tracer=tracer,
     )
-    for times, cpus, pages, weights, iswrite, costmask in batches:
-        with prof.span("replay.chunk", items=len(times)):
-            engine.run_batch(
-                times, cpus, pages, weights, iswrite,
-                costmask, ~costmask, streaming=True,
-            )
+    for times, cpus, pages, weights, iswrite, costmask, cntmask in batches:
+        engine.run_batch(
+            times, cpus, pages, weights, iswrite, costmask, cntmask,
+            streaming=True,
+        )
     engine.finish()
 
 
@@ -800,7 +757,6 @@ def replay_competitive_vector(
     result,
     placement: np.ndarray,
     core,
-    profiler=None,
 ) -> None:
     """Vectorized [BGW89]-style competitive replication baseline.
 
@@ -814,119 +770,117 @@ def replay_competitive_vector(
     cold split.  Candidate pages replay *all* their events (reads and
     writes: the written-set bookkeeping needs both).
     """
-    prof = as_profiler(profiler)
     times = trace.time_ns
     cpus = trace.cpu
     pages = trace.page
     weights = trace.weight
     iswrite = trace.is_write
     n = len(times)
-    with prof.span("fastpath.competitive", items=n):
-        cpu_nodes = np.asarray(
-            [config.node_of_cpu(c) for c in range(config.n_cpus)],
-            dtype=np.int64,
+    cpu_nodes = np.asarray(
+        [config.node_of_cpu(c) for c in range(config.n_cpus)],
+        dtype=np.int64,
+    )
+    remote = placement[pages] != cpu_nodes[cpus]
+    rsel = np.flatnonzero(remote)
+    if len(rsel):
+        keys = pages[rsel] * config.n_cpus + cpus[rsel]
+        u, inv = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inv, weights=weights[rsel])
+        cand_pages = np.unique((u // config.n_cpus)[sums >= core.break_even])
+    else:
+        cand_pages = np.zeros(0, dtype=np.int64)
+    if len(cand_pages):
+        flag = np.zeros(len(placement), dtype=bool)
+        flag[cand_pages] = True
+        hot = flag[pages]
+    else:
+        hot = np.zeros(n, dtype=bool)
+
+    # Cold bulk: non-candidate pages keep their initial placement
+    # (no replication can fire, and collapses only drop replicas of
+    # replicated — hence candidate — pages).
+    cold = ~hot
+    cw = weights[cold]
+    if len(cw):
+        local = ~remote[cold]
+        total_w = int(cw.sum())
+        local_w = int((cw * local).sum())
+        result.total_misses += total_w
+        result.local_misses += local_w
+        result.stall_ns += float(
+            local_w * config.local_ns
+            + (total_w - local_w) * config.remote_ns
         )
-        remote = placement[pages] != cpu_nodes[cpus]
-        rsel = np.flatnonzero(remote)
-        if len(rsel):
-            keys = pages[rsel] * config.n_cpus + cpus[rsel]
-            u, inv = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inv, weights=weights[rsel])
-            cand_pages = np.unique((u // config.n_cpus)[sums >= core.break_even])
-        else:
-            cand_pages = np.zeros(0, dtype=np.int64)
-        if len(cand_pages):
-            flag = np.zeros(len(placement), dtype=bool)
-            flag[cand_pages] = True
-            hot = flag[pages]
-        else:
-            hot = np.zeros(n, dtype=bool)
+        core.local_stall += float(local_w * config.local_ns)
 
-        # Cold bulk: non-candidate pages keep their initial placement
-        # (no replication can fire, and collapses only drop replicas of
-        # replicated — hence candidate — pages).
-        cold = ~hot
-        cw = weights[cold]
-        if len(cw):
-            local = ~remote[cold]
-            total_w = int(cw.sum())
-            local_w = int((cw * local).sum())
-            result.total_misses += total_w
-            result.local_misses += local_w
-            result.stall_ns += float(
-                local_w * config.local_ns
-                + (total_w - local_w) * config.remote_ns
-            )
-            core.local_stall += float(local_w * config.local_ns)
-
-        # Hot: replay candidate pages' events, one page at a time.  The
-        # watermark machine's state (copies, written flag, per-CPU
-        # counters) is entirely per-page and every result field is an
-        # order-independent exact sum (integral addends below 2^53), so
-        # grouping by page is byte-identical to stream order — and lets
-        # the inner loop keep the whole state in locals instead of dict
-        # lookups per event.  This intentionally restates
-        # ``_CompetitiveCore.step``; the differential suites hold the
-        # two to byte identity.
-        if hot.any():
-            idx = np.flatnonzero(hot)
-            order = np.argsort(pages[idx], kind="stable")
-            idx = idx[order]
-            gpages = pages[idx]
-            bounds = np.flatnonzero(
-                np.r_[True, gpages[1:] != gpages[:-1], True]
-            )
-            ev_nodes = cpu_nodes[cpus[idx]].tolist()
-            ev_cpus = cpus[idx].tolist()
-            ev_w = weights[idx].tolist()
-            ev_iw = iswrite[idx].tolist()
-            break_even = core.break_even
-            local_ns = config.local_ns
-            remote_ns = config.remote_ns
-            op_cost = config.op_cost_ns
-            total_w = local_w = overhead = 0
-            collapses = migrations = replications = hot_events = 0
-            for g in range(len(bounds) - 1):
-                lo, hi = int(bounds[g]), int(bounds[g + 1])
-                page_copies = {int(placement[gpages[lo]])}
+    # Hot: replay candidate pages' events, one page at a time.  The
+    # watermark machine's state (copies, written flag, per-CPU
+    # counters) is entirely per-page and every result field is an
+    # order-independent exact sum (integral addends below 2^53), so
+    # grouping by page is byte-identical to stream order — and lets
+    # the inner loop keep the whole state in locals instead of dict
+    # lookups per event.  This intentionally restates
+    # ``_CompetitiveCore.step``; the differential suites hold the
+    # two to byte identity.
+    if hot.any():
+        idx = np.flatnonzero(hot)
+        order = np.argsort(pages[idx], kind="stable")
+        idx = idx[order]
+        gpages = pages[idx]
+        bounds = np.flatnonzero(
+            np.r_[True, gpages[1:] != gpages[:-1], True]
+        )
+        ev_nodes = cpu_nodes[cpus[idx]].tolist()
+        ev_cpus = cpus[idx].tolist()
+        ev_w = weights[idx].tolist()
+        ev_iw = iswrite[idx].tolist()
+        break_even = core.break_even
+        local_ns = config.local_ns
+        remote_ns = config.remote_ns
+        op_cost = config.op_cost_ns
+        total_w = local_w = overhead = 0
+        collapses = migrations = replications = hot_events = 0
+        for g in range(len(bounds) - 1):
+            lo, hi = int(bounds[g]), int(bounds[g + 1])
+            page_copies = {int(placement[gpages[lo]])}
+            counts = [0] * config.n_cpus
+            written = False
+            for pos in range(lo, hi):
+                node = ev_nodes[pos]
+                weight = ev_w[pos]
+                if ev_iw[pos]:
+                    written = True
+                    if len(page_copies) > 1:
+                        keep = (node if node in page_copies
+                                else min(page_copies))
+                        page_copies = {keep}
+                        collapses += 1
+                        overhead += op_cost
+                total_w += weight
+                if node in page_copies:
+                    local_w += weight
+                    continue
+                cpu = ev_cpus[pos]
+                counts[cpu] += weight
+                if counts[cpu] < break_even:
+                    continue
+                hot_events += 1
+                if written and len(page_copies) == 1:
+                    page_copies = {node}
+                    migrations += 1
+                else:
+                    page_copies.add(node)
+                    replications += 1
+                overhead += op_cost
                 counts = [0] * config.n_cpus
-                written = False
-                for pos in range(lo, hi):
-                    node = ev_nodes[pos]
-                    weight = ev_w[pos]
-                    if ev_iw[pos]:
-                        written = True
-                        if len(page_copies) > 1:
-                            keep = (node if node in page_copies
-                                    else min(page_copies))
-                            page_copies = {keep}
-                            collapses += 1
-                            overhead += op_cost
-                    total_w += weight
-                    if node in page_copies:
-                        local_w += weight
-                        continue
-                    cpu = ev_cpus[pos]
-                    counts[cpu] += weight
-                    if counts[cpu] < break_even:
-                        continue
-                    hot_events += 1
-                    if written and len(page_copies) == 1:
-                        page_copies = {node}
-                        migrations += 1
-                    else:
-                        page_copies.add(node)
-                        replications += 1
-                    overhead += op_cost
-                    counts = [0] * config.n_cpus
-            result.total_misses += total_w
-            result.local_misses += local_w
-            result.stall_ns += float(
-                local_w * local_ns + (total_w - local_w) * remote_ns
-            )
-            core.local_stall += float(local_w * local_ns)
-            result.collapses += collapses
-            result.migrations += migrations
-            result.replications += replications
-            result.hot_events += hot_events
-            result.overhead_ns += overhead
+        result.total_misses += total_w
+        result.local_misses += local_w
+        result.stall_ns += float(
+            local_w * local_ns + (total_w - local_w) * remote_ns
+        )
+        core.local_stall += float(local_w * local_ns)
+        result.collapses += collapses
+        result.migrations += migrations
+        result.replications += replications
+        result.hot_events += hot_events
+        result.overhead_ns += overhead

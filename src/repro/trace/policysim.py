@@ -38,7 +38,6 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
 )
-from repro.obs.prof import as_profiler
 from repro.obs.tracer import as_tracer
 from repro.policy.decision import Action, decide
 from repro.policy.metrics import FULL_CACHE, Metric
@@ -375,6 +374,14 @@ class _CompetitiveCore:
         counts[:] = 0
 
 
+def _cost_and_count_batch(chunk: Trace) -> tuple:
+    """``chunk`` as a streamed column batch whose every event both
+    charges stall and drives the counters (all-true masks)."""
+    ones = np.ones(len(chunk), dtype=bool)
+    return (chunk.time_ns, chunk.cpu, chunk.page, chunk.weight,
+            chunk.is_write, ones, ones)
+
+
 class TracePolicySimulator:
     """Replay traces under static and dynamic placement policies."""
 
@@ -382,11 +389,9 @@ class TracePolicySimulator:
         self,
         config: Optional[PolicySimConfig] = None,
         tracer=None,
-        profiler=None,
     ) -> None:
         self.config = config or PolicySimConfig()
         self.tracer = as_tracer(tracer)
-        self.profiler = as_profiler(profiler)
         self._cpu_nodes = np.asarray(
             [self.config.node_of_cpu(c) for c in range(self.config.n_cpus)],
             dtype=np.int64,
@@ -513,14 +518,12 @@ class TracePolicySimulator:
             params = params.scaled_for_sampling(metric.sampling_rate)
         result = PolicySimResult(label=label or self._default_label(params, metric))
         placement = self.placement_for(trace, initial)
-        n_events = len(trace) + (len(driver_trace) if driver_trace is not None else 0)
 
         self._emit_run_meta(result.label, params)
-        with self.profiler.span("replay.dynamic", items=n_events):
-            self._replay_trace(
-                trace, driver_trace, params, result, placement,
-                metric.sampling_rate,
-            )
+        self._replay_trace(
+            trace, driver_trace, params, result, placement,
+            metric.sampling_rate,
+        )
         return result
 
     def _replay_trace(
@@ -531,7 +534,6 @@ class TracePolicySimulator:
             self.config, trace, params, result, placement,
             sampling_rate=sampling_rate,
             driver_trace=driver_trace,
-            profiler=self.profiler,
             tracer=self.tracer,
         )
 
@@ -587,11 +589,9 @@ class TracePolicySimulator:
             placement = self._post_facto_from_chunks(factory)
         stream = factory() if factory is not None else chunks
         self._emit_run_meta(result.label, params)
-        with self.profiler.span("replay.chunks") as run_span:
-            self._replay_stream(
-                stream, metric, params, result, initial_kind, placement
-            )
-            run_span.add_items(result.total_misses)
+        self._replay_stream(
+            stream, metric, params, result, initial_kind, placement
+        )
         return result
 
     def _replay_stream(
@@ -599,17 +599,19 @@ class TracePolicySimulator:
     ) -> None:
         """Replay hook of :meth:`simulate_dynamic_chunks`: the
         vectorized engine, fed the merged cost/TLB batches when
-        ``metric`` is TLB-driven."""
+        ``metric`` is TLB-driven and each chunk as both otherwise."""
         if metric.uses_tlb:
-            replay = fastpath.replay_batches_vector
-            stream = merged_tlb_stream(stream, self.config.n_cpus)
+            batches = (
+                (*columns, costmask, ~costmask)
+                for *columns, costmask
+                in merged_tlb_stream(stream, self.config.n_cpus)
+            )
         else:
-            replay = fastpath.replay_chunks_vector
-        replay(
-            self.config, stream, params, result,
+            batches = map(_cost_and_count_batch, stream)
+        fastpath.replay_stream_vector(
+            self.config, batches, params, result,
             initial_kind=initial_kind,
             sampling_rate=metric.sampling_rate,
-            profiler=self.profiler,
             tracer=self.tracer,
             placement=placement,
         )
@@ -627,20 +629,19 @@ class TracePolicySimulator:
         n_nodes = cfg.n_nodes
         cpu_nodes = self._cpu_nodes
         counts = np.zeros(0, dtype=np.float64)
-        with self.profiler.span("replay.post-facto-count"):
-            for chunk in factory():
-                if not len(chunk):
-                    continue
-                pages = chunk.page
-                need = (int(pages.max()) + 1) * n_nodes
-                if need > len(counts):
-                    counts = np.concatenate(
-                        [counts, np.zeros(need - len(counts), dtype=np.float64)]
-                    )
-                keys = pages * n_nodes + cpu_nodes[chunk.cpu]
-                counts += np.bincount(
-                    keys, weights=chunk.weight, minlength=len(counts)
+        for chunk in factory():
+            if not len(chunk):
+                continue
+            pages = chunk.page
+            need = (int(pages.max()) + 1) * n_nodes
+            if need > len(counts):
+                counts = np.concatenate(
+                    [counts, np.zeros(need - len(counts), dtype=np.float64)]
                 )
+            keys = pages * n_nodes + cpu_nodes[chunk.cpu]
+            counts += np.bincount(
+                keys, weights=chunk.weight, minlength=len(counts)
+            )
         n_pages = len(counts) // n_nodes
         placement = np.arange(max(n_pages, 1), dtype=np.int64) % max(n_nodes, 1)
         if n_pages:
@@ -686,21 +687,19 @@ class TracePolicySimulator:
         )
         result = PolicySimResult(label=label)
         self._emit_run_meta(label)
-        with self.profiler.span("replay.competitive", items=len(trace)):
-            placement = self.placement_for(trace, initial)
-            core = _CompetitiveCore(
-                cfg, result, placement, self._cpu_nodes, break_even
-            )
-            self._replay_competitive(trace, result, placement, core)
-            result.extra["local_stall_ns"] = core.local_stall
-            result.extra["break_even_misses"] = float(break_even)
+        placement = self.placement_for(trace, initial)
+        core = _CompetitiveCore(
+            cfg, result, placement, self._cpu_nodes, break_even
+        )
+        self._replay_competitive(trace, result, placement, core)
+        result.extra["local_stall_ns"] = core.local_stall
+        result.extra["break_even_misses"] = float(break_even)
         return result
 
     def _replay_competitive(self, trace, result, placement, core) -> None:
         """Replay hook of :meth:`simulate_competitive`: the vector engine."""
         fastpath.replay_competitive_vector(
-            self.config, trace, result, placement, core,
-            profiler=self.profiler,
+            self.config, trace, result, placement, core
         )
 
     @staticmethod
@@ -747,10 +746,10 @@ class ReferenceTracePolicySimulator(TracePolicySimulator):
     ) -> None:
         if metric.uses_tlb:
             events = self._batch_stream_events(
-                merged_tlb_stream(stream, self.config.n_cpus), self.profiler
+                merged_tlb_stream(stream, self.config.n_cpus)
             )
         else:
-            events = self._chunk_stream_events(stream, self.profiler)
+            events = self._chunk_stream_events(stream)
         self._replay_dynamic(
             events, params, result,
             self._initial_node(initial_kind, placement),
@@ -937,28 +936,23 @@ class ReferenceTracePolicySimulator(TracePolicySimulator):
             yield (row[0], row[1], row[2], row[3], row[4], True, True)
 
     @staticmethod
-    def _chunk_stream_events(chunks, profiler=None):
+    def _chunk_stream_events(chunks):
         """Single-stream events over an iterator of time-ordered chunks.
 
         Equivalent to :meth:`_single_stream_events` on the concatenated
-        trace, but only one chunk's columns are live at a time.  Each
-        chunk's span covers the *consumption* of its events by the
-        replay loop (the generator suspends inside the span), so the
-        per-chunk profile reflects replay time, not just decode time.
+        trace, but only one chunk's columns are live at a time.
         """
-        prof = as_profiler(profiler)
         for chunk in chunks:
-            with prof.span("replay.chunk", items=len(chunk)):
-                times = chunk.time_ns.tolist()
-                cpus = chunk.cpu.tolist()
-                pages = chunk.page.tolist()
-                weights = chunk.weight.tolist()
-                writes = chunk.is_write.tolist()
-                for row in zip(times, cpus, pages, weights, writes):
-                    yield (row[0], row[1], row[2], row[3], row[4], True, True)
+            times = chunk.time_ns.tolist()
+            cpus = chunk.cpu.tolist()
+            pages = chunk.page.tolist()
+            weights = chunk.weight.tolist()
+            writes = chunk.is_write.tolist()
+            for row in zip(times, cpus, pages, weights, writes):
+                yield (row[0], row[1], row[2], row[3], row[4], True, True)
 
     @staticmethod
-    def _batch_stream_events(batches, profiler=None):
+    def _batch_stream_events(batches):
         """Scalar 7-tuple events over pre-merged column batches.
 
         Consumes the ``(times, cpus, pages, weights, is_write,
@@ -967,15 +961,13 @@ class ReferenceTracePolicySimulator(TracePolicySimulator):
         :meth:`_merged_events` on the concatenated cost and driver
         traces, with only one batch's columns live at a time.
         """
-        prof = as_profiler(profiler)
         for times, cpus, pages, weights, iswrite, costmask in batches:
-            with prof.span("replay.chunk", items=len(times)):
-                rows = zip(
-                    times.tolist(), cpus.tolist(), pages.tolist(),
-                    weights.tolist(), iswrite.tolist(), costmask.tolist(),
-                )
-                for t, cpu, page, weight, iw, cost in rows:
-                    yield (t, cpu, page, weight, iw, cost, not cost)
+            rows = zip(
+                times.tolist(), cpus.tolist(), pages.tolist(),
+                weights.tolist(), iswrite.tolist(), costmask.tolist(),
+            )
+            for t, cpu, page, weight, iw, cost in rows:
+                yield (t, cpu, page, weight, iw, cost, not cost)
 
     @staticmethod
     def _merged_events(cost: Trace, driver: Trace):

@@ -187,7 +187,7 @@ def merged_tlb_stream(
     weights, is_write, costmask)`` column batches — ``costmask`` True
     for cache-miss (stall-charging) records, False for derived TLB
     (counter-driving) records — ready for
-    :func:`repro.trace.fastpath.replay_batches_vector` or a scalar
+    :func:`repro.trace.fastpath.replay_stream_vector` or a scalar
     event wrapper.
 
     A derived record whose timestamp reaches the chunk's last cost

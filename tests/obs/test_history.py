@@ -22,7 +22,7 @@ from repro.obs.history import (
     trend_delta,
     trend_regressions,
 )
-from repro.obs.prof import Profiler, RunReport
+from repro.obs.prof import RunReport
 
 
 def store_in(tmp_path):
@@ -108,11 +108,11 @@ class TestIngest:
         assert meta["speedup.all"] == ("x", "higher")
 
     def test_ingest_report(self, tmp_path):
-        prof = Profiler()
-        with prof.span("phase"):
-            pass
-        report = RunReport.from_profiler(
-            "run-1", prof, metrics={"extra": 7.0}
+        report = RunReport.capture(
+            "run-1", 1_000_000,
+            {"sim": {"calls": 2.0, "self_s": 0.75, "share": 0.75},
+             "other": {"calls": 0.0, "self_s": 0.25, "share": 0.25}},
+            metrics={"extra": 7.0},
         )
         store = store_in(tmp_path)
         run_id = store.ingest_report(report.to_dict(), t=9.0)
@@ -125,6 +125,11 @@ class TestIngest:
         assert "peak_rss_bytes" in values
         assert "cpu_user_s" in values
         assert "cpu_sys_s" in values
+        assert values["layer.sim.self_s"] == 0.75
+        assert values["layer.other.self_s"] == 0.25
+        assert "spans" not in values
+        meta = store.metric_meta("report", "run-1")
+        assert meta["layer.sim.self_s"] == ("s", "lower")
         assert store.get_run(run_id).kind == "report"
 
     def test_ingest_sweep_stats(self, tmp_path):

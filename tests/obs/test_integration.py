@@ -21,7 +21,7 @@ from repro.obs.events import (
     ShootdownEvent,
 )
 from repro.obs.export import JsonlSink, read_events
-from repro.obs.prof import Profiler
+from repro.obs.layers import LayerTrace
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import CountingSink, ListSink, Tracer
 from repro.policy.parameters import PolicyParameters
@@ -255,26 +255,19 @@ class TestPolicySimTracing:
             traced.replications, traced.collapses, traced.no_actions)
 
 
-class TestProfilerTransparency:
-    """Profiling observes wall-clock only; results never shift."""
+class TestLayerProfilerTransparency:
+    """The layer wrappers observe wall-clock only; results never shift."""
 
     def test_system_sim_results_identical_with_profiling(self, engineering):
         spec, trace = engineering
         baseline = _run(spec, trace)
-        profiler = Profiler()
-        sim = SystemSimulator(
-            spec,
-            params=PolicyParameters.engineering_base(),
-            options=SimulatorOptions(dynamic=True),
-            profiler=profiler,
-        )
-        profiled = sim.run(trace)
+        with LayerTrace() as layers:
+            profiled = _run(spec, trace)
         helper = TestTransparency()
         assert helper._summary(profiled) == helper._summary(baseline)
-        paths = {r.path for r in profiler.records}
-        assert "sim.run" in paths
-        assert "sim.run/sim.replay" in paths
-        assert profiler.items("sim.run") == len(trace)
+        calls = layers.entry_calls()
+        assert calls["repro.sim.simulator:SystemSimulator.run"] == 1
+        assert calls["repro.machine.memory:NumaMemorySystem.service_miss"] > 0
 
     @pytest.mark.parametrize(
         "cls", [ReferenceTracePolicySimulator, TracePolicySimulator],
@@ -285,11 +278,10 @@ class TestProfilerTransparency:
         config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
         params = PolicyParameters.engineering_base()
         plain = cls(config).simulate_dynamic(trace.user_only(), params)
-        profiler = Profiler()
-        profiled = cls(config, profiler=profiler).simulate_dynamic(
-            trace.user_only(), params
-        )
+        with LayerTrace() as layers:
+            profiled = cls(config).simulate_dynamic(trace.user_only(), params)
         assert profiled.to_dict() == plain.to_dict()
-        names = {r.name for r in profiler.records}
-        assert "replay.dynamic" in names
-        assert not any(name.startswith("engine.") for name in names)
+        calls = layers.entry_calls()
+        assert calls[
+            "repro.trace.policysim:TracePolicySimulator.simulate_dynamic"
+        ] == 1

@@ -1,148 +1,18 @@
-"""The span profiler: nesting, zero-cost disable, reports."""
+"""Run reports: the ``--profile-out`` file and resource telemetry."""
 
-import inspect
 import json
 
 import pytest
 
-from repro.common.errors import ConfigurationError, ResultSchemaError
-from repro.obs.prof import (
-    NULL_PROFILER,
-    Profiler,
-    RunReport,
-    SpanRecord,
-    _NULL_SPAN,
-    as_profiler,
-    peak_rss_bytes,
-    resource_usage,
-)
+from repro.common.errors import ResultSchemaError
+from repro.obs.prof import RunReport, peak_rss_bytes, resource_usage
 from repro.sim.results import RESULT_SCHEMA_VERSION
 
-
-def fake_clock(step_ns=1000):
-    """A deterministic perf_counter_ns stand-in advancing per call."""
-    state = {"now": 0}
-
-    def clock():
-        state["now"] += step_ns
-        return state["now"]
-
-    return clock
-
-
-class TestSpanNesting:
-    def test_paths_and_depths(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("outer"):
-            with prof.span("middle"):
-                with prof.span("inner"):
-                    pass
-            with prof.span("sibling"):
-                pass
-        paths = [r.path for r in prof.records]
-        # Children close before parents (close order).
-        assert paths == [
-            "outer/middle/inner", "outer/middle", "outer/sibling", "outer",
-        ]
-        depths = {r.path: r.depth for r in prof.records}
-        assert depths["outer"] == 0
-        assert depths["outer/middle"] == 1
-        assert depths["outer/middle/inner"] == 2
-
-    def test_wall_time_from_injected_clock(self):
-        prof = Profiler(clock=fake_clock(step_ns=500))
-        with prof.span("a"):
-            pass
-        (record,) = prof.records
-        assert record.wall_ns == 500
-        assert prof.total_ns == 500
-
-    def test_sequential_top_level_spans_sum(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("a"):
-            pass
-        with prof.span("b"):
-            pass
-        assert prof.total_ns == 2000
-        assert [r.depth for r in prof.records] == [0, 0]
-
-    def test_out_of_order_close_raises(self):
-        prof = Profiler(clock=fake_clock())
-        outer = prof.span("outer")
-        inner = prof.span("inner")
-        outer.__enter__()
-        inner.__enter__()
-        with pytest.raises(ConfigurationError, match="out of order"):
-            outer.__exit__(None, None, None)
-
-    def test_exception_still_closes_span(self):
-        prof = Profiler(clock=fake_clock())
-        with pytest.raises(RuntimeError):
-            with prof.span("outer"):
-                raise RuntimeError("boom")
-        assert [r.path for r in prof.records] == ["outer"]
-        assert prof._stack == []
-
-
-class TestItemsAndThroughput:
-    def test_items_accumulate_per_path(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("replay", items=100):
-            pass
-        with prof.span("replay") as span:
-            span.add_items(50)
-        assert prof.items("replay") == 150
-        stats = prof.stats()["replay"]
-        assert stats.count == 2
-
-    def test_items_per_s(self):
-        record = SpanRecord(
-            name="x", path="x", start_ns=0, wall_ns=1_000_000_000, items=500
-        )
-        assert record.items_per_s == pytest.approx(500.0)
-        empty = SpanRecord(name="x", path="x", start_ns=0, wall_ns=0)
-        assert empty.items_per_s == 0.0
-
-    def test_summary_table_mentions_paths(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("phase.one", items=10):
-            pass
-        text = prof.summary()
-        assert "phase.one" in text
-        assert "items/s" in text
-        assert "(no spans recorded)" in Profiler(clock=fake_clock()).summary()
-
-
-class TestDisabled:
-    def test_disabled_profiler_reuses_null_span(self):
-        prof = Profiler(enabled=False)
-        assert prof.span("anything") is _NULL_SPAN
-        assert prof.span("other", items=5) is _NULL_SPAN
-        assert not prof.active
-        with prof.span("x") as span:
-            span.add_items(3)
-        assert prof.records == []
-
-    def test_null_profiler_is_inert(self):
-        assert NULL_PROFILER.span("x") is _NULL_SPAN
-        with NULL_PROFILER.span("y", items=4) as span:
-            span.add_items(2)
-        assert NULL_PROFILER.records == []
-        assert NULL_PROFILER.total_ns == 0
-        assert NULL_PROFILER.stats() == {}
-        assert NULL_PROFILER.items("y") == 0
-        assert "(no spans recorded)" in NULL_PROFILER.summary()
-
-    def test_as_profiler_normalises(self):
-        assert as_profiler(None) is NULL_PROFILER
-        prof = Profiler()
-        assert as_profiler(prof) is prof
-        assert isinstance(NULL_PROFILER, Profiler)
-        assert not NULL_PROFILER.enabled
-
-    def test_constructor_takes_only_enabled_and_clock(self):
-        params = inspect.signature(Profiler).parameters
-        assert list(params) == ["enabled", "clock"]
+LAYERS = {
+    "sim": {"calls": 2.0, "self_s": 0.25, "share": 0.5},
+    "machine.memory": {"calls": 900.0, "self_s": 0.2, "share": 0.4},
+    "other": {"calls": 0.0, "self_s": 0.05, "share": 0.1},
+}
 
 
 class TestPeakRss:
@@ -172,29 +42,28 @@ class TestResourceUsage:
 
 class TestRunReport:
     def make_report(self):
-        prof = Profiler(clock=fake_clock())
-        with prof.span("sim.run", items=10):
-            with prof.span("sim.replay", items=10):
-                pass
-        return RunReport.from_profiler(
-            "unit-test", prof, command="pytest",
+        return RunReport.capture(
+            "unit-test", 500_000_000, LAYERS, command="pytest",
             metrics={"replay.misses": 1.0},
             context={"workload": "raytrace"},
         )
 
-    def test_from_profiler_snapshot(self):
+    def test_capture_snapshot(self):
         report = self.make_report()
         assert report.label == "unit-test"
-        # Fake clock: origin 1000, sim.run spans ticks 2000..5000.
-        assert report.wall_ns == 3000
+        assert report.command == "pytest"
+        assert report.wall_ns == 500_000_000
         assert report.peak_rss > 0
-        assert len(report.spans) == 2
+        assert report.layers == LAYERS
+        assert report.layers is not LAYERS  # a copy, not the caller's dict
 
     def test_dict_round_trip(self):
         report = self.make_report()
         data = report.to_dict()
         assert data["kind"] == "report"
         assert data["schema_version"] == RESULT_SCHEMA_VERSION
+        assert "spans" not in data
+        assert data["layers"] == LAYERS
         rebuilt = RunReport.from_dict(json.loads(json.dumps(data)))
         assert rebuilt == report
 
@@ -215,18 +84,20 @@ class TestRunReport:
         assert rebuilt.cpu_user_s == 0.0
         assert rebuilt.cpu_sys_s == 0.0
 
-    def test_span_dicts_carry_no_alloc_bytes(self):
-        (outer, inner) = self.make_report().to_dict()["spans"][::-1]
-        keys = {"name", "path", "start_ns", "wall_ns", "depth", "items"}
-        assert set(outer) == set(inner) == keys
-
-    def test_from_dict_ignores_old_alloc_bytes(self):
-        # Reports written while spans could record tracemalloc deltas.
-        report = self.make_report()
-        data = json.loads(json.dumps(report.to_dict()))
-        for span in data["spans"]:
-            span["alloc_bytes"] = 4096
-        assert RunReport.from_dict(data) == report
+    def test_from_dict_loads_an_old_span_report(self):
+        # Reports written by the span profiler carry ``spans`` (older
+        # ones with tracemalloc ``alloc_bytes``) and no ``layers``.
+        data = self.make_report().to_dict()
+        del data["layers"]
+        data["spans"] = [{
+            "name": "sim.run", "path": "sim.run", "start_ns": 0,
+            "wall_ns": 1000, "depth": 0, "items": 10, "alloc_bytes": 4096,
+        }]
+        rebuilt = RunReport.from_dict(json.loads(json.dumps(data)))
+        assert rebuilt.layers == {}
+        assert rebuilt.label == "unit-test"
+        assert rebuilt.wall_ns == 500_000_000
+        assert "spans" not in rebuilt.to_dict()
 
     def test_schema_mismatch_rejected(self):
         data = self.make_report().to_dict()

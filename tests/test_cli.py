@@ -480,6 +480,31 @@ def test_sweep_writes_timing_artifact(tmp_path, capsys):
     assert "wall clock:" in timing
 
 
+@pytest.mark.parametrize("command, written", [
+    (["sweep", "--workloads", "database", "--kind", "trace",
+      "--policies", "ft"], ["sweep_custom_timing.txt"]),
+    (["figures", "--figure", "fig9"],
+     ["fig9_trigger.txt", "sweep_fig9_timing.txt"]),
+])
+def test_default_out_below_full_scale_leaves_committed_tables(
+    tmp_path, capsys, monkeypatch, command, written
+):
+    # Without --out, a reduced-scale run writes where `repro bench`
+    # would at that scale, not over the committed full-scale tables.
+    monkeypatch.chdir(tmp_path)
+    committed = tmp_path / "benchmarks" / "results"
+    committed.mkdir(parents=True)
+    for name in written:
+        (committed / name).write_text("committed\n")
+    assert main([
+        *command, "--scale", "0.02", "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    for name in written:
+        assert (committed / name).read_text() == "committed\n"
+    scaled = committed / "scale-0.02"
+    assert sorted(p.name for p in scaled.iterdir()) == written
+
+
 def test_sweep_without_grid_or_workloads_errors(tmp_path, capsys):
     assert main(_sweep_args(tmp_path)) == 2
     assert "pick a grid" in capsys.readouterr().err
@@ -1004,38 +1029,109 @@ class TestHistoryCommands:
 
 
 class TestProfileOut:
-    def test_run_profile_out(self, tmp_path, capsys):
+    """``--profile-out`` times the command's layers (repro.obs.layers)."""
+
+    @staticmethod
+    def load(path):
         from repro.obs.prof import RunReport
+
+        with open(path) as fh:
+            return RunReport.from_dict(json.load(fh))
+
+    @pytest.mark.parametrize("command, label, busy", [
+        (["run"], "run/database", {"sim", "machine.memory", "kernel.vm"}),
+        (["tracesim"], "tracesim/database", {"trace.replay", "policy"}),
+        (["ptsim"], "ptsim/database", {"ptpol", "trace.tlbsim"}),
+    ])
+    def test_command_writes_a_layer_report(
+        self, tmp_path, capsys, command, label, busy
+    ):
+        from repro.obs.layers import LAYERS
 
         path = tmp_path / "profile.json"
         assert main([
-            "run", "--workload", "database", "--scale", "0.05",
+            *command, "--workload", "database", "--scale", "0.05",
             "--profile-out", str(path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "wrote profile" in out
-        assert "sim.run" in out  # the summary table
-        with open(path) as fh:
-            report = RunReport.from_dict(json.load(fh))
-        paths = {s.path for s in report.spans}
-        assert "sim.run" in paths
-        assert "sim.run/sim.replay" in paths
-        assert report.label == "run/database"
+        assert f"Layer profile: {label}" in out
+        assert f"wrote profile ({len(LAYERS)} layers) to {path}" in out
+        report = self.load(path)
+        assert report.label == label
         assert report.wall_ns > 0
+        assert report.peak_rss > 0
+        assert set(report.layers) == set(LAYERS)
+        assert {name for name, row in report.layers.items()
+                if row["calls"]} >= busy
+        shares = sum(row["share"] for row in report.layers.values())
+        assert shares == pytest.approx(1.0)
+        assert report.context["workload"] == "database"
 
-    def test_history_ingests_old_report_with_alloc_bytes(
+    def test_run_top_layers_are_memory_and_the_sim_loop(
         self, tmp_path, capsys
     ):
-        # A --profile-out report from before spans dropped tracemalloc.
-        from repro.obs.prof import Profiler, RunReport
+        path = tmp_path / "profile.json"
+        assert main([
+            "run", "--workload", "engineering", "--scale", "0.05",
+            "--profile-out", str(path),
+        ]) == 0
+        layers = self.load(path).layers
+        top = sorted(layers, key=lambda name: -layers[name]["share"])[:2]
+        assert set(top) == {"machine.memory", "sim"}
 
-        prof = Profiler()
-        with prof.span("sim.run", items=10):
-            with prof.span("sim.replay", items=10):
-                pass
-        data = RunReport.from_profiler("run/splash", prof).to_dict()
-        for span in data["spans"]:
-            span["alloc_bytes"] = 8192
+    def test_wrappers_come_off_after_the_command(self, tmp_path, capsys):
+        from repro.sim.simulator import SystemSimulator
+
+        run = vars(SystemSimulator)["run"]
+        assert main([
+            "run", "--workload", "database", "--scale", "0.05",
+            "--profile-out", str(tmp_path / "p.json"),
+        ]) == 0
+        assert vars(SystemSimulator)["run"] is run
+
+    def test_no_wrapper_without_the_flag(self, monkeypatch, capsys):
+        from repro.obs.layers import LayerTrace
+
+        def refuse(self):
+            raise AssertionError("layer wrappers installed")
+
+        monkeypatch.setattr(LayerTrace, "__enter__", refuse)
+        assert main([
+            "tracesim", "--workload", "database", "--scale", "0.05",
+        ]) == 0
+        assert "Layer profile" not in capsys.readouterr().out
+
+    def test_parallel_run_stays_in_process_when_profiled(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def forbid(*args, **kwargs):
+            raise AssertionError("profiled run left the process")
+
+        monkeypatch.setattr(cli, "run_policy_comparison", forbid)
+        path = tmp_path / "p.json"
+        assert main([
+            "run", "--workload", "database", "--scale", "0.05",
+            "--jobs", "2", "--profile-out", str(path),
+        ]) == 0
+        assert self.load(path).layers["sim"]["calls"] == 2
+
+    def test_history_ingests_old_span_report(self, tmp_path, capsys):
+        # A --profile-out report from the span profiler, whose older
+        # spans also carried tracemalloc ``alloc_bytes``.
+        from repro.sim.results import RESULT_SCHEMA_VERSION
+
+        data = {
+            "kind": "report", "schema_version": RESULT_SCHEMA_VERSION,
+            "label": "run/splash", "command": "run --workload splash",
+            "wall_ns": 1000, "peak_rss": 4096, "metrics": {}, "context": {},
+            "spans": [{
+                "name": "sim.run", "path": "sim.run", "start_ns": 0,
+                "wall_ns": 1000, "depth": 0, "items": 10,
+                "alloc_bytes": 8192,
+            }],
+        }
         path = tmp_path / "old-profile.json"
         path.write_text(json.dumps(data))
         hist = str(tmp_path / "hist")
@@ -1048,9 +1144,24 @@ class TestProfileOut:
                      "--history-dir", hist]) == 0
         assert "run/splash" in capsys.readouterr().out
 
-    def test_trace_replay_profile_out(self, tmp_path, capsys, monkeypatch):
-        from repro.obs.prof import RunReport
+    def test_history_records_each_layer_self_time(self, tmp_path, capsys):
+        from repro.obs.history import HistoryStore
 
+        path = tmp_path / "profile.json"
+        assert main([
+            "ptsim", "--workload", "database", "--scale", "0.05",
+            "--profile-out", str(path),
+        ]) == 0
+        hist = tmp_path / "hist"
+        assert main(["history", "ingest", str(path),
+                     "--history-dir", str(hist)]) == 0
+        names = HistoryStore(directory=hist).metric_names(
+            "report", "ptsim/database"
+        )
+        assert "layer.ptpol.self_s" in names
+        assert "spans" not in names
+
+    def test_trace_replay_profile_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "store"))
         assert main([
             "trace", "record", "--workload", "database", "--scale", "0.05",
@@ -1060,12 +1171,13 @@ class TestProfileOut:
             "trace", "replay", "--workload", "database", "--scale", "0.05",
             "--profile-out", str(path),
         ]) == 0
-        with open(path) as fh:
-            report = RunReport.from_dict(json.load(fh))
-        names = {s.name for s in report.spans}
-        # One profile covers the store decode and the policy replay.
-        assert "store.chunk" in names
-        assert "replay.chunks" in names
+        assert "Layer profile: trace-replay/database" in (
+            capsys.readouterr().out
+        )
+        report = self.load(path)
+        assert report.label == "trace-replay/database"
+        assert report.context["policy"] == "migrep"
+        assert report.layers["other"]["self_s"] > 0
         assert report.metrics  # replay stats snapshot rides along
 
 

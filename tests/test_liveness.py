@@ -103,8 +103,8 @@ def test_module_is_reachable_from_an_entry_point(module):
 
 
 def test_reexports_do_not_count():
-    # repro.obs re-exports Profiler; importing it reaches prof.py only.
-    assert _resolve("repro.obs", "Profiler") == "repro.obs.prof"
+    # repro.obs re-exports RunReport; importing it reaches prof.py only.
+    assert _resolve("repro.obs", "RunReport") == "repro.obs.prof"
     assert _resolve("repro.obs", "prof") == "repro.obs.prof"
     assert _resolve("repro.obs", "no_such_name") == "repro.obs"
     init = MODULES["repro.obs"]

@@ -14,7 +14,6 @@ buffer of :mod:`repro.obs.batch` and compared unmasked.
 import numpy as np
 import pytest
 
-from repro.obs.prof import Profiler
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import (
     FULL_CACHE,
@@ -23,8 +22,10 @@ from repro.policy.metrics import (
     SAMPLED_TLB,
 )
 from repro.policy.parameters import PolicyParameters
+from repro.trace import fastpath
 from repro.trace.policysim import (
     PolicySimConfig,
+    PolicySimResult,
     ReferenceTracePolicySimulator,
     StaticPolicy,
     TracePolicySimulator,
@@ -244,6 +245,52 @@ class TestDifferentialChunked:
         assert chunked.to_dict() == reference.to_dict()
 
 
+class TestStreamEntryPoint:
+    """``replay_stream_vector`` replays both streamed batch shapes."""
+
+    def replay(self, batches, label):
+        result = PolicySimResult(label=label)
+        fastpath.replay_stream_vector(
+            PolicySimConfig(n_cpus=8, n_nodes=4), batches,
+            PolicyParameters(trigger_threshold=16, sharing_threshold=4),
+            result, initial_kind="ft",
+        )
+        return result.to_dict()
+
+    def reference(self, trace, metric=FULL_CACHE):
+        return ReferenceTracePolicySimulator(
+            PolicySimConfig(n_cpus=8, n_nodes=4)
+        ).simulate_dynamic(
+            trace, PolicyParameters(trigger_threshold=16, sharing_threshold=4),
+            metric=metric,
+        ).to_dict()
+
+    def test_chunks_with_all_true_masks_replay_the_whole_trace(self):
+        trace = random_trace(np.random.default_rng(4), n_events=800)
+        batches = []
+        for chunk in split_chunks(trace, 4) + [trace.select(
+            np.zeros(len(trace), dtype=bool)
+        )]:
+            ones = np.ones(len(chunk), dtype=bool)
+            batches.append((chunk.time_ns, chunk.cpu, chunk.page,
+                            chunk.weight, chunk.is_write, ones, ones))
+        expected = self.reference(trace)
+        assert self.replay(iter(batches), expected["label"]) == expected
+
+    def test_merged_tlb_batches_split_cost_from_count(self):
+        from repro.trace.tlbsim import merged_tlb_stream
+
+        trace = random_trace(np.random.default_rng(5), n_events=800)
+        batches = (
+            (*columns, costmask, ~costmask)
+            for *columns, costmask in merged_tlb_stream(
+                split_chunks(trace, 3), n_cpus=8
+            )
+        )
+        expected = self.reference(trace, metric=FULL_TLB)
+        assert self.replay(batches, expected["label"]) == expected
+
+
 class TestDifferentialTraced:
     """Byte identity extends to the event log, not just the result."""
 
@@ -330,24 +377,6 @@ class TestReferenceSimulator:
         assert headers[0] == headers[1]
         assert headers[0]["kind"] == "run-meta"
         assert "engine" not in headers[0]
-
-    @pytest.mark.parametrize("cls", SIMULATORS, ids=lambda c: c.__name__)
-    def test_replay_spans_nest_under_the_entry_point(self, cls):
-        # One span per entry point, and no per-engine span between it
-        # and the replay's own children.
-        trace = random_trace(np.random.default_rng(4), n_events=300)
-        profiler = Profiler()
-        sim = cls(PolicySimConfig(n_cpus=8, n_nodes=4), profiler=profiler)
-        sim.simulate_dynamic(trace, self.params())
-        sim.simulate_dynamic_chunks(split_chunks(trace, 3), self.params())
-        sim.simulate_competitive(trace)
-        paths = {r.path for r in profiler.records}
-        assert {
-            "replay.dynamic", "replay.chunks", "replay.competitive"
-        } <= paths
-        assert not any("engine." in path for path in paths)
-        chunk_paths = {p for p in paths if p.endswith("/replay.chunk")}
-        assert chunk_paths == {"replay.chunks/replay.chunk"}
 
     def test_competitive_labels_match(self):
         trace = random_trace(np.random.default_rng(5), n_events=100)
