@@ -50,8 +50,12 @@ def first_touch_placement(
     n_cpus = int(trace.cpu.max()) + 1
     cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
     # Each page's first record: ``return_index`` sorts stably, so the
-    # index is the page's first occurrence in record (time) order.
-    pages, first_idx = np.unique(trace.page, return_index=True)
+    # index is the page's first occurrence in record (time) order.  The
+    # static and dynamic cells of a workload all start from FT, so the
+    # index is memoized on the trace; the placement is built afresh.
+    pages, first_idx = trace.memo(
+        "first_touch", lambda: np.unique(trace.page, return_index=True)
+    )
     placement[pages] = cpu_nodes[trace.cpu[first_idx]]
     return placement
 

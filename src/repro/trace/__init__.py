@@ -10,7 +10,6 @@ from repro.trace.record import (
     FLAG_INSTR,
     FLAG_KERNEL,
     FLAG_WRITE,
-    MissRecord,
     Trace,
     TraceBuilder,
     merge_traces,
@@ -25,7 +24,6 @@ __all__ = [
     "FLAG_INSTR",
     "FLAG_KERNEL",
     "FLAG_WRITE",
-    "MissRecord",
     "Trace",
     "TraceBuilder",
     "merge_traces",

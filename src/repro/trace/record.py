@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+import weakref
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -29,23 +29,22 @@ FLAG_WRITE = 0x1
 FLAG_INSTR = 0x2
 FLAG_KERNEL = 0x4
 
+#: The six columns of a trace, in storage order.
+COLUMNS = ("time_ns", "cpu", "process", "page", "weight", "flags")
 
-@dataclass(frozen=True)
-class MissRecord:
-    """One weighted miss record (a convenience view of a trace row)."""
-
-    time_ns: int
-    cpu: int
-    process: int
-    page: int
-    weight: int
-    is_write: bool
-    is_instr: bool
-    is_kernel: bool
+_T = TypeVar("_T")
 
 
 class Trace:
-    """An immutable, time-sorted weighted miss trace."""
+    """A time-sorted weighted miss trace, never changed once built.
+
+    Selections and derivations build new traces.  The traces several
+    callers share have non-writeable columns, so an in-place write
+    raises ``ValueError`` instead of silently changing what every later
+    reader sees: the user stream :meth:`user_only` keeps, the TLB-miss
+    stream :func:`repro.trace.tlbsim.derive_tlb_trace` memoizes, and
+    the workload traces :func:`repro.workloads.load_workload` caches.
+    """
 
     def __init__(
         self,
@@ -65,6 +64,7 @@ class Trace:
         self.weight = np.asarray(weight, dtype=np.int64)
         self.flags = np.asarray(flags, dtype=np.uint8)
         self.meta = meta
+        self._memo: dict = {}
         if validate:
             self._validate()
 
@@ -137,8 +137,22 @@ class Trace:
         )
 
     def user_only(self) -> "Trace":
-        """Records issued in user mode."""
-        return self.select(~self.is_kernel)
+        """Records issued in user mode, read-only.
+
+        Every trace-driven cell of a workload replays the same user
+        stream, so one slot keeps the stream of the last trace asked:
+        calls on that trace return the same stream, with the inputs
+        memoized on it (:meth:`memo`).  A call on another trace moves
+        the slot and releases the old stream, so at most one
+        workload's derived inputs stay alive.
+        """
+        global _user_slot
+        ref, stream = _user_slot
+        if ref is not None and ref() is self:
+            return stream
+        stream = self.select(~self.is_kernel).freeze()
+        _user_slot = (weakref.ref(self, _release_user_slot), stream)
+        return stream
 
     def kernel_only(self) -> "Trace":
         """Records issued in kernel mode."""
@@ -152,35 +166,28 @@ class Trace:
         """Instruction-fetch records."""
         return self.select(self.is_instr)
 
-    # -- iteration ----------------------------------------------------------------------
+    # -- shared use ------------------------------------------------------------------
 
-    def records(self) -> Iterator[MissRecord]:
-        """Iterate rows as :class:`MissRecord` (slow path; tests/analysis)."""
-        write, instr, kernel = self.is_write, self.is_instr, self.is_kernel
-        for i in range(len(self)):
-            yield MissRecord(
-                time_ns=int(self.time_ns[i]),
-                cpu=int(self.cpu[i]),
-                process=int(self.process[i]),
-                page=int(self.page[i]),
-                weight=int(self.weight[i]),
-                is_write=bool(write[i]),
-                is_instr=bool(instr[i]),
-                is_kernel=bool(kernel[i]),
-            )
+    def freeze(self) -> "Trace":
+        """Make the columns non-writeable in place; returns the trace."""
+        for name in COLUMNS:
+            getattr(self, name).flags.writeable = False
+        return self
+
+    def memo(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, run on the first call for ``key`` and kept here.
+
+        For inputs derived from the columns and ``meta`` alone, which
+        never change once the trace is handed out.  A ``build`` that
+        raises stores nothing, so the next call raises again.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- aggregation ----------------------------------------------------------------------
-
-    def misses_by_page_cpu(self, n_cpus: int) -> dict:
-        """{page: per-CPU weighted miss vector} over the whole trace."""
-        out: dict = {}
-        pages, cpus, weights = self.page, self.cpu, self.weight
-        for i in range(len(self)):
-            vec = out.get(pages[i])
-            if vec is None:
-                vec = out[int(pages[i])] = np.zeros(n_cpus, dtype=np.int64)
-            vec[cpus[i]] += weights[i]
-        return out
 
     def max_page_id(self) -> int:
         """Largest page id present (-1 for an empty trace)."""
@@ -242,6 +249,19 @@ class Trace:
             if "meta_identity" in data.files:
                 trace.meta = _rebuild_meta(str(data["meta_identity"][()]))
         return trace
+
+
+#: (weak reference to the trace :meth:`Trace.user_only` last ran on, its
+#: user stream).  The slot is swapped as one tuple, so a racing call at
+#: worst derives a stream twice.
+_user_slot: tuple = (None, None)
+
+
+def _release_user_slot(ref: "weakref.ref") -> None:
+    """Empty the slot once its trace is gone (a weakref callback)."""
+    global _user_slot
+    if _user_slot[0] is ref:
+        _user_slot = (None, None)
 
 
 class TraceBuilder:

@@ -140,13 +140,24 @@ def derive_tlb_trace(
     ``factor_of_page`` defaults to the workload spec attached to the
     trace (``trace.meta.tlb_factor_of_page``) and falls back to a uniform
     factor when no metadata is available.
+
+    Every TLB-metric and page-table cell of a workload replays the same
+    TLB-miss stream, so with the default ``tlb_config`` and
+    ``factor_of_page`` the result is memoized on ``trace`` per
+    ``n_cpus`` (:meth:`Trace.memo`) and read-only.  Explicit arguments
+    derive afresh.
     """
     if n_cpus is None:
         n_cpus = int(trace.cpu.max()) + 1 if len(trace) else 1
-    deriver = TlbTraceDeriver(
-        n_cpus, tlb_config=tlb_config, factor_of_page=factor_of_page
+    if tlb_config is not None or factor_of_page is not None:
+        deriver = TlbTraceDeriver(
+            n_cpus, tlb_config=tlb_config, factor_of_page=factor_of_page
+        )
+        return deriver.feed(trace)
+    return trace.memo(
+        ("tlb", n_cpus),
+        lambda: TlbTraceDeriver(n_cpus).feed(trace).freeze(),
     )
-    return deriver.feed(trace)
 
 
 def derive_tlb_trace_chunks(

@@ -102,13 +102,15 @@ def load_workload(
     The trace comes from the shared :class:`repro.store.TraceStore`
     (replay) when a recording exists for this generator code version,
     and is generated and recorded otherwise; pass ``store=None`` to
-    force in-process generation.
+    force in-process generation.  Every caller in the process shares
+    the cached trace, so its columns are read-only.
     """
     key = (name, float(scale), int(seed))
     cached = _cache.get(key)
     if cached is None:
         spec = build_spec(name, scale=scale, seed=seed)
-        cached = _cache[key] = (spec, trace_for(spec, store=store))
+        trace = trace_for(spec, store=store).freeze()
+        cached = _cache[key] = (spec, trace)
     return cached
 
 

@@ -38,7 +38,7 @@ def small_workloads():
     loaded = {}
     for name in ("engineering", "raytrace", "splash", "database", "pmake"):
         spec = build_spec(name, scale=SMALL_SCALE, seed=7)
-        loaded[name] = (spec, generate_trace(spec))
+        loaded[name] = (spec, generate_trace(spec).freeze())
     return loaded
 
 

@@ -97,25 +97,29 @@ class TestValidation:
 
     def test_flag_round_trip(self):
         """Every flag combination survives build + select + masks."""
-        b = TraceBuilder()
-        for i, (w, instr, k) in enumerate(
+        combos = [
             (w, instr, k)
             for w in (False, True)
             for instr in (False, True)
             for k in (False, True)
-        ):
+        ]
+        b = TraceBuilder()
+        for i, (w, instr, k) in enumerate(combos):
             b.append(i, 0, 0, i, 1, is_write=w, is_instr=instr, is_kernel=k)
         trace = b.build()
         assert list(trace.is_write) == [False] * 4 + [True] * 4
         assert list(trace.is_instr) == [False, False, True, True] * 2
         assert list(trace.is_kernel) == [False, True] * 4
-        records = list(trace.records())
-        for r, got in zip(records, trace.flags):
-            assert got == (
-                (FLAG_WRITE if r.is_write else 0)
-                | (FLAG_INSTR if r.is_instr else 0)
-                | (FLAG_KERNEL if r.is_kernel else 0)
-            )
+        want = [
+            (FLAG_WRITE if w else 0)
+            | (FLAG_INSTR if instr else 0)
+            | (FLAG_KERNEL if k else 0)
+            for w, instr, k in combos
+        ]
+        assert list(trace.flags) == want
+        assert list(trace.user_only().flags) == [
+            f for f in want if not f & FLAG_KERNEL
+        ]
 
 
 class TestViews:
@@ -131,18 +135,6 @@ class TestViews:
         assert len(tiny_trace.user_only()) == 7
         assert len(tiny_trace.instr_only()) == 2
         assert len(tiny_trace.data_only()) == 6
-
-    def test_records_iteration(self, tiny_trace):
-        records = list(tiny_trace.records())
-        assert records[0].time_ns == 100
-        assert records[3].is_write
-        assert records[6].is_kernel
-        assert sum(r.weight for r in records) == 50
-
-    def test_misses_by_page_cpu(self, tiny_trace):
-        by_page = tiny_trace.misses_by_page_cpu(n_cpus=2)
-        assert list(by_page[0]) == [22, 14]
-        assert list(by_page[1]) == [5, 2]
 
     def test_empty_trace_properties(self):
         trace = TraceBuilder().build()
