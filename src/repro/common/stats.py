@@ -40,6 +40,35 @@ class OnlineStats:
         self._m2 += delta * (value - self._mean) * weight
         self.count = new_count
 
+    def add_many(self, values: List[float], weights: List[int]) -> None:
+        """:meth:`add` each ``(values[i], weights[i])`` in order.
+
+        The same update, bit for bit, with the accumulator held in
+        locals across the run.
+        """
+        if weights and min(weights) <= 0:
+            raise ValueError("weight must be positive")
+        count, total, minimum, maximum = (
+            self.count, self.total, self.minimum, self.maximum
+        )
+        mean, m2 = self._mean, self._m2
+        for value, weight in zip(values, weights):
+            value = float(value)
+            total += value * weight
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+            new_count = count + weight
+            delta = value - mean
+            mean += delta * weight / new_count
+            m2 += delta * (value - mean) * weight
+            count = new_count
+        self.count, self.total, self.minimum, self.maximum = (
+            count, total, minimum, maximum
+        )
+        self._mean, self._m2 = mean, m2
+
     @property
     def mean(self) -> float:
         """Arithmetic mean of recorded values (0.0 when empty)."""
@@ -146,6 +175,11 @@ class SampleStats(OnlineStats):
         super().add(value, weight)
         if len(self.samples) < self.max_samples:
             self.samples.append(float(value))
+
+    def add_many(self, values: List[float], weights: List[int]) -> None:
+        """:meth:`add` each ``(values[i], weights[i])`` in order."""
+        for value, weight in zip(values, weights):
+            self.add(value, weight)
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator in, retaining its samples too.

@@ -115,6 +115,11 @@ class PageTableDirectory:
             table = self._tables[process] = PageTable(process)
         return table
 
+    def lookup(self, process: int, logical_page: int) -> Optional[Pte]:
+        """``process``'s pte for ``logical_page``, or None; creates nothing."""
+        table = self._tables.get(process)
+        return table._entries.get(logical_page) if table is not None else None
+
     def drop(self, process: int) -> int:
         """Destroy a process's table; returns mappings removed."""
         table = self._tables.pop(process, None)

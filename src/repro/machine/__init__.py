@@ -17,7 +17,7 @@ from repro.machine.directory import (
     counter_space_overhead,
 )
 from repro.machine.interconnect import Interconnect
-from repro.machine.memory import MissService, NumaMemorySystem
+from repro.machine.memory import NumaMemorySystem
 
 __all__ = [
     "MachineConfig",
@@ -33,6 +33,5 @@ __all__ = [
     "SamplingAccumulator",
     "counter_space_overhead",
     "Interconnect",
-    "MissService",
     "NumaMemorySystem",
 ]

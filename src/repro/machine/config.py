@@ -24,6 +24,20 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import PAGE_SIZE
 
 
+def _require_integral(**occupancies: float) -> None:
+    """Occupancies must be whole nanoseconds.
+
+    The full-system simulator charges a window's contention work as
+    ``occupancy * weight`` sums, which are exact in any order only when
+    every term is an integer.
+    """
+    for name, value in occupancies.items():
+        if not float(value).is_integer():
+            raise ConfigurationError(
+                f"{name} must be a whole number of ns, not {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class TlbConfig:
     """TLB geometry (fully associative, LRU, as a MIPS R4000-class TLB)."""
@@ -60,6 +74,10 @@ class MemoryConfig:
             raise ConfigurationError("nodes need at least one frame")
         if self.controller_occupancy_ns < 0 or self.remote_extra_occupancy_ns < 0:
             raise ConfigurationError("occupancies must be non-negative")
+        _require_integral(
+            controller_occupancy_ns=self.controller_occupancy_ns,
+            remote_extra_occupancy_ns=self.remote_extra_occupancy_ns,
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.hop_ns < 0 or self.link_occupancy_ns < 0:
             raise ConfigurationError("network delays must be non-negative")
+        _require_integral(link_occupancy_ns=self.link_occupancy_ns)
         if not 0.0 < self.max_utilisation < 1.0:
             raise ConfigurationError("max_utilisation must lie in (0, 1)")
 

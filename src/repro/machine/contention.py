@@ -11,14 +11,30 @@ window:
     delay_per_request = occupancy * rho / (1 - rho)
 
 with ``rho`` capped below 1.  Using the *previous* window keeps the model
-deterministic and independent of intra-window event order.  The same object
-reports the statistics Section 7.1.2 quotes: request counts, time-averaged
-queue length and maximum observed occupancy (utilisation).
+deterministic and independent of intra-window event order: every request
+in a window is charged the same per-request delay (:meth:`rho_at`), and
+integral work offered within one window sums to the same total in any
+order, so a window's requests may be offered one by one or all at once.
+The same object reports the statistics Section 7.1.2 quotes: request
+counts, time-averaged queue length and maximum observed occupancy
+(utilisation).
 """
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.common.errors import ConfigurationError
+
+
+def queue_delay(occupancy_ns: float, rho: float) -> float:
+    """Per-request queuing delay at utilisation ``rho`` (below 1)."""
+    return occupancy_ns * rho / (1.0 - rho)
+
+
+def queue_delays(occupancy_ns: float, rhos: List[float]) -> List[float]:
+    """:func:`queue_delay` at each utilisation in ``rhos``."""
+    return [occupancy_ns * rho / (1.0 - rho) for rho in rhos]
 
 
 class UtilisationWindow:
@@ -43,7 +59,6 @@ class UtilisationWindow:
         self.total_busy_ns = 0.0
         self._rho_max = 0.0
         self._queue_area = 0.0     # integral of queue length over time
-        self._last_advance = 0
 
     # -- internal -------------------------------------------------------------
 
@@ -64,7 +79,6 @@ class UtilisationWindow:
             self._prev_rho = 0.0
         self._window_index = index
         self._work_in_window = 0.0
-        self._last_advance = now
 
     # -- public ----------------------------------------------------------------
 
@@ -76,12 +90,34 @@ class UtilisationWindow:
             raise ConfigurationError("weight must be positive")
         if occupancy_ns < 0:
             raise ConfigurationError("occupancy must be non-negative")
+        self.charge(now, occupancy_ns * weight, weight)
+        return queue_delay(occupancy_ns, self._prev_rho)
+
+    def charge(self, now: int, work_ns: float, requests: int) -> None:
+        """Record ``requests`` requests in ``now``'s window that together
+        busy the resource for ``work_ns``.
+
+        Charging a window's requests at once matches offering them one
+        by one exactly when the work is integral (sums below 2**53 are
+        then exact in any order).  Windows must be charged in time order.
+        """
         self._advance(now)
-        self._work_in_window += occupancy_ns * weight
-        self.requests += weight
-        self.total_busy_ns += occupancy_ns * weight
-        rho = min(self._prev_rho, self._max_rho)
-        return occupancy_ns * rho / (1.0 - rho)
+        self._work_in_window += work_ns
+        self.requests += requests
+        self.total_busy_ns += work_ns
+
+    def rho_at(self, now: int) -> float:
+        """Utilisation that sets every delay charged in ``now``'s window.
+
+        Read-only: the window holding ``now`` is not opened.  Exact for
+        any ``now`` no earlier than the last charged window.
+        """
+        index = now // self._window_ns
+        if index == self._window_index:
+            return self._prev_rho
+        if index == self._window_index + 1:
+            return min(self._work_in_window / self._window_ns, self._max_rho)
+        return 0.0
 
     def utilisation(self) -> float:
         """Utilisation of the most recently completed window."""

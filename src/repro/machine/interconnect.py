@@ -13,10 +13,10 @@ minimum and collects statistics.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.machine.config import MachineConfig
-from repro.machine.contention import UtilisationWindow
+from repro.machine.contention import UtilisationWindow, queue_delays
 
 
 class Interconnect:
@@ -43,6 +43,31 @@ class Interconnect:
         delay = self._links[src_node].offer(now, self._occupancy, weight)
         delay += self._links[dst_node].offer(now, self._occupancy, weight)
         return delay
+
+    def delays_at(self, now: int) -> List[float]:
+        """Each node interface's per-crossing delay in ``now``'s window.
+
+        A remote miss from node ``a`` to node ``b`` is charged
+        ``delays[a] + delays[b]``, as :meth:`traverse` charges it.
+        """
+        return queue_delays(
+            self._occupancy, [link.rho_at(now) for link in self._links]
+        )
+
+    def charge(self, now: int, crossings: Sequence[int]) -> None:
+        """Charge a window's remote traffic at once.
+
+        ``crossings[n]`` counts the remote requests through node ``n``'s
+        interface; each request crosses two, so they sum to twice the
+        requests.  Equal to one :meth:`traverse` per request.
+        """
+        occupancy = self._occupancy
+        total = 0
+        for link, requests in zip(self._links, crossings):
+            if requests:
+                link.charge(now, occupancy * requests, requests)
+                total += requests
+        self.remote_requests += total // 2
 
     def average_queue_length(self, now: int) -> float:
         """Mean of per-link time-averaged queue lengths."""

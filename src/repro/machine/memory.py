@@ -15,29 +15,73 @@ reducing contention (Section 7.1.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.common.stats import OnlineStats
 from repro.machine.config import MachineConfig
-from repro.machine.contention import UtilisationWindow
+from repro.machine.contention import UtilisationWindow, queue_delays
 from repro.machine.interconnect import Interconnect
 
 
-@dataclass
-class MissService:
-    """Outcome of servicing one (possibly weighted) miss."""
+class WindowMisses:
+    """The misses of one window, gathered for one :meth:`service_miss`.
 
-    latency_ns: float          # per-miss latency including queuing
-    is_remote: bool
-    queue_delay_ns: float      # queuing component per miss
+    ``pair_weights[k]`` sums the weights of node pair ``k`` (indexed as
+    :meth:`NumaMemorySystem.latency_table` is); the four lists hold each
+    local and each remote miss's latency and weight in record order.
+    The replay loop appends to the lists directly; :meth:`add` is the
+    same thing spelled out.
+    """
+
+    __slots__ = (
+        "pair_weights", "local_ns", "local_weights",
+        "remote_ns", "remote_weights",
+    )
+
+    def __init__(self, n_nodes: int) -> None:
+        self.pair_weights: List[int] = [0] * (n_nodes * n_nodes)
+        self.local_ns: List[float] = []
+        self.local_weights: List[int] = []
+        self.remote_ns: List[float] = []
+        self.remote_weights: List[int] = []
+
+    def add(self, pair: int, latency_ns: float, weight: int, remote: bool) -> None:
+        """Append one (weighted) miss of node pair ``pair``."""
+        self.pair_weights[pair] += weight
+        if remote:
+            self.remote_ns.append(latency_ns)
+            self.remote_weights.append(weight)
+        else:
+            self.local_ns.append(latency_ns)
+            self.local_weights.append(weight)
+
+    def __len__(self) -> int:
+        return len(self.local_ns) + len(self.remote_ns)
+
+    def clear(self) -> None:
+        """Empty every list in place (bound methods stay valid)."""
+        self.pair_weights[:] = [0] * len(self.pair_weights)
+        for column in (self.local_ns, self.local_weights,
+                       self.remote_ns, self.remote_weights):
+            column.clear()
 
 
 class NumaMemorySystem:
-    """Latency and contention model for the machine's memory."""
+    """Latency and contention model for the machine's memory.
+
+    A miss's latency depends only on the previous window's utilisation
+    of the resources it touches, so within one window it is a constant
+    per (requesting node, home node) pair.  The full-system simulator
+    therefore reads each miss's latency from :meth:`latency_table` and
+    charges a window's misses at once through :meth:`service_miss`;
+    :meth:`service_record` charges one miss at a time and is the
+    reference both are checked against.
+    """
 
     def __init__(self, config: MachineConfig, window_ns: int = 1_000_000) -> None:
         self.config = config
+        self.window_ns = window_ns
+        self.n_nodes = config.n_nodes
         self.interconnect = Interconnect(config, window_ns)
         mem = config.memory
         self._controllers: List[UtilisationWindow] = [
@@ -46,6 +90,8 @@ class NumaMemorySystem:
         ]
         self._occupancy = mem.controller_occupancy_ns
         self._remote_extra = mem.remote_extra_occupancy_ns
+        self._table_window = -1
+        self._table: List[float] = []
         # statistics
         self.local_latency = OnlineStats()
         self.remote_latency = OnlineStats()
@@ -53,10 +99,98 @@ class NumaMemorySystem:
         self.local_misses = 0
         self.remote_misses = 0
 
-    def service_miss(
+    # -- window-granular charging --------------------------------------------
+
+    def latency_table(self, now: int) -> List[float]:
+        """Per-miss latency of every node pair in ``now``'s window.
+
+        Flat and indexed ``cpu_node * n_nodes + home_node``.  The table
+        is built from the previous window's utilisation when a window is
+        first asked for, and reused until the next one; windows must be
+        charged in time order.
+        """
+        window = now // self.window_ns
+        if window != self._table_window:
+            self._table = self._build_table(now)
+            self._table_window = window
+        return self._table
+
+    def _build_table(self, now: int) -> List[float]:
+        mem = self.config.memory
+        occupancy, extra = self._occupancy, self._remote_extra
+        rhos = [c.rho_at(now) for c in self._controllers]
+        home_local = queue_delays(occupancy, rhos)
+        home_remote = queue_delays(occupancy + extra, rhos)
+        forward = queue_delays(extra, rhos)
+        links = self.interconnect.delays_at(now)
+        local_ns, remote_ns = mem.local_ns, mem.remote_ns
+        # Grouped as service_record sums them: home, forward, then the
+        # two interface crossings.
+        table = [
+            remote_ns + (home + fwd + (out + into))
+            for fwd, out in zip(forward, links)
+            for home, into in zip(home_remote, links)
+        ]
+        for node, delay in enumerate(home_local):
+            table[node * (self.n_nodes + 1)] = local_ns + delay
+        return table
+
+    def service_miss(self, now: int, misses: WindowMisses) -> None:
+        """Charge ``misses``, all of ``now``'s window, at once.
+
+        Controller and link work and the miss counters take the
+        per-pair weight sums; the latency statistics take every miss in
+        record order.  The outcome is bit for bit that of one
+        :meth:`service_record` per miss, provided the misses' latencies
+        came from this window's :meth:`latency_table` and the
+        occupancies are integral.  A window may be charged in several
+        calls.
+        """
+        n = self.n_nodes
+        occupancy, extra = self._occupancy, self._remote_extra
+        work = [0] * n
+        requests = [0] * n
+        crossings = [0] * n
+        local = remote = 0
+        for pair, weight in enumerate(misses.pair_weights):
+            if not weight:
+                continue
+            cpu_node, home = divmod(pair, n)
+            requests[home] += weight
+            if cpu_node == home:
+                work[home] += occupancy * weight
+                local += weight
+            else:
+                work[home] += (occupancy + extra) * weight
+                # The requester-side controller forwards the request.
+                work[cpu_node] += extra * weight
+                requests[cpu_node] += weight
+                crossings[cpu_node] += weight
+                crossings[home] += weight
+                remote += weight
+        for controller, node_work, node_requests in zip(
+            self._controllers, work, requests
+        ):
+            if node_requests:
+                controller.charge(now, node_work, node_requests)
+        if remote:
+            self.interconnect.charge(now, crossings)
+        self.local_misses += local
+        self.remote_misses += remote
+        self.remote_handler_invocations += remote
+        self.local_latency.add_many(misses.local_ns, misses.local_weights)
+        self.remote_latency.add_many(misses.remote_ns, misses.remote_weights)
+
+    # -- the per-miss reference ------------------------------------------------
+
+    def service_record(
         self, now: int, cpu: int, home_node: int, weight: int = 1
-    ) -> MissService:
-        """Service ``weight`` identical misses from ``cpu`` to ``home_node``."""
+    ) -> Tuple[float, bool]:
+        """Service ``weight`` identical misses from ``cpu`` to ``home_node``.
+
+        Returns ``(latency_ns, is_remote)``.  One call per miss: the
+        reference that :meth:`service_miss` is checked against.
+        """
         cpu_node = self.config.node_of_cpu(cpu)
         remote = cpu_node != home_node
         mem = self.config.memory
@@ -79,7 +213,7 @@ class NumaMemorySystem:
         (self.remote_latency if remote else self.local_latency).add(
             latency, weight
         )
-        return MissService(latency_ns=latency, is_remote=remote, queue_delay_ns=queue)
+        return latency, remote
 
     # -- observability -----------------------------------------------------
 

@@ -210,7 +210,7 @@ def calibrate(rounds: int = 7, calls: int = 50_000) -> Tuple[float, float]:
     """(inner_ns, outer_ns): the wrapper's cost per call, median of rounds.
 
     The probe takes four positional arguments, like the hottest
-    boundaries (``service_miss``, ``observe``).
+    boundary, ``observe``.
     """
     def probe(a, b, c, d):
         return None

@@ -49,6 +49,25 @@ class TestOnlineStats:
         with pytest.raises(ValueError):
             s.add(1.0, weight=0)
 
+    @given(st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.integers(1, 1000)), max_size=60,
+    ), st.lists(st.floats(-1e3, 1e3), max_size=3))
+    def test_add_many_is_add_in_order_bit_for_bit(self, pairs, prefix):
+        one, many = OnlineStats(), OnlineStats()
+        for value in prefix:           # a running accumulator, not a fresh one
+            one.add(value)
+            many.add(value)
+        for value, weight in pairs:
+            one.add(value, weight)
+        many.add_many([v for v, _ in pairs], [w for _, w in pairs])
+        assert many.to_dict() == one.to_dict()
+
+    def test_add_many_rejects_nonpositive_weight(self):
+        s = OnlineStats()
+        with pytest.raises(ValueError):
+            s.add_many([1.0, 2.0], [1, 0])
+        assert s.count == 0
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_matches_numpy(self, values):
         s = OnlineStats()
@@ -186,6 +205,12 @@ class TestPercentChange:
 
 
 class TestSampleStats:
+    def test_add_many_retains_samples(self):
+        s = SampleStats()
+        s.add_many([1.0, 2.0, 3.0], [1, 2, 1])
+        assert s.samples == [1.0, 2.0, 3.0]
+        assert s.count == 4
+
     def test_inherits_online_moments(self):
         s = SampleStats()
         for v in (1.0, 2.0, 3.0, 4.0):

@@ -79,6 +79,14 @@ class TestPageTableDirectory:
         assert d.table(1) is a
         assert d.processes() == [1]
 
+    def test_lookup_creates_nothing(self):
+        d = PageTableDirectory()
+        assert d.lookup(1, 10) is None
+        assert d.processes() == []
+        pte = d.table(1).map(10, make_frame(10))
+        assert d.lookup(1, 10) is pte
+        assert d.lookup(1, 11) is None
+
     def test_drop_unmaps(self):
         d = PageTableDirectory()
         frame = make_frame(10)

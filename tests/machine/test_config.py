@@ -77,6 +77,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             NetworkConfig(max_utilisation=1.0)
 
+    @pytest.mark.parametrize("config, field", [
+        (MemoryConfig, "controller_occupancy_ns"),
+        (MemoryConfig, "remote_extra_occupancy_ns"),
+        (NetworkConfig, "link_occupancy_ns"),
+    ])
+    @pytest.mark.parametrize("value", [160.5, 0.25, float("inf"),
+                                       float("nan")])
+    def test_occupancies_must_be_whole_ns(self, config, field, value):
+        with pytest.raises(ConfigurationError) as info:
+            config(**{field: value})
+        message = str(info.value)
+        assert field in message and "\n" not in message
+
+    def test_integral_float_occupancy_accepted(self):
+        assert MemoryConfig(controller_occupancy_ns=160.0)
+        assert NetworkConfig(link_occupancy_ns=60.0)
+
     def test_cpus_must_divide_nodes(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(n_cpus=6, n_nodes=4)

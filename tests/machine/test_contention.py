@@ -3,7 +3,11 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.machine.contention import UtilisationWindow
+from repro.machine.contention import (
+    UtilisationWindow,
+    queue_delay,
+    queue_delays,
+)
 
 
 def test_idle_resource_has_no_delay():
@@ -65,3 +69,37 @@ def test_validation():
         w.offer(0, -1)
     with pytest.raises(ConfigurationError):
         w.offer(0, 1, weight=0)
+
+
+# -- the window-granular API ------------------------------------------------
+
+
+def _state(w, now):
+    return (w.requests, w.total_busy_ns, w.max_utilisation_seen,
+            w.utilisation(), w.average_queue_length(now))
+
+
+@pytest.mark.parametrize("now", [1000, 1500, 1999, 2000, 2500, 7000])
+def test_rho_at_predicts_the_delay_offer_charges(now):
+    w = UtilisationWindow(window_ns=1000)
+    w.offer(0, 100, weight=3)
+    w.offer(1200, 40, weight=5)
+    rho = w.rho_at(now)
+    before = _state(w, now)
+    assert _state(w, now) == before            # rho_at is read-only
+    assert w.offer(now, 70, weight=2) == queue_delay(70, rho)
+
+
+def test_charge_equals_offers_in_the_same_window():
+    offered, charged = UtilisationWindow(1000), UtilisationWindow(1000)
+    for t, occupancy, weight in [(0, 100, 3), (10, 60, 2), (999, 100, 1)]:
+        offered.offer(t, occupancy, weight)
+    charged.charge(500, 100 * 3 + 60 * 2 + 100 * 1, 6)
+    offered.offer(1500, 10)
+    charged.offer(1500, 10)
+    assert _state(charged, 2500) == _state(offered, 2500)
+
+
+def test_queue_delays_match_queue_delay():
+    rhos = [0.0, 0.25, 0.5, 0.95]
+    assert queue_delays(90, rhos) == [queue_delay(90, rho) for rho in rhos]

@@ -38,3 +38,21 @@ def test_delay_appears_after_loaded_window(net):
         net.traverse(t, 0, 1, weight=1)
     delay = net.traverse(1_000_001, 0, 1)
     assert delay > 0.0
+
+
+def test_window_charge_equals_traversals():
+    machine = MachineConfig.flash_ccnuma()
+    one_by_one, at_once = Interconnect(machine), Interconnect(machine)
+    for t in range(0, 1_000_000, 500):
+        one_by_one.traverse(t, 0, 1, weight=2)
+        at_once.traverse(t, 0, 1, weight=2)
+    now = 1_000_100
+    delays = at_once.delays_at(now)
+    # Pairs (0 -> 1, weight 3), (2 -> 0, weight 1).
+    assert one_by_one.traverse(now, 0, 1, 3) == delays[0] + delays[1]
+    assert one_by_one.traverse(now, 2, 0, 1) == delays[2] + delays[0]
+    at_once.charge(now, [4, 3, 1, 0, 0, 0, 0, 0])
+    assert at_once.remote_requests == one_by_one.remote_requests
+    end = 3_000_000
+    assert at_once.average_queue_length(end) == one_by_one.average_queue_length(end)
+    assert at_once.max_link_utilisation() == one_by_one.max_link_utilisation()

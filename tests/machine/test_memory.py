@@ -1,9 +1,16 @@
-"""NUMA memory system: latencies, locality accounting, contention stats."""
+"""NUMA memory system: latencies, locality accounting, contention stats.
+
+The per-miss cases run through :meth:`NumaMemorySystem.service_record`,
+the reference; the window cases check :meth:`latency_table` and
+:meth:`service_miss` against it.
+"""
 
 import pytest
 
 from repro.machine.config import MachineConfig
-from repro.machine.memory import NumaMemorySystem
+from repro.machine.memory import NumaMemorySystem, WindowMisses
+
+WINDOW_NS = 1_000_000
 
 
 @pytest.fixture
@@ -12,21 +19,21 @@ def memory():
 
 
 def test_local_miss_minimum_latency(memory):
-    svc = memory.service_miss(0, cpu=0, home_node=0)
-    assert not svc.is_remote
-    assert svc.latency_ns >= 300
-    assert svc.latency_ns == pytest.approx(300, abs=50)
+    latency, remote = memory.service_record(0, cpu=0, home_node=0)
+    assert not remote
+    assert latency >= 300
+    assert latency == pytest.approx(300, abs=50)
 
 
 def test_remote_miss_minimum_latency(memory):
-    svc = memory.service_miss(0, cpu=0, home_node=5)
-    assert svc.is_remote
-    assert svc.latency_ns >= 1200
+    latency, remote = memory.service_record(0, cpu=0, home_node=5)
+    assert remote
+    assert latency >= 1200
 
 
 def test_miss_counting(memory):
-    memory.service_miss(0, 0, 0, weight=10)
-    memory.service_miss(0, 0, 3, weight=5)
+    memory.service_record(0, 0, 0, weight=10)
+    memory.service_record(0, 0, 3, weight=5)
     assert memory.local_misses == 10
     assert memory.remote_misses == 5
     assert memory.total_misses == 15
@@ -34,8 +41,8 @@ def test_miss_counting(memory):
 
 
 def test_remote_handler_invocations(memory):
-    memory.service_miss(0, 0, 1, weight=7)
-    memory.service_miss(0, 0, 0, weight=3)
+    memory.service_record(0, 0, 1, weight=7)
+    memory.service_record(0, 0, 0, weight=3)
     assert memory.remote_handler_invocations == 7
 
 
@@ -44,25 +51,24 @@ def test_contention_raises_latency():
     loaded = NumaMemorySystem(machine)
     # Load node 0's controller hard for a while.
     for t in range(0, 10_000_000, 1000):
-        loaded.service_miss(t, cpu=1, home_node=0, weight=4)
-    late = loaded.service_miss(10_000_000, cpu=1, home_node=0)
-    assert late.latency_ns > 1200
-    assert late.queue_delay_ns > 0
+        loaded.service_record(t, cpu=1, home_node=0, weight=4)
+    late, _ = loaded.service_record(10_000_000, cpu=1, home_node=0)
+    assert late > 1200
 
 
 def test_quiet_node_unaffected_by_busy_node():
     machine = MachineConfig.flash_ccnuma()
     memory = NumaMemorySystem(machine)
     for t in range(0, 5_000_000, 1000):
-        memory.service_miss(t, cpu=1, home_node=0, weight=4)
+        memory.service_record(t, cpu=1, home_node=0, weight=4)
     # Node 7 never saw traffic: local miss there is at minimum.
-    svc = memory.service_miss(5_000_000, cpu=7, home_node=7)
-    assert svc.queue_delay_ns == 0.0
+    latency, _ = memory.service_record(5_000_000, cpu=7, home_node=7)
+    assert latency == 300
 
 
 def test_average_latencies_tracked(memory):
-    memory.service_miss(0, 0, 0, weight=2)
-    memory.service_miss(0, 0, 4, weight=2)
+    memory.service_record(0, 0, 0, weight=2)
+    memory.service_record(0, 0, 4, weight=2)
     assert memory.average_local_latency() >= 300
     assert memory.average_remote_latency() >= 1200
 
@@ -70,9 +76,9 @@ def test_average_latencies_tracked(memory):
 def test_zero_network_config_remote_equals_local_base():
     machine = MachineConfig.zero_network()
     memory = NumaMemorySystem(machine)
-    remote = memory.service_miss(0, cpu=0, home_node=5)
+    latency, _ = memory.service_record(0, cpu=0, home_node=5)
     # Remote minimum collapses to the local latency (only contention differs).
-    assert remote.latency_ns == pytest.approx(300, abs=50)
+    assert latency == pytest.approx(300, abs=50)
 
 
 def test_max_controller_occupancy_grows_under_load():
@@ -80,5 +86,122 @@ def test_max_controller_occupancy_grows_under_load():
     memory = NumaMemorySystem(machine)
     assert memory.max_controller_occupancy() == 0.0
     for t in range(0, 3_000_000, 500):
-        memory.service_miss(t, cpu=2, home_node=0, weight=4)
+        memory.service_record(t, cpu=2, home_node=0, weight=4)
     assert memory.max_controller_occupancy() > 0.1
+
+
+# -- the window API against the per-miss reference ---------------------------
+
+#: (time, cpu, home node, weight) over three busy windows, an idle gap of
+#: two windows, and one more busy window.
+RECORDS = [
+    (t, cpu, home, weight)
+    for window in (0, 1, 2, 5)
+    for step, (cpu, home, weight) in enumerate(
+        [(0, 0, 4), (1, 0, 3), (2, 5, 2), (5, 2, 6), (7, 7, 1), (3, 0, 5)] * 40
+    )
+    for t in [window * WINDOW_NS + step * 4_000]
+]
+
+
+def _state(memory, now):
+    return {
+        "local": memory.local_latency.to_dict(),
+        "remote": memory.remote_latency.to_dict(),
+        "counts": (memory.local_misses, memory.remote_misses,
+                   memory.remote_handler_invocations,
+                   memory.interconnect.remote_requests),
+        "controllers": [
+            (c.requests, c.total_busy_ns, c.max_utilisation_seen,
+             c.average_queue_length(now))
+            for c in memory._controllers
+        ],
+        "network": (memory.average_network_queue_length(now),
+                    memory.interconnect.max_link_utilisation()),
+    }
+
+
+def _reference(records):
+    memory = NumaMemorySystem(MachineConfig.flash_ccnuma())
+    latencies = [memory.service_record(t, cpu, home, weight)[0]
+                 for t, cpu, home, weight in records]
+    return memory, latencies
+
+
+def _windowed(records, split=False):
+    """Charge ``records`` a window at a time; ``split`` halves each charge."""
+    memory = NumaMemorySystem(MachineConfig.flash_ccnuma())
+    n = memory.n_nodes
+    latencies, misses = [], WindowMisses(n)
+    by_window = {}
+    for record in records:
+        by_window.setdefault(record[0] // WINDOW_NS, []).append(record)
+    for window in sorted(by_window):
+        start = window * WINDOW_NS
+        table = memory.latency_table(start)
+        chunk = by_window[window]
+        cuts = [chunk[: len(chunk) // 2], chunk[len(chunk) // 2:]]
+        for part in cuts if split else [chunk]:
+            for t, cpu, home, weight in part:
+                pair = memory.config.node_of_cpu(cpu) * n + home
+                latencies.append(table[pair])
+                misses.add(pair, table[pair], weight, cpu != home)
+            memory.service_miss(start, misses)
+            misses.clear()
+    return memory, latencies
+
+
+def test_window_charge_equals_per_miss_reference():
+    reference, expected = _reference(RECORDS)
+    windowed, latencies = _windowed(RECORDS)
+    assert latencies == expected
+    assert _state(windowed, 7_000_000) == _state(reference, 7_000_000)
+
+
+def test_second_charge_in_the_same_window_equals_one():
+    once, _ = _windowed(RECORDS)
+    twice, latencies = _windowed(RECORDS, split=True)
+    assert latencies == _reference(RECORDS)[1]
+    assert _state(twice, 7_000_000) == _state(once, 7_000_000)
+
+
+def test_table_holds_each_pairs_latency():
+    reference, _ = _reference(RECORDS[:120])      # window 0 only
+    windowed, _ = _windowed(RECORDS[:120])
+    table = windowed.latency_table(WINDOW_NS)
+    assert windowed.latency_table(WINDOW_NS + 5) is table
+    n = windowed.n_nodes
+    for cpu_node in range(n):
+        for home in range(n):
+            latency, _ = reference.service_record(WINDOW_NS, cpu_node, home)
+            assert table[cpu_node * n + home] == latency
+
+
+def test_first_table_is_the_minimum_latencies(memory):
+    table = memory.latency_table(0)
+    n = memory.n_nodes
+    assert [table[node * (n + 1)] for node in range(n)] == [300] * n
+    assert {table[pair] for pair in range(n * n) if pair % (n + 1)} == {1200}
+
+
+def test_idle_gap_window_sees_no_contention():
+    windowed, _ = _windowed(RECORDS[:360])        # windows 0, 1 and 2
+    assert max(windowed.latency_table(2 * WINDOW_NS + 1)) > 1200
+    # Window 5 follows two idle windows: minimum latencies again.
+    table = windowed.latency_table(5 * WINDOW_NS)
+    assert max(table) == 1200 and min(table) == 300
+
+
+def test_window_misses_add_and_clear():
+    misses = WindowMisses(2)
+    misses.add(1, 1500.0, 3, remote=True)
+    misses.add(0, 310.0, 2, remote=False)
+    misses.add(1, 1500.0, 1, remote=True)
+    assert len(misses) == 3
+    assert misses.pair_weights == [2, 4, 0, 0]
+    assert misses.remote_ns == [1500.0, 1500.0]
+    assert misses.local_weights == [2]
+    pair_weights = misses.pair_weights
+    misses.clear()
+    assert len(misses) == 0
+    assert misses.pair_weights is pair_weights == [0, 0, 0, 0]

@@ -12,10 +12,12 @@ from repro.obs.events import (
     MissServiced,
     ReplicationDecision,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import ListSink, Tracer
 from repro.policy.parameters import PolicyParameters
 from repro.sim.simulator import (
     Placement,
+    ReferenceSystemSimulator,
     SimulatorOptions,
     SystemSimulator,
     run_policy_comparison,
@@ -84,6 +86,28 @@ class TestBasicRuns:
         machine = MachineConfig(n_cpus=4, n_nodes=4)
         with pytest.raises(ConfigurationError):
             SystemSimulator(spec, machine=machine)
+
+
+@pytest.mark.parametrize("simulator", [SystemSimulator, ReferenceSystemSimulator])
+@pytest.mark.parametrize("bad_cpu", [8, 9, 1000])
+def test_out_of_range_cpu_is_one_line_error_before_any_state(
+    engineering, simulator, bad_cpu
+):
+    spec, _ = engineering
+    builder = TraceBuilder()
+    builder.append(0, cpu=0, process=1, page=7)
+    builder.append(10, cpu=bad_cpu, process=1, page=8)
+    sink = ListSink()
+    registry = MetricsRegistry()
+    with pytest.raises(ConfigurationError) as info:
+        simulator(
+            spec, tracer=Tracer(sinks=[sink]), metrics=registry,
+        ).run(builder.build())
+    message = str(info.value)
+    assert f"cpu {bad_cpu}" in message and "\n" not in message
+    # Nothing ran: no run header, no registered metric.
+    assert sink.events == []
+    assert registry.collect() == {}
 
 
 class TestKernelPagesAreStatic:

@@ -414,6 +414,24 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_run_with_out_of_range_cpu_is_a_one_line_error(capsys, monkeypatch):
+    import repro.cli as cli
+    from repro.trace.record import TraceBuilder
+
+    spec, trace = cli.load_workload("database", scale=0.02, seed=0)
+    builder = TraceBuilder()
+    builder.append(0, cpu=0, process=1, page=7)
+    builder.append(10, cpu=spec.n_cpus, process=1, page=8)
+    monkeypatch.setattr(
+        cli, "load_workload", lambda *a, **k: (spec, builder.build())
+    )
+    assert main(["run", "--workload", "database", "--scale", "0.02"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace names cpu {spec.n_cpus}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _sweep_args(tmp_path, *extra):
     return [
         "sweep", "--scale", "0.02",
