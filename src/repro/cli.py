@@ -71,15 +71,23 @@ from repro.analysis.tables import format_table
 from repro.common.errors import ConfigurationError, TraceError
 from repro.exp.cache import ResultCache
 from repro.exp.figures import FIGURE_ARTIFACTS, FIGURE_TABLES, timing_summary
-from repro.exp.runner import SweepOutcome, SweepReport, SweepRunner
+from repro.exp.runner import (
+    SweepOutcome,
+    SweepReport,
+    SweepRunner,
+    execute_spec,
+)
 from repro.exp.spec import (
+    BASELINE_POLICIES,
+    FIG6_POLICIES,
+    METRIC_LABELS,
     NAMED_GRIDS,
-    USER_WORKLOADS,
-    machine_for,
+    PT_TRACE_POLICIES,
+    SYSTEM_POLICIES,
+    ExperimentSpec,
     params_for,
     sweep,
 )
-from repro.kernel.vm.shootdown import ShootdownMode
 from repro.obs.attrib import (
     Attribution,
     diff_attributions,
@@ -102,25 +110,9 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer
-from repro.policy.metrics import ALL_METRICS
 from repro.policy.parameters import PolicyParameters
-from repro.ptpol import (
-    PT_POLICIES,
-    PT_POLICY_LABELS,
-    PtPolicySimulator,
-    params_for_pt_policy,
-    reconcile_events,
-)
-from repro.sim.simulator import (
-    SimulatorOptions,
-    SystemSimulator,
-    run_policy_comparison,
-)
-from repro.trace.policysim import (
-    PolicySimConfig,
-    StaticPolicy,
-    TracePolicySimulator,
-)
+from repro.ptpol import PtTally, reconcile_events
+from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
 from repro.trace.record import Trace
 from repro.workloads import (
     WORKLOAD_NAMES,
@@ -251,59 +243,75 @@ def _attrib_metrics(attrib: Attribution) -> dict:
     }
 
 
-def _make_tracer(path: str, include_misses: bool) -> Tracer:
-    """A tracer streaming to ``path``.
+def _make_tracer(
+    path: Optional[str], include_misses: bool
+) -> Optional[Tracer]:
+    """A tracer streaming to ``path`` (``None`` when there is no path).
 
     Per-miss events are opt-in: a full-scale run services millions of
     misses and the decision stream is what ``repro analyze`` needs.
     """
+    if not path:
+        return None
     kinds = None if include_misses else ALL_KINDS - {MissServiced.KIND}
     return Tracer(sinks=[JsonlSink(path)], kinds=kinds)
 
 
+def _cell(args: argparse.Namespace, workload: str, **fields) -> ExperimentSpec:
+    """One of a command's cells, at the command's scale and seed."""
+    return ExperimentSpec(workload, scale=args.scale, seed=args.seed, **fields)
+
+
+def _run_cells(
+    args: argparse.Namespace,
+    specs: List[ExperimentSpec],
+    traced: Optional[ExperimentSpec] = None,
+    tracer: Optional[Tracer] = None,
+) -> list:
+    """Run a command's cells through ``execute_spec``, in spec order.
+
+    A plain command serves its cells from the result cache and runs the
+    rest under ``--jobs`` workers.  A ``--trace-out`` or
+    ``--profile-out`` command inspects one execution, so every cell runs
+    fresh in this process; ``traced`` runs with ``tracer``, which is
+    closed after it.  A failed cell runs once more here, so its own
+    exception reaches :func:`main` (a ``ConfigurationError`` exits 2).
+    """
+    fresh = tracer is not None or getattr(args, "layer_profile", None)
+    runner = SweepRunner(
+        cache=None if fresh else ResultCache(),
+        jobs=1 if fresh else getattr(args, "jobs", 1),
+        retries=0,
+    )
+    results = {}
+    if tracer is not None:
+        try:
+            results[traced] = execute_spec(traced, tracer=tracer)
+        finally:
+            tracer.close()
+    report = runner.run([spec for spec in specs if spec not in results])
+    for outcome in report.outcomes:
+        results[outcome.spec] = (
+            outcome.result if outcome.ok else execute_spec(outcome.spec)
+        )
+    return [results[spec] for spec in specs]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
-    machine = machine_for(args.machine, spec)
-    params = params_for(args.workload, args.trigger)
-    if args.hotspot:
-        params = params.replace(hotspot_migration=True)
-    mode = (
-        ShootdownMode.TRACKED if args.tracked_flush else ShootdownMode.ALL_CPUS
+    ft_spec, mr_spec = (
+        _cell(
+            args, args.workload, machine=args.machine, policy=policy,
+            trigger=args.trigger,
+            shootdown="tracked" if args.tracked_flush else "all",
+            adaptive=args.adaptive, hotspot=args.hotspot,
+        )
+        for policy in SYSTEM_POLICIES
     )
     # Tracing covers the dynamic (Mig/Rep) run — the one that makes
     # decisions; the FT baseline has no decision stream to record.
-    tracer = (
-        _make_tracer(args.trace_out, args.trace_misses)
-        if args.trace_out
-        else None
-    )
+    tracer = _make_tracer(args.trace_out, args.trace_misses)
+    ft, mr = _run_cells(args, [ft_spec, mr_spec], mr_spec, tracer)
     attrib = None
-    # A profiled run stays in-process: the layer wrappers live here.
-    if tracer is None and not args.profile_out and args.jobs > 1:
-        # The two legs are independent: run them in worker processes.
-        results = run_policy_comparison(
-            spec, trace, machine=machine, params=params,
-            shootdown_mode=mode, adaptive_trigger=args.adaptive,
-            jobs=args.jobs,
-        )
-        ft, mr = results["FT"], results["Mig/Rep"]
-    else:
-        ft = SystemSimulator(
-            spec, machine=machine, params=params,
-            options=SimulatorOptions(dynamic=False, shootdown_mode=mode),
-        ).run(trace)
-        try:
-            mr = SystemSimulator(
-                spec, machine=machine, params=params,
-                options=SimulatorOptions(
-                    dynamic=True, shootdown_mode=mode,
-                    adaptive_trigger=args.adaptive,
-                ),
-                tracer=tracer,
-            ).run(trace)
-        finally:
-            if tracer is not None:
-                tracer.close()
     rows = []
     for label, r in (("FT", ft), ("Mig/Rep", mr)):
         rows.append(
@@ -356,70 +364,39 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_tracesim(args: argparse.Namespace) -> int:
-    spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
-    user = trace.kernel_only() if args.kernel else trace.user_only()
-    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    sim = TracePolicySimulator(config)
+    if args.metrics and args.competitive:
+        raise ConfigurationError(
+            "--competitive adds a policy row; it does not combine with "
+            "--metrics"
+        )
+
+    def cell(**fields) -> ExperimentSpec:
+        return _cell(
+            args, args.workload, kind="trace", trigger=args.trigger,
+            kernel_trace=args.kernel, **fields,
+        )
+
+    if args.metrics:
+        specs = [cell(metric=metric) for metric in METRIC_LABELS]
+        title = f"{args.workload}: information sources (Figure 8 methodology)"
+    else:
+        policies = FIG6_POLICIES + (BASELINE_POLICIES if args.competitive
+                                    else ())
+        specs = [cell(policy=policy) for policy in policies]
+        title = f"{args.workload}: six policies (Figure 6 methodology)"
     # The traced simulator records only the flagship run (the full-cache
     # Mig/Rep policy) so one log holds one coherent decision stream.
-    tracer = (
-        _make_tracer(args.trace_out, include_misses=args.trace_misses)
-        if args.trace_out
-        else None
-    )
-    traced_result = None
-    traced_sim = TracePolicySimulator(config, tracer=tracer) if tracer else sim
-    params = params_for(args.workload, args.trigger)
-    rows = []
-    try:
-        if args.metrics:
-            for i, metric in enumerate(ALL_METRICS):
-                runner = traced_sim if i == 0 else sim
-                r = runner.simulate_dynamic(user, params, metric=metric,
-                                            label=metric.label)
-                if runner is traced_sim and tracer is not None:
-                    traced_result = r
-                rows.append(
-                    [r.label, r.local_fraction * 100, r.stall_ns / 1e9,
-                     r.overhead_ns / 1e9,
-                     r.migrations + r.replications + r.collapses]
-                )
-            title = (
-                f"{args.workload}: information sources (Figure 8 methodology)"
-            )
-        else:
-            for policy in StaticPolicy:
-                r = sim.simulate_static(user, policy)
-                rows.append([r.label, r.local_fraction * 100,
-                             r.stall_ns / 1e9, 0.0, 0])
-            for label, factory in (
-                ("Migr", PolicyParameters.migration_only),
-                ("Repl", PolicyParameters.replication_only),
-                ("Mig/Rep", PolicyParameters.base),
-            ):
-                runner = traced_sim if label == "Mig/Rep" else sim
-                r = runner.simulate_dynamic(
-                    user, factory(trigger_threshold=params.trigger_threshold),
-                    label=label,
-                )
-                if runner is traced_sim and tracer is not None:
-                    traced_result = r
-                rows.append(
-                    [label, r.local_fraction * 100, r.stall_ns / 1e9,
-                     r.overhead_ns / 1e9,
-                     r.migrations + r.replications + r.collapses]
-                )
-            if args.competitive:
-                r = sim.simulate_competitive(user)
-                rows.append(
-                    [r.label, r.local_fraction * 100, r.stall_ns / 1e9,
-                     r.overhead_ns / 1e9,
-                     r.migrations + r.replications + r.collapses]
-                )
-            title = f"{args.workload}: six policies (Figure 6 methodology)"
-    finally:
-        if tracer is not None:
-            tracer.close()
+    traced = cell(policy="migrep")
+    tracer = _make_tracer(args.trace_out, args.trace_misses)
+    results = _run_cells(args, specs, traced, tracer)
+    rows = [
+        # Every information-source run is labelled Mig/Rep; name the row
+        # after its metric.
+        [spec.metric if args.metrics else r.label, r.local_fraction * 100,
+         r.stall_ns / 1e9, r.overhead_ns / 1e9,
+         r.migrations + r.replications + r.collapses]
+        for spec, r in zip(specs, results)
+    ]
     print(
         format_table(
             title,
@@ -430,19 +407,19 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
     attrib = None
     if tracer is not None:
         print(f"wrote {tracer.emitted} events to {args.trace_out}")
-        if traced_result is not None:
-            try:
-                attrib = _reconcile_trace(
-                    args.trace_out, expected_from_policysim(traced_result)
-                )
-            except TraceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            print(
-                f"attribution reconciled: {attrib.events} events over "
-                f"{len(attrib.pages)} pages, "
-                f"{len(attrib.intervals)} intervals"
+        try:
+            attrib = _reconcile_trace(
+                args.trace_out,
+                expected_from_policysim(results[specs.index(traced)]),
             )
+        except TraceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(
+            f"attribution reconciled: {attrib.events} events over "
+            f"{len(attrib.pages)} pages, "
+            f"{len(attrib.intervals)} intervals"
+        )
     _write_profile(
         args, f"tracesim/{args.workload}",
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
@@ -454,48 +431,31 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
 
 def cmd_ptsim(args: argparse.Namespace) -> int:
     """Page-table policy comparison (the repro.ptpol subsystem)."""
-    spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
-    user = trace.user_only()
-    config = PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    trigger = params_for(args.workload, args.trigger).trigger_threshold
+    specs = [
+        _cell(args, args.workload, kind="trace", policy=policy,
+              trigger=args.trigger)
+        for policy in PT_TRACE_POLICIES
+    ]
     # The traced run is the flagship CoPlace leg; walk reconciliation
     # needs the per-miss stream, so misses are always recorded.
-    tracer = (
-        _make_tracer(args.trace_out, include_misses=True)
-        if args.trace_out
-        else None
-    )
-    traced = None  # (result, tally) of the CoPlace leg
+    traced = specs[PT_TRACE_POLICIES.index("coplace")]
+    tracer = _make_tracer(args.trace_out, include_misses=True)
+    results = _run_cells(args, specs, traced, tracer)
     rows = []
-    try:
-        for policy in PT_POLICIES:
-            sim = PtPolicySimulator(
-                config,
-                tracer=tracer if policy == "coplace" else None,
-            )
-            r = sim.simulate(
-                user,
-                params_for_pt_policy(policy, trigger=trigger),
-                label=PT_POLICY_LABELS[policy],
-            )
-            if policy == "coplace" and tracer is not None:
-                traced = (r, sim.tally)
-            walks = r.extra.get("pt_walks", 0.0)
-            local_walks = r.extra.get("pt_local_walks", 0.0)
-            rows.append(
-                [
-                    r.label,
-                    r.local_fraction * 100,
-                    (local_walks / walks * 100) if walks else 0.0,
-                    r.stall_ns / 1e9,
-                    r.overhead_ns / 1e9,
-                    int(r.extra.get("pt_replications", 0.0)),
-                    int(r.extra.get("thread_migrations", 0.0)),
-                ]
-            )
-    finally:
-        if tracer is not None:
-            tracer.close()
+    for r in results:
+        walks = r.extra.get("pt_walks", 0.0)
+        local_walks = r.extra.get("pt_local_walks", 0.0)
+        rows.append(
+            [
+                r.label,
+                r.local_fraction * 100,
+                (local_walks / walks * 100) if walks else 0.0,
+                r.stall_ns / 1e9,
+                r.overhead_ns / 1e9,
+                int(r.extra.get("pt_replications", 0.0)),
+                int(r.extra.get("thread_migrations", 0.0)),
+            ]
+        )
     print(
         format_table(
             f"{args.workload}: page-table policies (walk stall included)",
@@ -505,8 +465,8 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
         )
     )
     attrib = None
-    if tracer is not None and traced is not None:
-        result, tally = traced
+    if tracer is not None:
+        result = results[specs.index(traced)]
         print(f"wrote {tracer.emitted} events to {args.trace_out}")
         try:
             attrib = _reconcile_trace(
@@ -515,6 +475,13 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
         except TraceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        extra = result.extra
+        tally = PtTally(
+            walks=int(extra["pt_walks"]),
+            local_walks=int(extra["pt_local_walks"]),
+            pt_replications=int(extra["pt_replications"]),
+            thread_migrations=int(extra["thread_migrations"]),
+        )
         errors = reconcile_events(tally, iter_events(args.trace_out))
         if errors:
             print(
@@ -546,38 +513,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append((name, "PASS" if ok else "FAIL", detail))
         return ok
 
-    spec, trace = load_workload("engineering", scale=args.scale,
-                                seed=args.seed)
-    results = run_policy_comparison(
-        spec, trace, params=params_for("engineering", None), jobs=args.jobs
-    )
-    ft, mr = results["FT"], results["Mig/Rep"]
-    red = mr.stall_reduction_over(ft)
+    eng_ft, eng_mr, db_ft, db_mr, fc, sc = _run_cells(args, [
+        *(_cell(args, workload, policy=policy)
+          for workload in ("engineering", "database")
+          for policy in SYSTEM_POLICIES),
+        *(_cell(args, "raytrace", kind="trace", metric=metric)
+          for metric in ("FC", "SC")),
+    ])
+    red = eng_mr.stall_reduction_over(eng_ft)
     check("engineering stall reduction (paper 52%)", red > 30,
           f"{red:.1f}%")
     check("engineering uses both mechanisms",
-          mr.tally.migrated > 0 and mr.tally.replicated > 0,
-          f"{mr.tally.migrated} migr / {mr.tally.replicated} repl")
+          eng_mr.tally.migrated > 0 and eng_mr.tally.replicated > 0,
+          f"{eng_mr.tally.migrated} migr / {eng_mr.tally.replicated} repl")
 
-    spec, trace = load_workload("database", scale=args.scale, seed=args.seed)
-    results = run_policy_comparison(
-        spec, trace, params=params_for("database", None), jobs=args.jobs
-    )
-    ft, mr = results["FT"], results["Mig/Rep"]
-    pct = mr.tally.percentages()
+    pct = db_mr.tally.percentages()
     check("database robustness (paper: 85% no action)",
           pct["% No Action"] > 50 and
-          mr.execution_time_ns < ft.execution_time_ns * 1.05,
+          db_mr.execution_time_ns < db_ft.execution_time_ns * 1.05,
           f"{pct['% No Action']:.0f}% no action")
 
-    spec, trace = load_workload("raytrace", scale=args.scale, seed=args.seed)
-    user = trace.user_only()
-    sim = TracePolicySimulator(
-        PolicySimConfig(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    )
-    fc = sim.simulate_dynamic(user, PolicyParameters.base())
-    sc = sim.simulate_dynamic(user, PolicyParameters.base(),
-                              metric=ALL_METRICS[1])
     check("sampled cache matches full cache (paper: identical)",
           abs(fc.local_fraction - sc.local_fraction) < 0.08,
           f"FC {fc.local_fraction:.1%} vs SC {sc.local_fraction:.1%}")
@@ -1601,8 +1556,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="run the FT and Mig/Rep legs in parallel worker processes "
-        "(ignored when --trace-out needs the in-process tracer)",
+        help="worker processes for the FT and Mig/Rep legs the result "
+        "cache does not hold (--trace-out and --profile-out run both "
+        "legs in-process and uncached)",
     )
     p.add_argument(
         "--machine", choices=("ccnuma", "ccnow", "zeronet"),
@@ -1736,7 +1692,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workload=False)
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the policy comparisons",
+        help="worker processes for the six cells the result cache does "
+        "not hold",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -51,6 +51,7 @@ import numpy as np
 from repro.common.stats import SampleStats
 from repro.exp.cache import ResultCache, ResultType
 from repro.exp.spec import ExperimentSpec, machine_for
+from repro.obs.tracer import Tracer
 from repro.policy.metrics import ALL_METRICS
 from repro.sim.simulator import SimulatorOptions, SystemSimulator
 from repro.trace.policysim import (
@@ -66,6 +67,7 @@ POLICY_LABELS = {
     "migr": "Migr", "repl": "Repl", "migrep": "Mig/Rep",
     "ptft": "PT-FT", "ptmigr": "PT-Migr",
     "ptrepl": "PT-Repl", "coplace": "CoPlace",
+    "competitive": "Competitive",
 }
 
 _STATIC_POLICIES = {
@@ -121,12 +123,16 @@ def execute_spec(
     spec: ExperimentSpec,
     fault_hook: Optional[FaultHook] = None,
     attempt: int = 0,
+    *,
+    tracer: Optional[Tracer] = None,
 ) -> ResultType:
     """Run one experiment to completion (pure; safe in any process).
 
     The simulators draw no global randomness, but the globals are
     reseeded deterministically per task anyway so a future stray
-    consumer cannot make parallel and serial sweeps diverge.
+    consumer cannot make parallel and serial sweeps diverge.  A
+    ``tracer`` records the run's events; it lives in the calling
+    process, so a traced run is made there and never cached.
     """
     if fault_hook is not None:
         fault_hook(spec, attempt)
@@ -147,28 +153,25 @@ def execute_spec(
             machine=machine_for(spec.machine, workload_spec),
             params=spec.params(),
             options=options,
+            tracer=tracer,
         )
         return sim.run(trace)
     # Trace-driven (Section 8): contentionless fixed-latency model.
     stream = trace.kernel_only() if spec.kernel_trace else trace.user_only()
     label = POLICY_LABELS[spec.policy]
+    config = PolicySimConfig(
+        n_cpus=workload_spec.n_cpus, n_nodes=workload_spec.n_nodes
+    )
     if spec.pt_policy:
         from repro.ptpol import PtPolicySimulator
 
-        pt_sim = PtPolicySimulator(
-            PolicySimConfig(
-                n_cpus=workload_spec.n_cpus,
-                n_nodes=workload_spec.n_nodes,
-            )
-        )
+        pt_sim = PtPolicySimulator(config, tracer=tracer)
         return pt_sim.simulate(stream, spec.params(), label=label)
-    sim = TracePolicySimulator(
-        PolicySimConfig(
-            n_cpus=workload_spec.n_cpus, n_nodes=workload_spec.n_nodes
-        )
-    )
+    sim = TracePolicySimulator(config, tracer=tracer)
     if spec.policy in _STATIC_POLICIES:
         return sim.simulate_static(stream, _STATIC_POLICIES[spec.policy])
+    if spec.policy == "competitive":
+        return sim.simulate_competitive(stream, label=label)
     return sim.simulate_dynamic(
         stream,
         spec.params(),

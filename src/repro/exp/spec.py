@@ -59,7 +59,11 @@ FIG6_POLICIES = ("rr", "ft", "pf", "migr", "repl", "migrep")
 #: run times include walk stall the six paper policies do not model).
 PT_TRACE_POLICIES = ("ptft", "ptmigr", "ptrepl", "coplace")
 
-TRACE_POLICIES = FIG6_POLICIES + PT_TRACE_POLICIES
+#: The related-work baseline (Section 2): Black, Gupta and Weber's
+#: competitive strategy, replayed by the trace-driven simulator.
+BASELINE_POLICIES = ("competitive",)
+
+TRACE_POLICIES = FIG6_POLICIES + PT_TRACE_POLICIES + BASELINE_POLICIES
 
 #: Information sources of Section 8.3 (Figure 8), by label.
 METRIC_LABELS = ("FC", "SC", "FT", "ST")
@@ -140,7 +144,7 @@ class ExperimentSpec:
     @property
     def dynamic(self) -> bool:
         """Does this run move pages?"""
-        return self.policy in ("migr", "repl", "migrep",
+        return self.policy in ("migr", "repl", "migrep", "competitive",
                                "ptmigr", "ptrepl", "coplace")
 
     @property

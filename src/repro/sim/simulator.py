@@ -655,18 +655,6 @@ class ReferenceSystemSimulator(SystemSimulator):
                     )
 
 
-def _comparison_leg(
-    spec: WorkloadSpec,
-    trace: Trace,
-    machine: Optional[MachineConfig],
-    params: Optional[PolicyParameters],
-    options: SimulatorOptions,
-) -> SimulationResult:
-    """One leg of the FT-vs-Mig/Rep comparison (top-level: picklable)."""
-    sim = SystemSimulator(spec, machine=machine, params=params, options=options)
-    return sim.run(trace)
-
-
 def run_policy_comparison(
     spec: WorkloadSpec,
     trace: Optional[Trace] = None,
@@ -674,14 +662,8 @@ def run_policy_comparison(
     params: Optional[PolicyParameters] = None,
     shootdown_mode: ShootdownMode = ShootdownMode.ALL_CPUS,
     adaptive_trigger: bool = False,
-    jobs: int = 1,
 ) -> Dict[str, SimulationResult]:
-    """Run FT (static) and Mig/Rep (dynamic) on one workload (Figure 3).
-
-    With ``jobs > 1`` the two legs run in separate worker processes (the
-    FT baseline and the dynamic run are independent); any failure to
-    start a pool degrades silently to the serial path.
-    """
+    """Run FT (static) and Mig/Rep (dynamic) on one workload (Figure 3)."""
     if trace is None:
         trace = generate_trace(spec)
     legs = [
@@ -692,26 +674,9 @@ def run_policy_comparison(
             adaptive_trigger=adaptive_trigger,
         ),
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(
-                        _comparison_leg, spec, trace, machine, params, options
-                    )
-                    for options in legs
-                ]
-                return {
-                    options.label: future.result()
-                    for options, future in zip(legs, futures)
-                }
-        except (OSError, NotImplementedError, PermissionError,
-                BrokenProcessPool):
-            pass  # fall through to the serial path
     return {
-        options.label: _comparison_leg(spec, trace, machine, params, options)
+        options.label: SystemSimulator(
+            spec, machine=machine, params=params, options=options
+        ).run(trace)
         for options in legs
     }

@@ -32,6 +32,18 @@ def _isolated_trace_store(tmp_path_factory):
     yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_result_cache(tmp_path_factory):
+    """Point the experiment result cache at a per-session temp dir.
+
+    ``repro run``, ``tracesim``, ``ptsim`` and ``verify`` serve their
+    cells from the result cache; tests must never read or write the
+    user's ``~/.cache/repro/exp``.
+    """
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("results"))
+    yield
+
+
 @pytest.fixture(scope="session")
 def small_workloads():
     """{name: (spec, trace)} at a small scale, generated once."""

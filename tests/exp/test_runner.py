@@ -66,6 +66,39 @@ class TestExecuteSpec:
         )
         assert canonical([execute_spec(spec)]) == canonical([execute_spec(spec)])
 
+    def test_competitive_is_a_trace_policy(self):
+        from repro.common.errors import ConfigurationError
+        from repro.trace.policysim import PolicySimConfig, TracePolicySimulator
+        from repro.workloads import load_workload
+
+        spec = ExperimentSpec(
+            workload="database", scale=SCALE, kind="trace",
+            policy="competitive",
+        )
+        workload, trace = load_workload("database", scale=SCALE)
+        direct = TracePolicySimulator(
+            PolicySimConfig(n_cpus=workload.n_cpus, n_nodes=workload.n_nodes)
+        ).simulate_competitive(trace.user_only())
+        assert direct.label == "Competitive"
+        assert canonical([execute_spec(spec)]) == canonical([direct])
+        assert spec.dynamic
+        with pytest.raises(ConfigurationError):
+            spec.replace(kind="system")
+
+    @pytest.mark.parametrize("kind, policy", [
+        ("system", "migrep"), ("trace", "migrep"), ("trace", "coplace"),
+    ])
+    def test_tracer_records_the_run_and_leaves_the_result(self, kind, policy):
+        from repro.obs.tracer import Tracer
+
+        spec = ExperimentSpec(
+            workload="database", scale=SCALE, kind=kind, policy=policy
+        )
+        tracer = Tracer()
+        traced = execute_spec(spec, tracer=tracer)
+        assert tracer.emitted > 0
+        assert canonical([traced]) == canonical([execute_spec(spec)])
+
     def test_derive_seed_is_per_spec(self):
         a = ExperimentSpec(workload="database")
         assert derive_seed(a) == derive_seed(a)

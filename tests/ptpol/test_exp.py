@@ -11,6 +11,7 @@ from repro.exp.figures import (
 )
 from repro.exp.runner import POLICY_LABELS, SweepOutcome, execute_spec
 from repro.exp.spec import (
+    BASELINE_POLICIES,
     FIG6_POLICIES,
     FIG9_TRIGGERS,
     PT_TRACE_POLICIES,
@@ -33,7 +34,9 @@ def _pt_spec(policy="coplace", **overrides):
 
 class TestSpecs:
     def test_pt_policies_are_trace_policies(self):
-        assert TRACE_POLICIES == FIG6_POLICIES + PT_TRACE_POLICIES
+        assert TRACE_POLICIES == (
+            FIG6_POLICIES + PT_TRACE_POLICIES + BASELINE_POLICIES
+        )
         for policy in PT_TRACE_POLICIES:
             assert POLICY_LABELS[policy]
 

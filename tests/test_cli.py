@@ -111,6 +111,86 @@ def test_verify_command(capsys):
     assert "robustness" in out
 
 
+def test_tracesim_metrics_rejects_competitive(capsys):
+    assert main(
+        ["tracesim", "--workload", "database", "--scale", "0.05",
+         "--metrics", "--competitive"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --competitive")
+    assert captured.err.count("\n") == 1
+
+
+def _forbid(what):
+    def forbid(*args, **kwargs):
+        raise AssertionError(what)
+
+    return forbid
+
+
+def test_verify_rerun_is_served_from_the_cache(tmp_path, capsys, monkeypatch):
+    import repro.cli as cli
+    import repro.exp.runner as runner
+    from repro.exp.cache import ResultCache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["verify", "--scale", "0.05"]
+    code = main(argv)
+    first = capsys.readouterr()
+    assert len(ResultCache(tmp_path)) == 6
+    forbid = _forbid("a cell ran on a warm rerun")
+    monkeypatch.setattr(runner, "execute_spec", forbid)
+    monkeypatch.setattr(cli, "execute_spec", forbid)
+    assert main(argv) == code
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--profile-out"])
+def test_inspected_run_neither_reads_nor_writes_the_cache(
+    flag, tmp_path, capsys, monkeypatch
+):
+    from repro.exp.cache import ResultCache
+
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    monkeypatch.setattr(ResultCache, "get", _forbid("cache read"))
+    monkeypatch.setattr(ResultCache, "put", _forbid("cache written"))
+    assert main(
+        ["run", "--workload", "database", "--scale", "0.05",
+         flag, str(tmp_path / "out")]
+    ) == 0
+    assert not cache_dir.exists()
+
+
+def test_run_jobs_two_matches_jobs_one(tmp_path, capsys, monkeypatch):
+    import repro.exp.runner as runner
+
+    pools = []
+
+    class CountingPool(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    outputs = []
+    for jobs in ("1", "2"):
+        # A cold cache each time, so both legs really run.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
+        metrics = tmp_path / f"metrics{jobs}.json"
+        assert main(
+            ["run", "--workload", "database", "--scale", "0.05",
+             "--jobs", jobs, "--metrics-out", str(metrics)]
+        ) == 0
+        outputs.append(
+            (capsys.readouterr().out.replace(str(metrics), "METRICS"),
+             metrics.read_bytes())
+        )
+    assert outputs[0] == outputs[1]
+    assert pools == [{"max_workers": 2}]
+
+
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
     """One traced run shared by the trace/metrics/analyze CLI tests."""
@@ -414,17 +494,21 @@ def test_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_run_with_out_of_range_cpu_is_a_one_line_error(capsys, monkeypatch):
-    import repro.cli as cli
+def test_run_with_out_of_range_cpu_is_a_one_line_error(
+    capsys, monkeypatch, tmp_path
+):
+    import repro.exp.runner as runner
     from repro.trace.record import TraceBuilder
 
-    spec, trace = cli.load_workload("database", scale=0.02, seed=0)
+    spec, trace = runner.load_workload("database", scale=0.02, seed=0)
     builder = TraceBuilder()
     builder.append(0, cpu=0, process=1, page=7)
     builder.append(10, cpu=spec.n_cpus, process=1, page=8)
     monkeypatch.setattr(
-        cli, "load_workload", lambda *a, **k: (spec, builder.build())
+        runner, "load_workload", lambda *a, **k: (spec, builder.build())
     )
+    # A fresh result cache, so the cells run on the patched trace.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["run", "--workload", "database", "--scale", "0.02"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: trace names cpu {spec.n_cpus}")
@@ -1085,17 +1169,38 @@ class TestProfileOut:
         assert shares == pytest.approx(1.0)
         assert report.context["workload"] == "database"
 
-    def test_run_top_layers_are_memory_and_the_sim_loop(
-        self, tmp_path, capsys
-    ):
+    def test_run_profile_times_the_full_system_layers(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        # A fresh process, as the CI smoke step runs it.  Inside the
+        # full test session one run charged machine.memory 72 ms (16 ms
+        # standalone), enough to outrank sim in this 0.2 s profile.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p]
+        )
         path = tmp_path / "profile.json"
-        assert main([
-            "run", "--workload", "engineering", "--scale", "0.05",
-            "--profile-out", str(path),
-        ]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run",
+             "--workload", "engineering", "--scale", "0.05",
+             "--profile-out", str(path)],
+            env=env, check=True, capture_output=True,
+        )
         layers = self.load(path).layers
-        top = sorted(layers, key=lambda name: -layers[name]["share"])[:2]
-        assert set(top) == {"machine.memory", "sim"}
+        assert max(layers, key=lambda name: layers[name]["share"]) == "sim"
+        # Both legs ran here: a profiled run never takes a cached result.
+        assert layers["sim"]["calls"] == 2
+        for name in ("machine.memory", "machine.directory", "kernel.vm",
+                     "kernel.pager"):
+            assert layers[name]["calls"] > 0, name
+        for name in ("trace.replay", "trace.tlbsim", "ptpol"):
+            assert layers[name]["calls"] == 0, name
 
     def test_wrappers_come_off_after_the_command(self, tmp_path, capsys):
         from repro.sim.simulator import SystemSimulator
@@ -1122,12 +1227,12 @@ class TestProfileOut:
     def test_parallel_run_stays_in_process_when_profiled(
         self, tmp_path, capsys, monkeypatch
     ):
-        import repro.cli as cli
+        import repro.exp.runner as runner
 
-        def forbid(*args, **kwargs):
-            raise AssertionError("profiled run left the process")
-
-        monkeypatch.setattr(cli, "run_policy_comparison", forbid)
+        monkeypatch.setattr(
+            runner, "ProcessPoolExecutor",
+            _forbid("profiled run left the process"),
+        )
         path = tmp_path / "p.json"
         assert main([
             "run", "--workload", "database", "--scale", "0.05",
