@@ -81,8 +81,12 @@ class OnlineStats:
 
     @property
     def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
+        """Population standard deviation.
+
+        Rounding in the Welford update can leave the variance of equal
+        values a hair below zero; that reads as 0.
+        """
+        return math.sqrt(max(self.variance, 0.0))
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator into this one."""

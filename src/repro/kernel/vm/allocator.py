@@ -36,17 +36,14 @@ class PageFrameAllocator:
         self.n_nodes = n_nodes
         self.frames_per_node = frames_per_node
         self.pressure_watermark = pressure_watermark
-        self._free: List[List[PageFrame]] = []
+        # Each node hands out freed frames first, last freed first, then
+        # its never-used frames in ascending id order.  Node ``n`` owns
+        # ids ``n * frames_per_node`` and up; a never-used frame is only
+        # built when first allocated.
+        self._free: List[List[PageFrame]] = [[] for _ in range(n_nodes)]
+        self._fresh: List[int] = [frames_per_node] * n_nodes
         self._in_use: List[int] = [0] * n_nodes
-        next_id = 0
-        for node in range(n_nodes):
-            frames = [
-                PageFrame(next_id + i, node) for i in range(frames_per_node)
-            ]
-            next_id += frames_per_node
-            # Pop from the end; reversing keeps allocation order ascending.
-            frames.reverse()
-            self._free.append(frames)
+        self._in_use_total = 0
         # statistics
         self.allocations = 0
         self.failures = 0
@@ -58,12 +55,12 @@ class PageFrameAllocator:
 
     def free_frames(self, node: int) -> int:
         """Free frames on ``node``."""
-        return len(self._free[node])
+        return len(self._free[node]) + self._fresh[node]
 
     def frames_in_use(self, node: Optional[int] = None) -> int:
         """Frames in use on ``node`` (or machine-wide when None)."""
         if node is None:
-            return sum(self._in_use)
+            return self._in_use_total
         return self._in_use[node]
 
     def under_pressure(self, node: int) -> bool:
@@ -79,14 +76,22 @@ class PageFrameAllocator:
         the Table 4 "no page" outcome.
         """
         free = self._free[node]
-        if not free:
-            self.failures += 1
-            raise AllocationError(node)
-        frame = free.pop()
+        if free:
+            frame = free.pop()
+        else:
+            fresh = self._fresh[node]
+            if not fresh:
+                self.failures += 1
+                raise AllocationError(node)
+            self._fresh[node] = fresh - 1
+            per_node = self.frames_per_node
+            frame = PageFrame(node * per_node + per_node - fresh, node)
         frame.assign(logical_page)
         self._in_use[node] += 1
+        self._in_use_total += 1
         self.allocations += 1
-        self.peak_in_use = max(self.peak_in_use, self.frames_in_use())
+        if self._in_use_total > self.peak_in_use:
+            self.peak_in_use = self._in_use_total
         return frame
 
     def allocate_fallback(self, preferred: int, logical_page: int) -> PageFrame:
@@ -110,6 +115,7 @@ class PageFrameAllocator:
             frame.release()
         self._free[frame.node].append(frame)
         self._in_use[frame.node] -= 1
+        self._in_use_total -= 1
 
     # -- replica accounting -------------------------------------------------------
 

@@ -284,21 +284,22 @@ class VmSystem:
         for master in self.hash_table:
             if not master.is_master:
                 raise VmError(f"hash table holds non-master {master!r}")
-            nodes = master.copy_nodes()
-            if len(nodes) != len(set(nodes)):
-                raise VmError(
-                    f"page {master.logical_page} has two copies on one node"
-                )
-            for copy in master.all_copies():
+            page = master.logical_page
+            replicated = master.has_replicas
+            copies = master.all_copies() if replicated else (master,)
+            if replicated:
+                nodes = [copy.node for copy in copies]
+                if len(nodes) != len(set(nodes)):
+                    raise VmError(f"page {page} has two copies on one node")
+            for copy in copies:
                 for pte in copy.ptes:
-                    if pte.logical_page != master.logical_page:
+                    if pte.logical_page != page:
                         raise VmError("back-map points at a foreign pte")
                     if pte.frame is not copy:
                         raise VmError("back-map / pte frame mismatch")
-                    if master.has_replicas and pte.writable:
+                    if replicated and pte.writable:
                         raise VmError(
-                            f"writable mapping to replicated page "
-                            f"{master.logical_page}"
+                            f"writable mapping to replicated page {page}"
                         )
 
     def memory_usage_pages(self) -> int:

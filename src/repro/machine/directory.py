@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import HotPageTriggered
@@ -134,15 +136,54 @@ class SamplingAccumulator:
         if rate <= 0:
             raise ConfigurationError("sampling rate must be >= 1")
         self.rate = rate
-        self._carry = [0] * n_cpus
+        #: Per-CPU remainder: the offered weight not yet counted.
+        self.carry = [0] * n_cpus
 
     def sample(self, cpu: int, weight: int) -> int:
         """Weight that survives sampling for this record."""
         rate = self.rate
         if rate == 1:
             return weight
-        carry = self._carry
+        carry = self.carry
         counted, carry[cpu] = divmod(carry[cpu] + weight, rate)
+        return counted
+
+    def sample_many(
+        self,
+        cpus: np.ndarray,
+        weights: np.ndarray,
+        mask: np.ndarray,
+        before: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`sample` each ``mask``-selected record of a column, in order.
+
+        Returns each record's surviving weight (0 where ``mask`` is
+        false), record for record what :meth:`sample` would give, and
+        advances the carries past the whole column.  A CPU's counted
+        weight up to a record is ``(carry + cumsum) // rate``, so the
+        per-record weights are the differences of that running quotient.
+        ``before``, when given, receives each selected record's carry
+        just before it (sampling at rate 1 keeps no carry).
+        """
+        rate = self.rate
+        if rate == 1:
+            return np.where(mask, weights, 0)
+        counted = np.zeros(len(weights), dtype=np.int64)
+        carry = self.carry
+        for cpu in range(len(carry)):
+            sel = mask & (cpus == cpu)
+            if not sel.any():
+                continue
+            w = weights[sel]
+            run = carry[cpu] + np.cumsum(w)
+            total = run // rate
+            mine = np.empty(len(w), dtype=np.int64)
+            mine[0] = total[0]           # carry // rate == 0 (carry < rate)
+            mine[1:] = total[1:] - total[:-1]
+            counted[sel] = mine
+            if before is not None:
+                before[sel] = (run - w) % rate
+            carry[cpu] = int(run[-1] % rate)
         return counted
 
 

@@ -17,53 +17,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.common.stats import OnlineStats
 from repro.machine.config import MachineConfig
-from repro.machine.contention import UtilisationWindow, queue_delays
+from repro.machine.contention import UtilisationWindow, queue_delay
 from repro.machine.interconnect import Interconnect
-
-
-class WindowMisses:
-    """The misses of one window, gathered for one :meth:`service_miss`.
-
-    ``pair_weights[k]`` sums the weights of node pair ``k`` (indexed as
-    :meth:`NumaMemorySystem.latency_table` is); the four lists hold each
-    local and each remote miss's latency and weight in record order.
-    The replay loop appends to the lists directly; :meth:`add` is the
-    same thing spelled out.
-    """
-
-    __slots__ = (
-        "pair_weights", "local_ns", "local_weights",
-        "remote_ns", "remote_weights",
-    )
-
-    def __init__(self, n_nodes: int) -> None:
-        self.pair_weights: List[int] = [0] * (n_nodes * n_nodes)
-        self.local_ns: List[float] = []
-        self.local_weights: List[int] = []
-        self.remote_ns: List[float] = []
-        self.remote_weights: List[int] = []
-
-    def add(self, pair: int, latency_ns: float, weight: int, remote: bool) -> None:
-        """Append one (weighted) miss of node pair ``pair``."""
-        self.pair_weights[pair] += weight
-        if remote:
-            self.remote_ns.append(latency_ns)
-            self.remote_weights.append(weight)
-        else:
-            self.local_ns.append(latency_ns)
-            self.local_weights.append(weight)
-
-    def __len__(self) -> int:
-        return len(self.local_ns) + len(self.remote_ns)
-
-    def clear(self) -> None:
-        """Empty every list in place (bound methods stay valid)."""
-        self.pair_weights[:] = [0] * len(self.pair_weights)
-        for column in (self.local_ns, self.local_weights,
-                       self.remote_ns, self.remote_weights):
-            column.clear()
 
 
 class NumaMemorySystem:
@@ -71,11 +30,11 @@ class NumaMemorySystem:
 
     A miss's latency depends only on the previous window's utilisation
     of the resources it touches, so within one window it is a constant
-    per (requesting node, home node) pair.  The full-system simulator
-    therefore reads each miss's latency from :meth:`latency_table` and
-    charges a window's misses at once through :meth:`service_miss`;
-    :meth:`service_record` charges one miss at a time and is the
-    reference both are checked against.
+    per (requesting node, home node) pair, and a window's work depends
+    only on its misses' pairs and weights.  :meth:`service_miss`
+    therefore charges a run of misses window by window as numpy
+    columns; :meth:`service_record` charges one miss at a time and is
+    the reference it is checked against.
     """
 
     def __init__(self, config: MachineConfig, window_ns: int = 1_000_000) -> None:
@@ -90,8 +49,28 @@ class NumaMemorySystem:
         ]
         self._occupancy = mem.controller_occupancy_ns
         self._remote_extra = mem.remote_extra_occupancy_ns
+        # Per node pair (rows, ``cpu_node * n_nodes + home``), what one
+        # miss costs each node (columns): controller work, controller
+        # requests and network-interface crossings.
+        n = self.n_nodes
+        self._work = np.zeros((n * n, n), dtype=np.int64)
+        self._requests = np.zeros((n * n, n), dtype=np.int64)
+        self._crossings = np.zeros((n * n, n), dtype=np.int64)
+        for cpu_node in range(n):
+            for home in range(n):
+                pair = cpu_node * n + home
+                self._requests[pair, home] += 1
+                if cpu_node == home:
+                    self._work[pair, home] += self._occupancy
+                    continue
+                self._work[pair, home] += self._occupancy + self._remote_extra
+                # The requester-side controller forwards the request.
+                self._work[pair, cpu_node] += self._remote_extra
+                self._requests[pair, cpu_node] += 1
+                self._crossings[pair, cpu_node] += 1
+                self._crossings[pair, home] += 1
         self._table_window = -1
-        self._table: List[float] = []
+        self._table = np.zeros(n * n)
         # statistics
         self.local_latency = OnlineStats()
         self.remote_latency = OnlineStats()
@@ -101,7 +80,7 @@ class NumaMemorySystem:
 
     # -- window-granular charging --------------------------------------------
 
-    def latency_table(self, now: int) -> List[float]:
+    def latency_table(self, now: int) -> np.ndarray:
         """Per-miss latency of every node pair in ``now``'s window.
 
         Flat and indexed ``cpu_node * n_nodes + home_node``.  The table
@@ -111,75 +90,104 @@ class NumaMemorySystem:
         """
         window = now // self.window_ns
         if window != self._table_window:
-            self._table = self._build_table(now)
+            rhos = [[c.rho_at(now) for c in self._controllers]]
+            links = [[link.rho_at(now) for link in self.interconnect.links]]
+            self._table = self._tables(np.array(rhos), np.array(links))[0]
             self._table_window = window
         return self._table
 
-    def _build_table(self, now: int) -> List[float]:
+    def _tables(self, rhos: np.ndarray, link_rhos: np.ndarray) -> np.ndarray:
+        """Latency tables, one row per window, from each window's
+        controller and link utilisations (``(windows, n_nodes)`` each)."""
+        n = self.n_nodes
         mem = self.config.memory
         occupancy, extra = self._occupancy, self._remote_extra
-        rhos = [c.rho_at(now) for c in self._controllers]
-        home_local = queue_delays(occupancy, rhos)
-        home_remote = queue_delays(occupancy + extra, rhos)
-        forward = queue_delays(extra, rhos)
-        links = self.interconnect.delays_at(now)
-        local_ns, remote_ns = mem.local_ns, mem.remote_ns
-        # Grouped as service_record sums them: home, forward, then the
-        # two interface crossings.
-        table = [
-            remote_ns + (home + fwd + (out + into))
-            for fwd, out in zip(forward, links)
-            for home, into in zip(home_remote, links)
-        ]
-        for node, delay in enumerate(home_local):
-            table[node * (self.n_nodes + 1)] = local_ns + delay
-        return table
+        home_local = queue_delay(occupancy, rhos)
+        home_remote = queue_delay(occupancy + extra, rhos)
+        forward = queue_delay(extra, rhos)
+        links = queue_delay(self.interconnect.occupancy_ns, link_rhos)
+        # [window, cpu_node, home], grouped as service_record sums them:
+        # home, forward, then the two interface crossings.
+        tables = mem.remote_ns + (
+            (home_remote[:, None, :] + forward[:, :, None])
+            + (links[:, :, None] + links[:, None, :])
+        )
+        nodes = np.arange(n)
+        tables[:, nodes, nodes] = mem.local_ns + home_local
+        return tables.reshape(len(rhos), n * n)
 
-    def service_miss(self, now: int, misses: WindowMisses) -> None:
-        """Charge ``misses``, all of ``now``'s window, at once.
+    def service_miss(
+        self, times: np.ndarray, pairs: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Service a run of misses in time order; return their latencies.
 
-        Controller and link work and the miss counters take the
-        per-pair weight sums; the latency statistics take every miss in
-        record order.  The outcome is bit for bit that of one
-        :meth:`service_record` per miss, provided the misses' latencies
-        came from this window's :meth:`latency_table` and the
-        occupancies are integral.  A window may be charged in several
-        calls.
+        Miss ``i`` at ``times[i]`` stands for ``weights[i]`` identical
+        misses of node pair ``pairs[i]`` (indexed as
+        :meth:`latency_table` is).  Each window's latencies come from
+        the previous window's work, the controllers and links are
+        charged each window's work, and the latency statistics take
+        every miss in order: bit for bit one :meth:`service_record` per
+        miss, provided the occupancies are integral.  A run may go on
+        with the window the previous run ended in.
         """
-        n = self.n_nodes
-        occupancy, extra = self._occupancy, self._remote_extra
-        work = [0] * n
-        requests = [0] * n
-        crossings = [0] * n
-        local = remote = 0
-        for pair, weight in enumerate(misses.pair_weights):
-            if not weight:
-                continue
-            cpu_node, home = divmod(pair, n)
-            requests[home] += weight
-            if cpu_node == home:
-                work[home] += occupancy * weight
-                local += weight
-            else:
-                work[home] += (occupancy + extra) * weight
-                # The requester-side controller forwards the request.
-                work[cpu_node] += extra * weight
-                requests[cpu_node] += weight
-                crossings[cpu_node] += weight
-                crossings[home] += weight
-                remote += weight
-        for controller, node_work, node_requests in zip(
-            self._controllers, work, requests
-        ):
-            if node_requests:
-                controller.charge(now, node_work, node_requests)
-        if remote:
-            self.interconnect.charge(now, crossings)
-        self.local_misses += local
-        self.remote_misses += remote
-        self.remote_handler_invocations += remote
-        self.local_latency.add_many(misses.local_ns, misses.local_weights)
-        self.remote_latency.add_many(misses.remote_ns, misses.remote_weights)
+        if not len(times):
+            return np.zeros(0)
+        n, size = self.n_nodes, self.window_ns
+        window = times // size
+        starts = np.flatnonzero(np.diff(window)) + 1
+        windows = window[np.r_[0, starts]]
+        ordinal = np.zeros(len(times), dtype=np.int64)
+        ordinal[starts] = 1
+        np.cumsum(ordinal, out=ordinal)
+        n_windows = len(windows)
+        load = np.bincount(
+            ordinal * (n * n) + pairs, weights=weights,
+            minlength=n_windows * n * n,
+        ).reshape(n_windows, n * n).astype(np.int64)
+        work = load @ self._work
+        requests = load @ self._requests
+        crossings = load @ self._crossings
+
+        # Each window's table: the first from the live state, the rest
+        # from the previous window's work, or none after an idle gap.
+        tables = np.empty((n_windows, n * n))
+        tables[0] = self.latency_table(int(times[0]))
+        if n_windows > 1:
+            cap = self.config.network.max_utilisation
+            last = work[:-1].astype(np.float64)
+            last_crossings = (self.interconnect.occupancy_ns
+                              * crossings[:-1]).astype(np.float64)
+            # The first window may go on with work charged earlier.
+            last[0] += [c.open_work(windows[0]) for c in self._controllers]
+            last_crossings[0] += [link.open_work(windows[0])
+                                  for link in self.interconnect.links]
+            follows = (np.diff(windows) == 1)[:, None]
+            rhos = np.where(follows, np.minimum(last / size, cap), 0.0)
+            link_rhos = np.where(
+                follows, np.minimum(last_crossings / size, cap), 0.0
+            )
+            tables[1:] = self._tables(rhos, link_rhos)
+        self._table, self._table_window = tables[-1], int(windows[-1])
+        latency = tables[ordinal, pairs]
+
+        for node, controller in enumerate(self._controllers):
+            busy = requests[:, node] > 0
+            if busy.any():
+                controller.charge_windows(
+                    windows[busy], work[busy, node], requests[busy, node]
+                )
+        self.interconnect.charge_windows(windows, crossings)
+        remote = pairs // n != pairs % n
+        local = ~remote
+        remote_weight = int(weights[remote].sum())
+        self.local_misses += int(weights[local].sum())
+        self.remote_misses += remote_weight
+        self.remote_handler_invocations += remote_weight
+        self.local_latency.add_many(latency[local].tolist(),
+                                    weights[local].tolist())
+        self.remote_latency.add_many(latency[remote].tolist(),
+                                     weights[remote].tolist())
+        return latency
 
     # -- the per-miss reference ------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.kernel.vm.shootdown import ShootdownMode
 from repro.kernel.vm.system import VmSystem
 from repro.machine.config import MachineConfig
 from repro.machine.directory import DirectoryArray
-from repro.machine.memory import NumaMemorySystem, WindowMisses
+from repro.machine.memory import NumaMemorySystem
 from repro.obs.events import (
     IntervalReset,
     MissServiced,
@@ -45,15 +45,10 @@ from repro.obs.tracer import as_tracer
 from repro.policy.adaptive import AdaptiveTriggerController, IntervalFeedback
 from repro.policy.parameters import PolicyParameters
 from repro.sim.results import ContentionStats, SimulationResult
-from repro.trace.record import FLAG_INSTR, FLAG_KERNEL, FLAG_WRITE, Trace
+from repro.sim.segments import SegmentReplay
+from repro.trace.record import Trace
 from repro.workloads.base import generate_trace
 from repro.workloads.spec import WorkloadSpec
-
-
-#: Records the replay loop reads into Python lists at a time.  Whole-trace
-#: lists would cost peak memory (about 15% more on the Figure 3 grid)
-#: for no speed.
-CHUNK_RECORDS = 8192
 
 
 class Placement(enum.Enum):
@@ -273,20 +268,21 @@ class SystemSimulator:
 
     def _end_interval(
         self, t, index, marks, memory, directory, accounting, pager,
-        adaptive, pending,
+        adaptive, pending, handle_batch,
     ):
         """Reset-interval expiry at ``t``: drain in-flight batches, reset
         the counters and retune an adaptive trigger.
 
         ``marks`` holds the overhead/remote/total counts at the interval's
-        start; the next interval's marks are returned.
+        start; the next interval's marks are returned.  ``handle_batch``
+        services each drained batch.
         """
         params, tracer = self.params, self.tracer
         for batch in directory.drain():
-            pager.handle_batch(t, batch)
+            handle_batch(t, batch)
         while pending:
             _, _, batch = heapq.heappop(pending)
-            pager.handle_batch(t, batch)
+            handle_batch(t, batch)
         if tracer.active:
             tracer.emit(
                 IntervalReset(
@@ -332,175 +328,16 @@ class SystemSimulator:
         self, trace, registry, vm, memory, directory, accounting,
         last_cpu, pager, collapser, result, adaptive, pending,
     ) -> None:
-        """The per-record loop (the replay phase).
+        """The replay phase, in columnar segments between state changes.
 
-        Memory contention is charged per window: each record's latency
-        is read from the window's :meth:`NumaMemorySystem.latency_table`
-        and the window's misses go to ``memory.service_miss`` in one call
-        when the next window opens, before an interval reset reads the
-        miss counts, and at the end.  Stall tallies are kept in locals
-        and folded into ``result.stall`` at the end.  Results and event
-        logs are byte-identical to :class:`ReferenceSystemSimulator`'s.
+        See :mod:`repro.sim.segments`.  Results and event logs are
+        byte-identical to :class:`ReferenceSystemSimulator`'s.
         """
-        machine, params, options = self.machine, self.params, self.options
-        tracer = self.tracer
-        n_nodes = machine.n_nodes
-        node_of = [machine.node_of_cpu(cpu) for cpu in range(machine.n_cpus)]
-        kernel_placement: Dict[int, int] = {}
-        pending_seq = itertools.count()
-        reset_ns = params.reset_interval_ns
-        next_reset = reset_ns
-        interval_marks = (0.0, 0, 0)
-        interval_index = 0
-        dynamic = options.dynamic
-        round_robin = options.placement is Placement.ROUND_ROBIN
-        pager_delay = options.pager_delay_ns
-        emit_miss = tracer.wants(MissServiced.KIND)
-        if tracer.wants(RunMeta.KIND):
-            self._emit_run_meta()
-
-        write_flag, instr_flag, kernel_flag = FLAG_WRITE, FLAG_INSTR, FLAG_KERNEL
-        pte_of, fault = vm.page_tables.lookup, vm.fault
-        master_of = vm.master_of
-        observe = directory.observe
-        handle_batch = pager.handle_batch
-        heappop, heappush = heapq.heappop, heapq.heappush
-
-        # The open window: its latency table and its misses so far.
-        window_ns = memory.window_ns
-        window_start = window_end = horizon = 0
-        table: list = []
-        misses = WindowMisses(n_nodes)
-        pair_weights = misses.pair_weights
-        add_local_lat = misses.local_ns.append
-        add_local_wt = misses.local_weights.append
-        add_remote_lat = misses.remote_ns.append
-        add_remote_wt = misses.remote_weights.append
-
-        stall = result.stall
-        kernel_instr, kernel_data = stall.kernel_instr_ns, stall.kernel_data_ns
-        user_instr, user_data = stall.user_instr_ns, stall.user_data_ns
-        local_ns, remote_ns = stall.local_ns, stall.remote_ns
-        local_misses, remote_misses = stall.local_misses, stall.remote_misses
-
-        columns = (trace.time_ns, trace.cpu, trace.process, trace.page,
-                   trace.weight, trace.flags)
-        for start in range(0, len(trace), CHUNK_RECORDS):
-            chunk = [column[start:start + CHUNK_RECORDS].tolist()
-                     for column in columns]
-            for t, cpu, pid, page, weight, flags in zip(*chunk):
-                last_cpu[pid] = cpu
-                # One test per record: ``horizon`` is the earliest of the
-                # window's end, the next pager dispatch and the next reset.
-                if t >= horizon:
-                    if t >= window_end:
-                        if misses:
-                            memory.service_miss(window_start, misses)
-                            misses.clear()
-                        window_start = t - t % window_ns
-                        window_end = window_start + window_ns
-                        table = memory.latency_table(t)
-                    # Pager interrupts whose dispatch delay has elapsed;
-                    # each is serviced at its own due time.
-                    while pending and pending[0][0] <= t:
-                        due, _, batch = heappop(pending)
-                        handle_batch(due, batch)
-                    if t >= next_reset:
-                        # The interval's misses are counted before it ends.
-                        if misses:
-                            memory.service_miss(window_start, misses)
-                            misses.clear()
-                        interval_marks = self._end_interval(
-                            t, interval_index, interval_marks, memory,
-                            directory, accounting, pager, adaptive, pending,
-                        )
-                        interval_index += 1
-                        while next_reset <= t:
-                            next_reset += reset_ns
-                    horizon = min(window_end, next_reset)
-                    if pending and pending[0][0] < horizon:
-                        horizon = pending[0][0]
-
-                cpu_node = node_of[cpu]
-                kernel = flags & kernel_flag
-                if kernel:
-                    # Kernel pages: first-touch placement, never movable.
-                    node = kernel_placement.get(page)
-                    if node is None:
-                        node = page % n_nodes if round_robin else cpu_node
-                        kernel_placement[page] = node
-                else:
-                    # User pages go through the VM system.
-                    pte = pte_of(pid, page)
-                    if pte is None:
-                        pte = fault(
-                            pid, page,
-                            page % n_nodes if round_robin else cpu_node,
-                        )
-                    write = (flags & write_flag) != 0
-                    if write:
-                        master = master_of(page)
-                        if master is not None and master.has_replicas:
-                            collapser.handle_write_fault(t, page, cpu)
-                    node = pte.frame.node
-                pair = cpu_node * n_nodes + node
-                pair_weights[pair] += weight
-                latency = table[pair]
-                remote = cpu_node != node
-                stall_ns = latency * weight
-                if flags & instr_flag:
-                    if kernel:
-                        kernel_instr += stall_ns
-                    else:
-                        user_instr += stall_ns
-                elif kernel:
-                    kernel_data += stall_ns
-                else:
-                    user_data += stall_ns
-                if remote:
-                    remote_ns += stall_ns
-                    remote_misses += weight
-                    add_remote_lat(latency)
-                    add_remote_wt(weight)
-                else:
-                    local_ns += stall_ns
-                    local_misses += weight
-                    add_local_lat(latency)
-                    add_local_wt(weight)
-                if emit_miss:
-                    tracer.emit(
-                        MissServiced(
-                            t=t,
-                            cpu=cpu,
-                            page=page,
-                            node=node,
-                            weight=weight,
-                            latency_ns=latency,
-                            remote=remote,
-                            kernel=bool(kernel),
-                        )
-                    )
-                if dynamic and not kernel:
-                    batch = observe(
-                        page, cpu, write, weight,
-                        is_local=not remote, process=pid, now_ns=t,
-                    )
-                    if batch is not None:
-                        # Small per-CPU skew so simultaneous interrupts
-                        # from different CPUs do not serialise on memlock
-                        # at the exact same instant.
-                        jitter = (cpu * 997_001) % 4_000_000
-                        due = t + pager_delay + jitter
-                        heappush(pending, (due, next(pending_seq), batch))
-                        if due < horizon:
-                            horizon = due
-        if misses:
-            memory.service_miss(window_start, misses)
-
-        stall.kernel_instr_ns, stall.kernel_data_ns = kernel_instr, kernel_data
-        stall.user_instr_ns, stall.user_data_ns = user_instr, user_data
-        stall.local_ns, stall.remote_ns = local_ns, remote_ns
-        stall.local_misses, stall.remote_misses = local_misses, remote_misses
+        SegmentReplay(
+            self, trace, vm, memory, directory, accounting, last_cpu,
+            pager, collapser, result, adaptive, pending,
+            round_robin=self.options.placement is Placement.ROUND_ROBIN,
+        ).run()
 
     def _finalize(
         self, trace, registry, vm, memory, directory, accounting,
@@ -536,14 +373,15 @@ class SystemSimulator:
 
 
 class ReferenceSystemSimulator(SystemSimulator):
-    """The per-miss reference loop: every record charged on its own.
+    """The per-record reference loop: every record replayed on its own.
 
-    :class:`SystemSimulator` charges memory contention once per window.
-    This subclass overrides only :meth:`_replay`, calling
-    :meth:`NumaMemorySystem.service_record` per record and
-    :meth:`VmSystem.fault` and ``StallBreakdown.add`` per user record;
-    set-up and finalize are the base class's.  Its results and event
-    logs are byte-identical to the production loop's, which
+    :class:`SystemSimulator` replays in columnar segments
+    (:mod:`repro.sim.segments`).  This subclass overrides only
+    :meth:`_replay`, calling :meth:`NumaMemorySystem.service_record`,
+    ``StallBreakdown.add`` and, per user record,
+    :meth:`VmSystem.fault` and :meth:`DirectoryArray.observe`; set-up
+    and finalize are the base class's.  Its results and event logs are
+    byte-identical to the segment engine's, which
     ``tests/integration/test_fullsys_identity.py`` checks by running
     both.
     """
@@ -593,7 +431,7 @@ class ReferenceSystemSimulator(SystemSimulator):
             if t >= next_reset:
                 interval_marks = self._end_interval(
                     t, interval_index, interval_marks, memory, directory,
-                    accounting, pager, adaptive, pending,
+                    accounting, pager, adaptive, pending, pager.handle_batch,
                 )
                 interval_index += 1
                 while next_reset <= t:

@@ -26,9 +26,9 @@ sub-loop that shares the pager-action state machine
 (``policysim._pager_act``) with the reference engine.  Sampling is
 reproduced exactly: the per-CPU remainder carries of
 :class:`~repro.machine.directory.SamplingAccumulator` are applied
-vectorially (``counted_i = (carry + csum_i)//rate - (carry +
-csum_{i-1})//rate``), so every event's surviving weight matches the
-scalar engine's record for record.
+vectorially by its ``sample_many`` (``counted_i = (carry + csum_i)//rate
+- (carry + csum_{i-1})//rate``), so every event's surviving weight
+matches the scalar engine's record for record.
 
 Byte-identity of the floating-point fields falls out of integer
 arithmetic: every stall/overhead addend is an integer (weight x
@@ -70,7 +70,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.machine.directory import MissCounterBank
+from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.batch import DATA_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import (
     CollapseEvent,
@@ -100,7 +100,6 @@ class _VectorEngine:
         self._pager_act = _pager_act
         self.params = params
         self.result = result
-        self.rate = sampling_rate
         self.n_cpus = config.n_cpus
         self.n_nodes = config.n_nodes
         self.node_list = [config.node_of_cpu(c) for c in range(config.n_cpus)]
@@ -118,7 +117,7 @@ class _VectorEngine:
         self.copies: Dict[int, Set[int]] = {}   # materialized candidate sets
         self._dirty: Set[int] = set()           # sets newer than their mask
         self._cold_tracked: Set[int] = set()    # traced-only cold page count
-        self.carry = [0] * config.n_cpus        # sampling remainders per CPU
+        self.sampler = SamplingAccumulator(config.n_cpus, sampling_rate)
         self.cur_iid = 0
         self.local_stall = 0.0
 
@@ -188,27 +187,6 @@ class _VectorEngine:
         self.masks[new_pages] = np.int64(1) << nodes
         self.touched[new_pages] = True
 
-    # -- exact vectorized sampling ---------------------------------------------
-
-    def _counted(self, cpus, weights, cntmask) -> np.ndarray:
-        """Per-event weights surviving 1-in-N sampling, carries applied."""
-        if self.rate == 1:
-            return np.where(cntmask, weights, 0)
-        out = np.zeros(len(weights), dtype=np.int64)
-        rate = self.rate
-        for cpu in range(self.n_cpus):
-            sel = cntmask & (cpus == cpu)
-            if not sel.any():
-                continue
-            w = weights[sel]
-            tot = (self.carry[cpu] + np.cumsum(w)) // rate
-            counted = np.empty(len(w), dtype=np.int64)
-            counted[0] = tot[0]          # carry//rate == 0 (carry < rate)
-            counted[1:] = tot[1:] - tot[:-1]
-            out[sel] = counted
-            self.carry[cpu] = (self.carry[cpu] + int(w.sum())) % rate
-        return out
-
     # -- feeding events --------------------------------------------------------
 
     def run_batch(
@@ -224,7 +202,7 @@ class _VectorEngine:
         n = len(times)
         if n == 0:
             return
-        counted = self._counted(cpus, weights, cntmask)
+        counted = self.sampler.sample_many(cpus, weights, cntmask)
         self._first_touch(pages, cpus)
         iids = times // self.interval
         change = np.flatnonzero(iids[1:] != iids[:-1]) + 1

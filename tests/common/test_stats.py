@@ -62,6 +62,12 @@ class TestOnlineStats:
         many.add_many([v for v, _ in pairs], [w for _, w in pairs])
         assert many.to_dict() == one.to_dict()
 
+    def test_equal_values_have_no_spread(self):
+        # Welford's m2 for these ends a hair below zero.
+        s = OnlineStats()
+        s.add_many([0.1, 0.1], [53, 56])
+        assert s.stddev == 0.0
+
     def test_add_many_rejects_nonpositive_weight(self):
         s = OnlineStats()
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 """Utilisation-window contention model."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.machine.contention import (
     UtilisationWindow,
     queue_delay,
-    queue_delays,
 )
 
 
@@ -100,6 +100,28 @@ def test_charge_equals_offers_in_the_same_window():
     assert _state(charged, 2500) == _state(offered, 2500)
 
 
-def test_queue_delays_match_queue_delay():
+def test_queue_delay_of_an_array_matches_each_scalar():
     rhos = [0.0, 0.25, 0.5, 0.95]
-    assert queue_delays(90, rhos) == [queue_delay(90, rho) for rho in rhos]
+    assert queue_delay(90, np.array(rhos)).tolist() == [
+        queue_delay(90, rho) for rho in rhos
+    ]
+
+
+@pytest.mark.parametrize("windows", [
+    [2, 3, 4], [3, 4, 9, 10], [2], [3], [5, 6], [2, 7],
+])
+def test_charge_windows_equals_one_charge_per_window(windows):
+    """Runs that go on with the open window, follow it or leave a gap."""
+    one_by_one, at_once = UtilisationWindow(1000), UtilisationWindow(1000)
+    for w in (one_by_one, at_once):
+        w.charge(2500, 700, 3)                    # window 2 is open
+    work, requests = [300 * (k + 1) for k in range(len(windows))], [
+        k + 2 for k in range(len(windows))]
+    for window, busy, count in zip(windows, work, requests):
+        one_by_one.charge(window * 1000 + 10, busy, count)
+    at_once.charge_windows(np.array(windows), np.array(work),
+                           np.array(requests))
+    for now in (11_000, 11_500, 30_000):
+        assert _state(at_once, now) == _state(one_by_one, now)
+        assert at_once.rho_at(now) == one_by_one.rho_at(now)
+    assert at_once.open_work(windows[-1]) == one_by_one.open_work(windows[-1])

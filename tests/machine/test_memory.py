@@ -5,10 +5,13 @@ the reference; the window cases check :meth:`latency_table` and
 :meth:`service_miss` against it.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.config import MachineConfig
-from repro.machine.memory import NumaMemorySystem, WindowMisses
+from repro.machine.memory import NumaMemorySystem
 
 WINDOW_NS = 1_000_000
 
@@ -128,27 +131,30 @@ def _reference(records):
     return memory, latencies
 
 
-def _windowed(records, split=False):
-    """Charge ``records`` a window at a time; ``split`` halves each charge."""
-    memory = NumaMemorySystem(MachineConfig.flash_ccnuma())
+def _columns(memory, records):
     n = memory.n_nodes
-    latencies, misses = [], WindowMisses(n)
-    by_window = {}
-    for record in records:
-        by_window.setdefault(record[0] // WINDOW_NS, []).append(record)
-    for window in sorted(by_window):
-        start = window * WINDOW_NS
-        table = memory.latency_table(start)
-        chunk = by_window[window]
-        cuts = [chunk[: len(chunk) // 2], chunk[len(chunk) // 2:]]
-        for part in cuts if split else [chunk]:
-            for t, cpu, home, weight in part:
-                pair = memory.config.node_of_cpu(cpu) * n + home
-                latencies.append(table[pair])
-                misses.add(pair, table[pair], weight, cpu != home)
-            memory.service_miss(start, misses)
-            misses.clear()
+    times = np.array([t for t, _, _, _ in records], dtype=np.int64)
+    pairs = np.array([memory.config.node_of_cpu(cpu) * n + home
+                      for _, cpu, home, _ in records], dtype=np.int64)
+    weights = np.array([w for _, _, _, w in records], dtype=np.int64)
+    return times, pairs, weights
+
+
+def _windowed(records, cuts=()):
+    """Charge ``records`` in runs that end before each index in ``cuts``."""
+    memory = NumaMemorySystem(MachineConfig.flash_ccnuma())
+    times, pairs, weights = _columns(memory, records)
+    bounds = [0, *cuts, len(records)]
+    latencies = []
+    for start, stop in zip(bounds, bounds[1:]):
+        latencies += memory.service_miss(
+            times[start:stop], pairs[start:stop], weights[start:stop]
+        ).tolist()
     return memory, latencies
+
+
+#: Runs cut mid-window, on window edges and around the idle gap.
+CUTS = (60, 120, 121, 300, 360, 361, 420)
 
 
 def test_window_charge_equals_per_miss_reference():
@@ -160,9 +166,36 @@ def test_window_charge_equals_per_miss_reference():
 
 def test_second_charge_in_the_same_window_equals_one():
     once, _ = _windowed(RECORDS)
-    twice, latencies = _windowed(RECORDS, split=True)
+    twice, latencies = _windowed(RECORDS, cuts=CUTS)
     assert latencies == _reference(RECORDS)[1]
     assert _state(twice, 7_000_000) == _state(once, 7_000_000)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 999_999),
+                  st.integers(0, 7), st.integers(0, 7),
+                  st.integers(1, 500)),
+        min_size=1, max_size=80,
+    ),
+    cuts=st.lists(st.integers(1, 79), max_size=4, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_runs_equal_per_miss_reference(rows, cuts):
+    """Any windows, weights and run cuts give the reference's state."""
+    records = sorted((window * WINDOW_NS + offset, cpu, home, weight)
+                     for window, offset, cpu, home, weight in rows)
+    cuts = sorted(cut for cut in cuts if cut < len(records))
+    reference, expected = _reference(records)
+    windowed, latencies = _windowed(records, cuts=cuts)
+    assert latencies == expected
+    assert _state(windowed, 8_000_000) == _state(reference, 8_000_000)
+
+
+def test_empty_run_charges_nothing(memory):
+    empty = np.zeros(0, dtype=np.int64)
+    assert len(memory.service_miss(empty, empty, empty)) == 0
+    assert memory.total_misses == 0
 
 
 def test_table_holds_each_pairs_latency():
@@ -190,18 +223,3 @@ def test_idle_gap_window_sees_no_contention():
     # Window 5 follows two idle windows: minimum latencies again.
     table = windowed.latency_table(5 * WINDOW_NS)
     assert max(table) == 1200 and min(table) == 300
-
-
-def test_window_misses_add_and_clear():
-    misses = WindowMisses(2)
-    misses.add(1, 1500.0, 3, remote=True)
-    misses.add(0, 310.0, 2, remote=False)
-    misses.add(1, 1500.0, 1, remote=True)
-    assert len(misses) == 3
-    assert misses.pair_weights == [2, 4, 0, 0]
-    assert misses.remote_ns == [1500.0, 1500.0]
-    assert misses.local_weights == [2]
-    pair_weights = misses.pair_weights
-    misses.clear()
-    assert len(misses) == 0
-    assert misses.pair_weights is pair_weights == [0, 0, 0, 0]
