@@ -76,17 +76,17 @@ class OnlineStats:
 
     @property
     def variance(self) -> float:
-        """Population variance of recorded values (0.0 when empty)."""
-        return self._m2 / self.count if self.count else 0.0
+        """Population variance of recorded values (0.0 when empty).
+
+        Rounding in the Welford update can leave ``m2`` of equal values
+        a hair below zero; that reads as 0 (the stored ``m2`` is kept).
+        """
+        return max(self._m2 / self.count, 0.0) if self.count else 0.0
 
     @property
     def stddev(self) -> float:
-        """Population standard deviation.
-
-        Rounding in the Welford update can leave the variance of equal
-        values a hair below zero; that reads as 0.
-        """
-        return math.sqrt(max(self.variance, 0.0))
+        """Population standard deviation."""
+        return math.sqrt(self.variance)
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator into this one."""

@@ -269,17 +269,45 @@ KIND_TO_TYPE: Dict[str, Type[TraceEvent]] = {t.KIND: t for t in EVENT_TYPES}
 #: Set of all valid KIND tags (handy for tracer filters).
 ALL_KINDS = frozenset(KIND_TO_TYPE)
 
+#: KIND tag -> (class, the exact key set of its ``to_dict`` form, field
+#: names in declaration order).
+_DECODERS: Dict[str, Tuple[Type[TraceEvent], frozenset, Tuple[str, ...]]] = {
+    cls.KIND: (
+        cls,
+        frozenset(["kind", *(f.name for f in fields(cls))]),
+        tuple(f.name for f in fields(cls)),
+    )
+    for cls in EVENT_TYPES
+}
+
+_new = object.__new__
+_set = object.__setattr__
+
 
 def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
     """Rebuild an event from its :meth:`TraceEvent.to_dict` form.
 
     Raises :class:`~repro.common.errors.TraceError` on unknown kinds or
     field mismatches, so corrupted logs fail loudly rather than silently.
+
+    A dict holding exactly its class's fields (every log this package
+    writes) sets them straight on a new instance, as the frozen
+    ``__init__`` would but without its keyword handling; any other
+    payload goes through ``cls(**payload)`` and its errors.
     """
     kind = data.get("kind")
-    cls = KIND_TO_TYPE.get(kind)
-    if cls is None:
+    try:
+        decoder = _DECODERS.get(kind)
+    except TypeError:            # an unhashable kind: a JSON list or object
+        decoder = None
+    if decoder is None:
         raise TraceError(f"unknown event kind: {kind!r}")
+    cls, keys, names = decoder
+    if data.keys() == keys:
+        event = _new(cls)
+        for name in names:
+            _set(event, name, data[name])
+        return event
     payload = {k: v for k, v in data.items() if k != "kind"}
     if cls is RunMeta:
         # Older headers also name the replay engine; there is only one

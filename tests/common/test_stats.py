@@ -44,6 +44,15 @@ class TestOnlineStats:
         assert weighted.mean == pytest.approx(repeated.mean)
         assert weighted.variance == pytest.approx(repeated.variance)
 
+    def test_equal_values_never_read_negative_variance(self):
+        # The Welford update leaves m2 = -7.4e-17 here; the stored m2
+        # keeps those bits, but the variance reads as exactly 0.
+        s = OnlineStats()
+        s.add_many([0.1, 0.1], [53, 56])
+        assert s.to_dict()["m2"] < 0.0
+        assert s.variance == 0.0
+        assert s.stddev == 0.0
+
     def test_rejects_nonpositive_weight(self):
         s = OnlineStats()
         with pytest.raises(ValueError):

@@ -200,7 +200,7 @@ def _trace(rows, n_cpus, page_base=0):
     tight=st.booleans(),
     page_base=st.sampled_from(PAGE_BASES),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_random_traces_identical(base_spec, rows, n_nodes, cpus_per_node,
                                  round_robin, sampling_rate, batch_pages,
                                  pager_delay, adaptive, tight, page_base):

@@ -2,9 +2,14 @@
 
 import gzip
 import json
+import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
 from repro.obs.events import (
@@ -77,6 +82,10 @@ class TestDictRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TraceError):
             event_from_dict({"kind": "bogus", "t": 0})
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(TraceError, match="unknown event kind"):
+            event_from_dict({"kind": [1], "t": 0})
 
     def test_bad_field_rejected(self):
         with pytest.raises(TraceError):
@@ -175,6 +184,197 @@ class TestGzipAndWindows:
         write_jsonl(SAMPLE_EVENTS, path)
         it = iter_events(path)
         assert next(it) == SAMPLE_EVENTS[0]
+
+
+#: Values a field of each declared type may hold, including ones the
+#: codec must hand to ``json.dumps`` (wrong type, NaN, ±inf).
+_ADVERSARIAL = {
+    "int": st.one_of(
+        st.integers(-(2**70), 2**70), st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    "float": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(2**70), 2**70), st.sampled_from([-0.0, 1e16, 5e-324]),
+    ),
+    "bool": st.one_of(st.booleans(), st.integers(-2, 2)),
+    "str": st.one_of(
+        st.text(),
+        st.text(alphabet='"\\/{}[],:%\n\t\x00\x7fé€😀'),
+    ),
+}
+
+
+@st.composite
+def adversarial_events(draw):
+    cls = draw(st.sampled_from(EVENT_TYPES))
+    return cls(**{f.name: draw(_ADVERSARIAL[f.type]) for f in fields(cls)})
+
+
+def _reference_events(path):
+    """A per-line reader, one ``json.loads`` per line: the error oracle."""
+    opener = gzip.open if Path(path).read_bytes()[:2] == b"\x1f\x8b" else open
+    lineno = 0
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            for line in fh:
+                lineno += 1
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceError(f"{path}:{lineno}: invalid JSON: {exc}")
+                if not isinstance(data, dict):
+                    raise TraceError(f"{path}:{lineno}: expected a JSON object")
+                try:
+                    yield event_from_dict(data)
+                except TraceError as exc:
+                    raise TraceError(f"{path}:{lineno}: {exc}")
+    except (EOFError, gzip.BadGzipFile) as exc:
+        raise TraceError(
+            f"{path}:{lineno + 1}: truncated or corrupt gzip stream: {exc}")
+
+
+def _error(read, path):
+    with pytest.raises(TraceError) as info:
+        list(read(str(path)))
+    return str(info.value)
+
+
+class TestCodec:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(adversarial_events(), min_size=1, max_size=20))
+    def test_matches_json_dumps_and_round_trips(self, events):
+        for event in events:
+            assert event_to_json(event) == json.dumps(
+                event.to_dict(), separators=(",", ":"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "events.jsonl")
+            write_jsonl(events, path)
+            back = read_events(path)
+        # repr compares NaN fields (nan != nan) and tells 1 / 1.0 / True
+        # apart, which == on the events would not.
+        assert repr(back) == repr(events)
+        if not any(isinstance(v, float) and math.isnan(v)
+                   for e in events for v in e.to_dict().values()):
+            assert back == events
+
+    def test_well_typed_events_skip_json_dumps(self, monkeypatch):
+        # The fallback would give the same bytes, so spy on it.
+        from repro.obs import export
+
+        fallbacks = []
+        generic = export._generic_json
+        monkeypatch.setattr(export, "_generic_json",
+                            lambda e: fallbacks.append(e) or generic(e))
+        monkeypatch.setattr(export, "_ENCODERS", {})
+        for event in SAMPLE_EVENTS:
+            event_to_json(event)
+        assert fallbacks == []
+        odd = MissServiced(t=1, remote=1)
+        event_to_json(odd)
+        assert fallbacks == [odd]
+
+    def test_odd_values_fall_back(self):
+        odd = [
+            HotPageTriggered(t=True, page=1),
+            HotPageTriggered(t=1.5, page=1),
+            MigrationDecision(t=1, latency_ns=3),
+            MigrationDecision(t=1, latency_ns=float("nan")),
+            MigrationDecision(t=1, latency_ns=float("-inf")),
+            MissServiced(t=1, remote=1),
+            NoActionDecision(t=1, reason='q"b\\s\u00e9'),
+        ]
+        for event in odd:
+            assert event_to_json(event) == json.dumps(
+                event.to_dict(), separators=(",", ":"))
+
+
+class TestReaderErrors:
+    """Errors past the first 64 KiB block keep the per-line message."""
+
+    N = 6000
+
+    def lines(self):
+        return [event_to_json(MissServiced(t=i, cpu=i % 8, page=i,
+                                           latency_ns=300.0 + i))
+                for i in range(self.N)]
+
+    def check(self, path, lineno, fragment):
+        got = _error(read_events, path)
+        assert got == _error(_reference_events, path)
+        assert got.startswith(f"{path}:{lineno}: {fragment}")
+
+    def test_invalid_json_late(self, tmp_path):
+        lines = self.lines()
+        lines[4999] = lines[4999][:-7]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.check(path, 5000, "invalid JSON: ")
+
+    def test_non_object_mid_block(self, tmp_path):
+        lines = self.lines()
+        lines[4320] = "[1, 2]"
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.check(path, 4321, "expected a JSON object")
+
+    def test_unknown_kind_mid_block(self, tmp_path):
+        lines = self.lines()
+        lines[3333] = '{"kind":"bogus","t":1}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.check(path, 3334, "unknown event kind")
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        lines = self.lines()
+        for at in (4500, 2000, 10, 0):
+            lines.insert(at, "  " if at % 20 else "")
+        good = tmp_path / "blank.jsonl"
+        good.write_text("\n".join(lines) + "\n\n")
+        assert read_events(str(good)) == list(_reference_events(str(good)))
+        assert len(read_events(str(good))) == self.N
+        lines[5100] = "nope"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        self.check(bad, 5101, "invalid JSON: ")
+
+    def test_lines_invalid_alone_but_valid_joined(self, tmp_path):
+        # Joined by commas these three lines parse as three objects;
+        # each is still read, and rejected, on its own.
+        lines = self.lines()
+        lines[4000:4003] = ['{"kind":"miss","t":1,"a":[{}', '{}]}',
+                            '{"kind":"miss","t":2},{"kind":"miss","t":3}']
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.check(path, 4001, "invalid JSON: ")
+        lines[4000:4003] = ['{"kind":"miss","t":1},{"kind":"miss","t":2',
+                            '"cpu":3}', lines[0]]
+        path.write_text("\n".join(lines) + "\n")
+        self.check(path, 4001, "invalid JSON: ")
+
+    def test_braces_inside_strings_still_read(self, tmp_path):
+        events = [RunMeta(t=0, label="{odd} [label]")] + [
+            NoActionDecision(t=i, reason="{}" * (i % 3)) for i in range(2000)
+        ]
+        path = str(tmp_path / "braces.jsonl")
+        write_jsonl(events, path)
+        assert read_events(path) == events
+
+    def test_truncated_gzip_late(self, tmp_path):
+        path = tmp_path / "big.jsonl.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            fh.write("\n".join(self.lines()) + "\n")
+        data = path.read_bytes()
+        truncated = tmp_path / "trunc.jsonl.gz"
+        truncated.write_bytes(data[: len(data) * 3 // 4])
+        got = _error(read_events, truncated)
+        assert got == _error(_reference_events, truncated)
+        assert "truncated or corrupt gzip stream" in got
+        lineno = int(got.split(":")[1])
+        assert lineno > 1000
 
 
 class TestChromeTrace:
