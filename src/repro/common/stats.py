@@ -11,6 +11,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
+
+def _first_tie(values: np.ndarray, extreme: float) -> float:
+    """``extreme`` as the first of ``values`` equal to it.
+
+    Only zeros tie unequal bits (0.0 and -0.0); the first one wins, as
+    in a left-to-right ``min``/``max``.
+    """
+    if extreme == 0:
+        return float(values[np.argmax(values == 0)])
+    return float(extreme)
+
 
 class OnlineStats:
     """Streaming count/mean/min/max/variance accumulator (Welford)."""
@@ -40,33 +53,35 @@ class OnlineStats:
         self._m2 += delta * (value - self._mean) * weight
         self.count = new_count
 
-    def add_many(self, values: List[float], weights: List[int]) -> None:
+    def add_many(self, values, weights) -> None:
         """:meth:`add` each ``(values[i], weights[i])`` in order.
 
-        The same update, bit for bit, with the accumulator held in
-        locals across the run.
+        The same update, bit for bit.  ``total`` is a cumsum seeded with
+        the running total (it adds left to right, as the loop does),
+        ``minimum``/``maximum`` and the running counts come from numpy,
+        and only the Welford ``mean``/``m2`` steps stay a Python loop.
         """
-        if weights and min(weights) <= 0:
+        values = np.asarray(values, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.int64)
+        if not len(values):
+            return
+        if weights.min() <= 0:
             raise ValueError("weight must be positive")
-        count, total, minimum, maximum = (
-            self.count, self.total, self.minimum, self.maximum
-        )
+        products = values * weights
+        products[0] += self.total
+        self.total = float(np.cumsum(products)[-1])
+        self.minimum = min(self.minimum, _first_tie(values, values.min()))
+        self.maximum = max(self.maximum, _first_tie(values, values.max()))
+        counts = np.cumsum(weights)
+        counts += self.count
         mean, m2 = self._mean, self._m2
-        for value, weight in zip(values, weights):
-            value = float(value)
-            total += value * weight
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-            new_count = count + weight
+        for value, weight, new_count in zip(
+            values.tolist(), weights.tolist(), counts.tolist()
+        ):
             delta = value - mean
             mean += delta * weight / new_count
             m2 += delta * (value - mean) * weight
-            count = new_count
-        self.count, self.total, self.minimum, self.maximum = (
-            count, total, minimum, maximum
-        )
+        self.count = int(counts[-1])
         self._mean, self._m2 = mean, m2
 
     @property
@@ -180,10 +195,14 @@ class SampleStats(OnlineStats):
         if len(self.samples) < self.max_samples:
             self.samples.append(float(value))
 
-    def add_many(self, values: List[float], weights: List[int]) -> None:
+    def add_many(self, values, weights) -> None:
         """:meth:`add` each ``(values[i], weights[i])`` in order."""
-        for value, weight in zip(values, weights):
-            self.add(value, weight)
+        super().add_many(values, weights)
+        room = self.max_samples - len(self.samples)
+        if room > 0:
+            self.samples.extend(
+                np.asarray(values, dtype=np.float64)[:room].tolist()
+            )
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator in, retaining its samples too.

@@ -39,9 +39,11 @@ class PageFrameAllocator:
         # Each node hands out freed frames first, last freed first, then
         # its never-used frames in ascending id order.  Node ``n`` owns
         # ids ``n * frames_per_node`` and up; a never-used frame is only
-        # built when first allocated.
+        # built when first allocated.  A reserved frame is in use but has
+        # no descriptor yet: it takes one of those frames when claimed.
         self._free: List[List[PageFrame]] = [[] for _ in range(n_nodes)]
         self._fresh: List[int] = [frames_per_node] * n_nodes
+        self._reserved: List[int] = [0] * n_nodes
         self._in_use: List[int] = [0] * n_nodes
         self._in_use_total = 0
         # statistics
@@ -55,7 +57,7 @@ class PageFrameAllocator:
 
     def free_frames(self, node: int) -> int:
         """Free frames on ``node``."""
-        return len(self._free[node]) + self._fresh[node]
+        return len(self._free[node]) + self._fresh[node] - self._reserved[node]
 
     def frames_in_use(self, node: Optional[int] = None) -> int:
         """Frames in use on ``node`` (or machine-wide when None)."""
@@ -75,38 +77,59 @@ class PageFrameAllocator:
         Raises :class:`AllocationError` when the node is out of frames —
         the Table 4 "no page" outcome.
         """
-        free = self._free[node]
-        if free:
-            frame = free.pop()
-        else:
-            fresh = self._fresh[node]
-            if not fresh:
-                self.failures += 1
-                raise AllocationError(node)
-            self._fresh[node] = fresh - 1
-            per_node = self.frames_per_node
-            frame = PageFrame(node * per_node + per_node - fresh, node)
-        frame.assign(logical_page)
+        return self.claim(self.reserve(node), logical_page)
+
+    def reserve(self, node: int) -> int:
+        """Take a frame on exactly ``node`` without building its descriptor.
+
+        Counts as one allocation; :meth:`claim` builds the descriptor
+        later.  Raises :class:`AllocationError` when the node is full.
+        """
+        reserved = self._reserved[node]
+        if len(self._free[node]) + self._fresh[node] <= reserved:
+            self.failures += 1
+            raise AllocationError(node)
+        self._reserved[node] = reserved + 1
         self._in_use[node] += 1
         self._in_use_total += 1
         self.allocations += 1
         if self._in_use_total > self.peak_in_use:
             self.peak_in_use = self._in_use_total
-        return frame
+        return node
 
-    def allocate_fallback(self, preferred: int, logical_page: int) -> PageFrame:
-        """Allocate on ``preferred``, falling back round-robin to others.
+    def reserve_fallback(self, preferred: int) -> int:
+        """:meth:`reserve` on ``preferred``, falling back round-robin.
 
         Used for first-touch page faults: IRIX would not fail the fault
-        just because the local node is full.
+        just because the local node is full.  Returns the node.
         """
         for delta in range(self.n_nodes):
             node = (preferred + delta) % self.n_nodes
             try:
-                return self.allocate(node, logical_page)
+                return self.reserve(node)
             except AllocationError:
                 continue
         raise AllocationError(preferred, "machine out of memory")
+
+    def claim(self, node: int, logical_page: int) -> PageFrame:
+        """The descriptor of a frame reserved on ``node``, bound to a page."""
+        if self._reserved[node] <= 0:
+            raise AllocationError(node, "no reserved frame to claim")
+        self._reserved[node] -= 1
+        free = self._free[node]
+        if free:
+            frame = free.pop()
+        else:
+            fresh = self._fresh[node]
+            self._fresh[node] = fresh - 1
+            per_node = self.frames_per_node
+            frame = PageFrame(node * per_node + per_node - fresh, node)
+        frame.assign(logical_page)
+        return frame
+
+    def reserved_frames(self, node: int) -> int:
+        """Frames reserved on ``node`` whose descriptors are not built."""
+        return self._reserved[node]
 
     def free(self, frame: PageFrame) -> None:
         """Return ``frame`` to its node's free list."""

@@ -38,7 +38,12 @@ def vnode_offset(page_id: int) -> Tuple[int, int]:
 
 
 class PageHashTable:
-    """Open hash of master pfds keyed by logical page id."""
+    """Open hash of master pfds keyed by logical page id.
+
+    Each bucket lists its masters in insertion order, or in the order
+    given to :meth:`insert`: a page linked late (its descriptor built
+    after other pages were) still takes its first-touch place.
+    """
 
     def __init__(self, n_buckets: int = 4096) -> None:
         if n_buckets <= 0:
@@ -47,26 +52,41 @@ class PageHashTable:
         self._buckets: List[Dict[int, PageFrame]] = [
             {} for _ in range(n_buckets)
         ]
+        self._order: Dict[int, int] = {}
+        self._next_order = 0
         self._count = 0
 
     def _bucket(self, page_id: int) -> Dict[int, PageFrame]:
         return self._buckets[page_id % self._n_buckets]
 
-    def insert(self, frame: PageFrame) -> None:
-        """Link a master frame into the table (memlock held by caller)."""
+    def insert(self, frame: PageFrame, order: Optional[int] = None) -> None:
+        """Link a master frame into the table (memlock held by caller).
+
+        ``order`` places it among its bucket's masters (default: after
+        every master linked so far).
+        """
         if not frame.is_master:
             raise VmError("only master frames live in the hash table")
-        bucket = self._bucket(frame.logical_page)
-        if frame.logical_page in bucket:
-            raise VmError(
-                f"logical page {frame.logical_page} already present"
-            )
-        bucket[frame.logical_page] = frame
+        page = frame.logical_page
+        bucket = self._bucket(page)
+        if page in bucket:
+            raise VmError(f"logical page {page} already present")
+        if order is None:
+            order = self._next_order
+        self._next_order = max(self._next_order, order + 1)
+        order_of = self._order
+        order_of[page] = order
+        late = bool(bucket) and order < order_of[next(reversed(bucket))]
+        bucket[page] = frame
+        if late:
+            ranked = sorted(bucket.items(), key=lambda item: order_of[item[0]])
+            bucket.clear()
+            bucket.update(ranked)
         self._count += 1
 
     def lookup(self, page_id: int) -> Optional[PageFrame]:
         """Master frame for ``page_id``, or None if not resident."""
-        return self._bucket(page_id).get(page_id)
+        return self._buckets[page_id % self._n_buckets].get(page_id)
 
     def remove(self, page_id: int) -> PageFrame:
         """Unlink and return the master frame for ``page_id``."""
@@ -74,6 +94,7 @@ class PageHashTable:
         frame = bucket.pop(page_id, None)
         if frame is None:
             raise VmError(f"logical page {page_id} is not resident")
+        del self._order[page_id]
         self._count -= 1
         return frame
 

@@ -11,12 +11,24 @@ keeps every invariant checkable:
   back-map lists exactly the ptes pointing at it;
 * replicated pages are mapped read-only everywhere, so a store faults into
   the collapse path.
+
+A page has two forms.  A first touch *records* the page: its master
+node in the VM's placement table (in first-touch order) and each
+process's mapping, by its order, in that process's page table; the
+allocator reserves the frame.  Its frame descriptor and ptes are built
+the first time anything needs them (:meth:`VmSystem.master_of`, a
+page-table lookup, :meth:`~VmSystem.migrate`,
+:meth:`~VmSystem.replicate`, :meth:`~VmSystem.collapse`), ptes in
+mapping order and the master linked at its first-touch place in the
+hash table, so the objects are those eager faults would have built.
+Most pages are never acted on and keep the recorded form: one copy,
+writable mappings, nothing to reclaim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import AllocationError, VmError
 from repro.kernel.vm.allocator import PageFrameAllocator
@@ -54,66 +66,116 @@ class VmSystem:
             n_nodes, frames_per_node, pressure_watermark
         )
         self.hash_table = PageHashTable()
-        self.page_tables = PageTableDirectory()
+        self.page_tables = PageTableDirectory(materialize=self._materialize)
         self.locks = locks or LockRegistry()
         self.stats = VmStats()
+        # Recorded pages (no descriptors yet): page -> master node, in
+        # first-touch order.
+        self._recorded: Dict[int, int] = {}
 
     # -- lookups -----------------------------------------------------------------
 
     def master_of(self, page: int) -> Optional[PageFrame]:
         """Resident master frame for a logical page, or None."""
-        return self.hash_table.lookup(page)
+        master = self.hash_table.lookup(page)
+        if master is None and page in self._recorded:
+            master = self._materialize(page)
+        return master
 
     def frame_for(self, process: int, page: int) -> Optional[PageFrame]:
         """The frame ``process``'s mapping of ``page`` points at."""
-        pte = self.page_tables.table(process).lookup(page)
+        pte = self.page_tables.lookup(process, page)
         return pte.frame if pte is not None else None
 
     def location_for(self, process: int, page: int) -> Optional[int]:
-        """Node the process's copy of the page lives on (None if unmapped)."""
-        frame = self.frame_for(process, page)
-        return frame.node if frame is not None else None
+        """Node the process's copy of the page lives on (None if unmapped).
+
+        Builds nothing: a recorded mapping's copy is its page's master.
+        """
+        entry = self.page_tables.entry(process, page)
+        if entry is None:
+            return None
+        if entry.__class__ is int:
+            return self._recorded[page]
+        return entry.frame.node
+
+    def is_resident(self, page: int) -> bool:
+        """True once ``page`` has a master copy; builds nothing."""
+        return page in self._recorded or page in self.hash_table
 
     # -- page faults ----------------------------------------------------------------
 
     def fault(
         self,
-        process: int,
-        page: int,
-        node: int,
-        writable: bool = True,
-        region_id: int = 0,
-    ) -> Pte:
-        """Handle a (first-touch style) fault: make ``page`` mapped.
+        processes: Sequence[int],
+        pages: Sequence[int],
+        nodes: Sequence[int],
+    ) -> List[int]:
+        """A run of first-touch faults, in order; returns the mapped nodes.
+
+        Fault ``k`` maps ``pages[k]`` for ``processes[k]``, exactly as
+        :meth:`fault_page` would, but records a new page instead of
+        building its frame and pte (see the module docstring).
+        """
+        record = self._record
+        return [
+            record(process, page, node)
+            for process, page, node in zip(processes, pages, nodes)
+        ]
+
+    def fault_page(self, process: int, page: int, node: int) -> Pte:
+        """One first-touch fault, with the page's objects built at once.
 
         If the page is resident the process is mapped to the copy nearest
         ``node``; otherwise a master frame is allocated on ``node``
         (falling back to other nodes when full, as IRIX would).
         """
+        self._record(process, page, node)
+        return self.page_tables.table(process).lookup(page)
+
+    def _record(self, process: int, page: int, node: int) -> int:
+        """Map ``page`` for ``process`` (preferring ``node``); its node."""
         table = self.page_tables.table(process)
-        existing = table.lookup(page)
-        if existing is not None:
-            return existing
-        self.stats.faults += 1
+        entry = table.entry(page)
+        if entry is not None:
+            if entry.__class__ is int:
+                return self._recorded[page]
+            return entry.frame.node
+        stats = self.stats
+        order = stats.faults
+        stats.faults = order + 1
+        home = self._recorded.get(page)
+        if home is not None:
+            table.record(page, order)
+            return home
         master = self.hash_table.lookup(page)
-        if master is None:
-            try:
-                frame = self.allocator.allocate_fallback(node, page)
-            except AllocationError:
-                # Memory pressure: the pageout daemon preferentially
-                # reclaims replicated pages (Section 7.2.3) so base pages
-                # always fit.
-                self._reclaim_anywhere(want=1, preferred=node)
-                frame = self.allocator.allocate_fallback(node, page)
-            self.hash_table.insert(frame)
-            self.stats.base_pages += 1
-            return table.map(page, frame, writable=writable, region_id=region_id)
-        copy = master.nearest_copy(node)
-        # Mappings to a replicated page are read-only (Section 4).
-        effective_writable = writable and not master.has_replicas
-        return table.map(
-            page, copy, writable=effective_writable, region_id=region_id
-        )
+        if master is not None:
+            copy = master.nearest_copy(node)
+            # Mappings to a replicated page are read-only (Section 4).
+            table.map(page, copy, writable=not master.has_replicas)
+            return copy.node
+        try:
+            home = self.allocator.reserve_fallback(node)
+        except AllocationError:
+            # Memory pressure: the pageout daemon preferentially
+            # reclaims replicated pages (Section 7.2.3) so base pages
+            # always fit.
+            self._reclaim_anywhere(want=1, preferred=node)
+            home = self.allocator.reserve_fallback(node)
+        self._recorded[page] = home
+        stats.base_pages += 1
+        table.record(page, order)
+        return home
+
+    def _materialize(self, page: int) -> PageFrame:
+        """Build a recorded page's master frame and ptes."""
+        mappings = self.page_tables.recorded(page)
+        frame = self.allocator.claim(self._recorded.pop(page), page)
+        # The first mapping is the first touch.
+        self.hash_table.insert(frame, order=mappings[0][0])
+        for _, table in mappings:
+            table.build(page, frame)
+        return frame
 
     # -- migration -------------------------------------------------------------------
 
@@ -124,7 +186,7 @@ class VmSystem:
         and no reclaimable replicas, and :class:`VmError` when called on a
         replicated page (policy never migrates those).
         """
-        old = self.hash_table.lookup(page)
+        old = self.master_of(page)
         if old is None:
             raise VmError(f"page {page} is not resident")
         if old.has_replicas:
@@ -156,7 +218,7 @@ class VmSystem:
         marked read-only (the paper's step 8: mappings updated to the
         closest replica; writes must trap so replicas can be collapsed).
         """
-        master = self.hash_table.lookup(page)
+        master = self.master_of(page)
         if master is None:
             raise VmError(f"page {page} is not resident")
         if to_node in master.copy_nodes():
@@ -183,7 +245,7 @@ class VmSystem:
         node), else the master.  All ptes are re-pointed at the survivor
         and made writable again.
         """
-        master = self.hash_table.lookup(page)
+        master = self.master_of(page)
         if master is None:
             raise VmError(f"page {page} is not resident")
         if not master.has_replicas:
@@ -281,12 +343,14 @@ class VmSystem:
 
     def check_invariants(self) -> None:
         """Raise :class:`VmError` if any VM invariant is violated."""
+        replicas = 0
         for master in self.hash_table:
             if not master.is_master:
                 raise VmError(f"hash table holds non-master {master!r}")
             page = master.logical_page
             replicated = master.has_replicas
             copies = master.all_copies() if replicated else (master,)
+            replicas += len(copies) - 1
             if replicated:
                 nodes = [copy.node for copy in copies]
                 if len(nodes) != len(set(nodes)):
@@ -301,6 +365,67 @@ class VmSystem:
                         raise VmError(
                             f"writable mapping to replicated page {page}"
                         )
+        self._check_recorded(replicas)
+
+    def _check_recorded(self, replicas: int) -> None:
+        """Recorded pages against the page tables and the allocator.
+
+        Each recorded page has one copy, on a real node, and at least one
+        recorded mapping; every mapping is a recorded one of a recorded
+        page or a pte of its own process and page; the mappings number
+        the faults, and the allocator's counts match the two forms.
+        """
+        recorded, allocator = self._recorded, self.allocator
+        n_nodes = allocator.n_nodes
+        reserved = [0] * n_nodes
+        for page, node in recorded.items():
+            if not 0 <= node < n_nodes:
+                raise VmError(f"recorded page {page} lives on no node ({node})")
+            if page in self.hash_table:
+                raise VmError(f"page {page} is both recorded and linked")
+            reserved[node] += 1
+        mapped = set()
+        mappings = 0
+        for table in self.page_tables.tables():
+            for page, entry in table.entries():
+                mappings += 1
+                if entry.__class__ is int:
+                    if page not in recorded:
+                        raise VmError(
+                            f"process {table.process} records a mapping of "
+                            f"page {page}, which is not recorded"
+                        )
+                    mapped.add(page)
+                elif (entry.process != table.process
+                      or entry.logical_page != page):
+                    raise VmError(
+                        f"process {table.process}'s entry for page {page} "
+                        f"is {entry!r}"
+                    )
+        if len(mapped) != len(recorded):
+            raise VmError("a recorded page has no mapping")
+        if mappings != self.stats.faults:
+            raise VmError(
+                f"{mappings} mappings after {self.stats.faults} faults"
+            )
+        for node in range(n_nodes):
+            if allocator.reserved_frames(node) != reserved[node]:
+                raise VmError(
+                    f"node {node} reserves {allocator.reserved_frames(node)} "
+                    f"frames for {reserved[node]} recorded pages"
+                )
+        masters = len(self.hash_table)
+        if allocator.frames_in_use() != masters + replicas + len(recorded):
+            raise VmError(
+                f"{allocator.frames_in_use()} frames in use for {masters} "
+                f"linked and {len(recorded)} recorded pages and {replicas} "
+                f"replicas"
+            )
+        if self.stats.base_pages != masters + len(recorded):
+            raise VmError(
+                f"{self.stats.base_pages} base pages, but {masters} linked "
+                f"and {len(recorded)} recorded"
+            )
 
     def memory_usage_pages(self) -> int:
         """Frames in use machine-wide."""

@@ -183,10 +183,8 @@ class NumaMemorySystem:
         self.local_misses += int(weights[local].sum())
         self.remote_misses += remote_weight
         self.remote_handler_invocations += remote_weight
-        self.local_latency.add_many(latency[local].tolist(),
-                                    weights[local].tolist())
-        self.remote_latency.add_many(latency[remote].tolist(),
-                                     weights[remote].tolist())
+        self.local_latency.add_many(latency[local], weights[local])
+        self.remote_latency.add_many(latency[remote], weights[remote])
         return latency
 
     # -- the per-miss reference ------------------------------------------------

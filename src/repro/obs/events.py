@@ -34,7 +34,7 @@ byte-identical logs across identical runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Tuple, Type
+from typing import Any, Callable, ClassVar, Dict, Tuple, Type
 
 from repro.common.errors import TraceError
 
@@ -269,51 +269,119 @@ KIND_TO_TYPE: Dict[str, Type[TraceEvent]] = {t.KIND: t for t in EVENT_TYPES}
 #: Set of all valid KIND tags (handy for tracer filters).
 ALL_KINDS = frozenset(KIND_TO_TYPE)
 
-#: KIND tag -> (class, the exact key set of its ``to_dict`` form, field
-#: names in declaration order).
-_DECODERS: Dict[str, Tuple[Type[TraceEvent], frozenset, Tuple[str, ...]]] = {
-    cls.KIND: (
-        cls,
-        frozenset(["kind", *(f.name for f in fields(cls))]),
-        tuple(f.name for f in fields(cls)),
-    )
-    for cls in EVENT_TYPES
+#: Per declared field type, the check that a decoded value may fill it
+#: (``{v}`` is the value's local name): an int field takes an int but
+#: not a bool, a float field an int or a float.
+_FIELD_CHECKS = {
+    "int": "type({v}) is int",
+    "float": "(type({v}) is float or type({v}) is int)",
+    "bool": "type({v}) is bool",
+    "str": "type({v}) is str",
+}
+
+#: The same checks as functions of one value.
+_ACCEPTS: Dict[str, Callable[[Any], bool]] = {
+    kind: eval("lambda v: " + check.format(v="v"))
+    for kind, check in _FIELD_CHECKS.items()
 }
 
 _new = object.__new__
 _set = object.__setattr__
 
 
-def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
-    """Rebuild an event from its :meth:`TraceEvent.to_dict` form.
+def _check_fields(cls: Type[TraceEvent], values: Dict[str, Any]) -> None:
+    """Raise :class:`TraceError` naming the first ill-typed field."""
+    for f in fields(cls):
+        accepts = _ACCEPTS.get(f.type)
+        if accepts is None or f.name not in values:
+            continue
+        value = values[f.name]
+        if not accepts(value):
+            raise TraceError(
+                f"malformed {cls.KIND!r} event: field {f.name!r} must be "
+                f"{f.type}, not {type(value).__name__} ({value!r})"
+            )
 
-    Raises :class:`~repro.common.errors.TraceError` on unknown kinds or
-    field mismatches, so corrupted logs fail loudly rather than silently.
 
-    A dict holding exactly its class's fields (every log this package
-    writes) sets them straight on a new instance, as the frozen
-    ``__init__`` would but without its keyword handling; any other
-    payload goes through ``cls(**payload)`` and its errors.
-    """
-    kind = data.get("kind")
-    try:
-        decoder = _DECODERS.get(kind)
-    except TypeError:            # an unhashable kind: a JSON list or object
-        decoder = None
-    if decoder is None:
-        raise TraceError(f"unknown event kind: {kind!r}")
-    cls, keys, names = decoder
-    if data.keys() == keys:
-        event = _new(cls)
-        for name in names:
-            _set(event, name, data[name])
-        return event
+def _decode_other(cls: Type[TraceEvent], data: Dict[str, Any]) -> TraceEvent:
+    """A payload whose keys are not exactly its class's: ``cls(**payload)``."""
     payload = {k: v for k, v in data.items() if k != "kind"}
     if cls is RunMeta:
         # Older headers also name the replay engine; there is only one
         # now, so the key is dropped and those logs still load.
         payload.pop("engine", None)
     try:
-        return cls(**payload)
+        event = cls(**payload)
     except TypeError as exc:
-        raise TraceError(f"malformed {kind!r} event: {exc}") from exc
+        raise TraceError(f"malformed {cls.KIND!r} event: {exc}") from exc
+    _check_fields(cls, payload)
+    return event
+
+
+def _build_decoder(cls: Type[TraceEvent]) -> Callable[[Dict[str, Any]], TraceEvent]:
+    """Compile ``cls``'s decoder from its dataclass fields.
+
+    A dict holding exactly the class's fields (every log this package
+    writes), each of its declared type, is set straight on a new
+    instance, one unrolled statement per field, as the frozen
+    ``__init__`` would but without its keyword handling.  A value of the
+    wrong type raises :class:`TraceError` naming the field; any other
+    key set goes through :func:`_decode_other`.
+    """
+    names = [f.name for f in fields(cls)]
+    loads, checks, sets = [], [], []
+    for i, f in enumerate(fields(cls)):
+        loads.append(f"        v{i} = data[{f.name!r}]\n")
+        check = _FIELD_CHECKS.get(f.type)
+        if check is not None:
+            checks.append(check.format(v=f"v{i}"))
+        sets.append(f"        _set(event, {f.name!r}, v{i})\n")
+    # ``kind`` plus as many keys as fields, every field found: the keys
+    # are exactly the class's.
+    source = (
+        "def decode(data, type=type, int=int, float=float, bool=bool,"
+        " str=str):\n"
+        f"    if len(data) != {len(names) + 1}:\n"
+        "        return _other(_cls, data)\n"
+        "    try:\n"
+        + "".join(loads)
+        + "    except KeyError:\n"
+        "        return _other(_cls, data)\n"
+        f"    if {' and '.join(checks) or 'True'}:\n"
+        "        event = _new(_cls)\n"
+        + "".join(sets)
+        + "        return event\n"
+        "    _check(_cls, data)\n"
+    )
+    namespace = {
+        "_cls": cls,
+        "_new": _new,
+        "_set": _set,
+        "_other": _decode_other,
+        "_check": _check_fields,
+    }
+    exec(source, namespace)
+    return namespace["decode"]
+
+
+#: KIND tag -> its class's compiled decoder.
+_DECODERS: Dict[str, Callable[[Dict[str, Any]], TraceEvent]] = {
+    cls.KIND: _build_decoder(cls) for cls in EVENT_TYPES
+}
+
+
+def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
+    """Rebuild an event from its :meth:`TraceEvent.to_dict` form.
+
+    Raises :class:`~repro.common.errors.TraceError` on unknown kinds,
+    field mismatches and values not of their field's declared type, so
+    corrupted logs fail loudly rather than silently.
+    """
+    kind = data.get("kind")
+    try:
+        decode = _DECODERS.get(kind)
+    except TypeError:            # an unhashable kind: a JSON list or object
+        decode = None
+    if decode is None:
+        raise TraceError(f"unknown event kind: {kind!r}")
+    return decode(data)

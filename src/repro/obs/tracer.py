@@ -8,10 +8,11 @@ Design constraints, in priority order:
    ``tracer.wants(kind)`` into a local once per run.  The module-level
    :data:`NULL_TRACER` makes "no tracer" and "disabled tracer" follow the
    same code path.
-2. **Bounded memory.**  The in-memory ring keeps the most recent
-   ``capacity`` events; overflow just drops the oldest (``dropped``
-   counts them).  Sinks see *every* event — exporters that need the full
-   stream (e.g. the JSONL log) attach a sink rather than reading the ring.
+2. **Bounded memory.**  A tracer without sinks keeps the most recent
+   ``capacity`` events in its ring; overflow just drops the oldest
+   (``dropped`` counts them).  A tracer with sinks keeps no ring: its
+   sinks see *every* event, and exporters that need the full stream
+   (e.g. the JSONL log) attach a sink rather than reading the ring.
 3. **Determinism.**  The tracer adds no timestamps or ids of its own;
    events carry simulated time only, so identical runs produce identical
    event streams.
@@ -78,7 +79,9 @@ class Tracer:
             raise ValueError(f"unknown event kinds: {unknown}")
         self.enabled = enabled
         self.emitted = 0
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._ring: Optional[Deque[TraceEvent]] = (
+            None if self.sinks else deque(maxlen=capacity)
+        )
 
     @property
     def active(self) -> bool:
@@ -90,23 +93,26 @@ class Tracer:
         return self.enabled and (self._kinds is None or kind in self._kinds)
 
     def emit(self, event: TraceEvent) -> None:
-        """Record one event: ring buffer plus every sink."""
+        """Record one event: in the ring, or in every sink."""
         if not self.enabled:
             return
         if self._kinds is not None and event.KIND not in self._kinds:
             return
         self.emitted += 1
-        self._ring.append(event)
+        if self._ring is not None:
+            self._ring.append(event)
         for sink in self.sinks:
             sink.emit(event)
 
     def events(self) -> List[TraceEvent]:
-        """The ring's contents, oldest first."""
-        return list(self._ring)
+        """The ring's contents, oldest first (none with sinks attached)."""
+        return list(self._ring) if self._ring is not None else []
 
     @property
     def dropped(self) -> int:
-        """Events evicted from the ring by overflow (sinks still saw them)."""
+        """Events evicted from the ring by overflow (0 with sinks)."""
+        if self._ring is None:
+            return 0
         return max(0, self.emitted - self.capacity)
 
     def close(self) -> None:

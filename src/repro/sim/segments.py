@@ -18,13 +18,18 @@ trace into segments:
 Within a segment every (process, page) maps to one node, so each
 record's node, the directory's sampled weights and counter sums and
 the stall tallies are numpy columns.  Work with side effects stays
-scalar and goes through each layer's own entry point, in record order:
-first-touch faults (``VmSystem.fault``; a fault sees only its own
-page's master, which no record inside a segment moves), records whose
+scalar and goes through each layer's own entry point: records whose
 (page, CPU) count has reached the trigger (``DirectoryArray.observe``,
 which owns arming and batching), due batches
 (``PagerHandler.handle_batch``) and collapses
-(``CollapseHandler.handle_write_fault``).  Memory contention does not
+(``CollapseHandler.handle_write_fault``), in record order.  First
+touches go to ``VmSystem.fault`` as runs, usually one per segment,
+which records their pages without building objects.  A fault sees
+only its own page's master, which no record inside a segment moves,
+and ``observe`` only its own record's mapping, so a segment's first
+touches may run after its observes, but not after a batch one of them
+raised: a run takes only the first touches no such batch can precede
+(see :meth:`SegmentReplay._scalar`).  Memory contention does not
 feed back into placement, so runs longer than a segment go to
 ``NumaMemorySystem.service_miss`` at once.
 
@@ -237,8 +242,7 @@ class SegmentReplay:
                 and self.replicated[self.pidx[i]]):
             self._sync_last_cpu(i)
             if self.node_map[self.row[i], self.pidx[i]] < 0:
-                self._fault(int(self.pid[i]), int(self.page[i]),
-                            int(self.cnode[i]))
+                self._fault(np.arange(i, i + 1))
             page = int(self.page[i])
             self._settle_page(page)
             self.collapser.handle_write_fault(t, page, int(self.cpu[i]))
@@ -357,21 +361,21 @@ class SegmentReplay:
             counters.miss if counters is not None else 0
         )
 
-    def _fault(self, pid: int, page: int, cpu_node: int) -> bool:
-        """First touch of ``page`` by ``pid`` on ``cpu_node``.
+    def _fault(self, at: np.ndarray) -> None:
+        """The first touches of records ``at``, in order, as one fault run.
 
-        Returns True when the machine was out of frames and the fault
-        reclaimed replicas of other pages.
+        Out of frames, a first touch reclaims replicas of other pages,
+        whose mappings are then re-read.
         """
         vm = self.vm
-        preferred = page % self.n_nodes if self.round_robin else cpu_node
+        page = self.page[at]
+        preferred = page % self.n_nodes if self.round_robin else self.cnode[at]
         reclaimed = vm.stats.replicas_reclaimed
-        pte = vm.fault(pid, page, preferred)
-        self.node_map[self.row_of[pid], self._index(page)] = pte.frame.node
-        if vm.stats.replicas_reclaimed == reclaimed:
-            return False
-        self._refresh_all()
-        return True
+        self.node_map[self.row[at], self.pidx[at]] = vm.fault(
+            self.pid[at].tolist(), page.tolist(), preferred.tolist()
+        )
+        if vm.stats.replicas_reclaimed != reclaimed:
+            self._refresh_all()
 
     def _free_frames(self) -> int:
         allocator = self.vm.allocator
@@ -455,72 +459,95 @@ class SegmentReplay:
     def _scalar(self, s: int, e: int, faults: np.ndarray, pairs) -> int:
         """First touches and trigger candidates of ``[s, e)`` in order.
 
-        Returns the cut, which a due time or a fault can pull in.
+        Returns the cut, which a due time or a fault can pull in.  The
+        first touches before the cut go to the VM as one run, after the
+        candidates: no record of a segment acts on the VM or the pager,
+        and ``observe`` reads only its own record's mapping.  A
+        candidate whose mapping is first touched in this segment needs
+        its fault made first, together with every first touch that no
+        batch raised from there on can precede.
         """
-        n_faults = len(faults)
+        e = self._fault_cut(s, e, faults)
+        done = 0                        # faults[:done] are made
         if pairs is not None and len(pairs.cand_at):
-            at = np.concatenate([faults, pairs.cand_at])
-            want = np.concatenate([np.full(n_faults, -1), pairs.want])
-            # In record order; a record's fault comes before its observe.
-            order = np.lexsort((want >= 0, at))
-            at, want = at[order], want[order].tolist()
-        else:
-            at, want = faults, [-1] * n_faults
-        t, cpu, pid, page, cnode, row, pidx, weight, write = (
-            self.fields[:, at].tolist()
-        )
-        vm, node_map, stats = self.vm, self.node_map, self.vm.stats
-        # A first touch reclaims only on a machine out of frames: ``free``
-        # counts the frames left when ``base_pages`` read ``base``.
-        free = base = 0
-        if n_faults:
-            free, base = self._free_frames(), stats.base_pages
-        if len(at) > n_faults:
+            at = pairs.cand_at
+            t, cpu, pid, page, cnode, row, pidx, weight, write = (
+                self.fields[:, at].tolist()
+            )
+            node_map, want = self.node_map, pairs.want.tolist()
             directory = self.directory
             observe, bank = directory.observe, directory.bank
             record, get = bank.record, bank.get
             carry, emitter = directory.sampler.carry, self.emitter
             carry_before = self.carry_before[at].tolist()
-            pending, times = self.pending, self.t
-        for k, j in enumerate(at.tolist()):
+            pending, times, delay = self.pending, self.t, self.pager_delay
+            for k, j in enumerate(at.tolist()):
+                if j >= e:
+                    break
+                if node_map[row[k], pidx[k]] < 0:
+                    # A batch raised from here on drains a pager delay
+                    # after this record at the earliest, and after it.
+                    ahead = max(int(np.searchsorted(times, t[k] + delay)),
+                                j + 1)
+                    done = self._fault_before(faults, done, min(ahead, e))
+                c = cpu[k]
+                # The pair's counts before this record reach the bank first.
+                count = want[k]
+                counters = get(page[k])
+                had = counters.miss[c] if counters is not None else 0
+                if count != had:
+                    record(page[k], c, count - had, False)
+                carry[c] = carry_before[k]
+                if emitter is not None:
+                    emitter.index = j
+                batch = observe(
+                    page[k], c, write[k], weight[k],
+                    is_local=int(node_map[row[k], pidx[k]]) == cnode[k],
+                    process=pid[k], now_ns=t[k],
+                )
+                if batch is not None:
+                    # Small per-CPU skew so simultaneous interrupts from
+                    # different CPUs do not serialise on memlock at the
+                    # exact same instant.
+                    due = t[k] + delay + (c * 997_001) % 4_000_000
+                    heapq.heappush(
+                        pending, (due, next(self.pending_seq), batch)
+                    )
+                    drain = max(int(np.searchsorted(times, due)), j + 1)
+                    if drain < e:
+                        e = drain
+        self._fault_before(faults, done, e)
+        return e
+
+    def _fault_before(self, faults: np.ndarray, done: int, end: int) -> int:
+        """Make ``faults[done:]`` before record ``end`` as one run.
+
+        Returns how many faults are made.
+        """
+        stop = int(np.searchsorted(faults, end))
+        if stop <= done:
+            return done
+        self._fault(faults[done:stop])
+        return stop
+
+    def _fault_cut(self, s: int, e: int, faults: np.ndarray) -> int:
+        """``e``, or the first touch that finds the machine out of frames.
+
+        That fault reclaims replicas of other pages, so it runs alone:
+        the segment ends before it, or just after it when it is ``s``.
+        """
+        free = self._free_frames()
+        if len(faults) <= free:
+            return e
+        vm, new = self.vm, set()
+        for j, page in zip(faults.tolist(), self.page[faults].tolist()):
             if j >= e:
                 break
-            count = want[k]
-            if count < 0:
-                if (j > s and free == stats.base_pages - base
-                        and vm.master_of(page[k]) is None):
-                    e = j      # this fault reclaims: it opens a segment
-                    break
-                if self._fault(pid[k], page[k], cnode[k]):
-                    # The reclaim moved other pages' mappings, so the
-                    # candidates after this record are stale: the next
-                    # segment starts after it.
-                    free, base = self._free_frames(), stats.base_pages
-                    e = j + 1
+            if page in new or vm.is_resident(page):
                 continue
-            c = cpu[k]
-            # The pair's counts before this record reach the bank first.
-            counters = get(page[k])
-            had = counters.miss[c] if counters is not None else 0
-            if count != had:
-                record(page[k], c, count - had, False)
-            carry[c] = carry_before[k]
-            if emitter is not None:
-                emitter.index = j
-            batch = observe(
-                page[k], c, write[k], weight[k],
-                is_local=int(node_map[row[k], pidx[k]]) == cnode[k],
-                process=pid[k], now_ns=t[k],
-            )
-            if batch is not None:
-                # Small per-CPU skew so simultaneous interrupts from
-                # different CPUs do not serialise on memlock at the
-                # exact same instant.
-                due = t[k] + self.pager_delay + (c * 997_001) % 4_000_000
-                heapq.heappush(pending, (due, next(self.pending_seq), batch))
-                drain = max(int(np.searchsorted(times, due)), j + 1)
-                if drain < e:
-                    e = drain
+            if len(new) == free:
+                return j if j > s else s + 1
+            new.add(page)
         return e
 
     def _settle_counts(self, s: int, e: int, pairs) -> None:

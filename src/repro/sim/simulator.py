@@ -379,7 +379,7 @@ class ReferenceSystemSimulator(SystemSimulator):
     (:mod:`repro.sim.segments`).  This subclass overrides only
     :meth:`_replay`, calling :meth:`NumaMemorySystem.service_record`,
     ``StallBreakdown.add`` and, per user record,
-    :meth:`VmSystem.fault` and :meth:`DirectoryArray.observe`; set-up
+    :meth:`VmSystem.fault_page` and :meth:`DirectoryArray.observe`; set-up
     and finalize are the base class's.  Its results and event logs are
     byte-identical to the segment engine's, which
     ``tests/integration/test_fullsys_identity.py`` checks by running
@@ -448,7 +448,7 @@ class ReferenceSystemSimulator(SystemSimulator):
                 preferred = (
                     page % n_nodes if round_robin else node_of_cpu(cpu)
                 )
-                pte = vm.fault(pid, page, preferred)
+                pte = vm.fault_page(pid, page, preferred)
                 master = vm.master_of(page)
                 if write and master is not None and master.has_replicas:
                     collapser.handle_write_fault(t, page, cpu)

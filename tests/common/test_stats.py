@@ -71,6 +71,31 @@ class TestOnlineStats:
         many.add_many([v for v, _ in pairs], [w for _, w in pairs])
         assert many.to_dict() == one.to_dict()
 
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+        st.lists(st.tuples(
+            st.sampled_from([0.0, -0.0, 0.1, 2.5, -7.0])
+            | st.floats(-1e6, 1e6),
+            st.integers(1, 1000),
+        ), min_size=1, max_size=60),
+    )
+    def test_add_many_equals_repeated_add_in_bits(self, prefix, pairs):
+        # Repeated values (signed zeros among them) on a running
+        # accumulator; ``float.hex`` tells 0.0 from -0.0.
+        def bits(stats):
+            return {key: value.hex() if isinstance(value, float) else value
+                    for key, value in stats.to_dict().items()}
+
+        one, many = OnlineStats(), OnlineStats()
+        for value in prefix:
+            one.add(value)
+            many.add(value)
+        for value, weight in pairs:
+            one.add(value, weight)
+        many.add_many(np.array([v for v, _ in pairs]),
+                      np.array([w for _, w in pairs]))
+        assert bits(many) == bits(one)
+
     def test_equal_values_have_no_spread(self):
         # Welford's m2 for these ends a hair below zero.
         s = OnlineStats()

@@ -36,15 +36,15 @@ class TestAllocation:
     def test_fallback_spills_to_next_node(self, allocator):
         for i in range(8):
             allocator.allocate(1, i)
-        frame = allocator.allocate_fallback(1, 99)
-        assert frame.node == 2
+        assert allocator.reserve_fallback(1) == 2
+        assert allocator.claim(2, 99).node == 2
 
     def test_fallback_machine_oom(self):
         a = PageFrameAllocator(n_nodes=2, frames_per_node=1)
         a.allocate(0, 1)
         a.allocate(1, 2)
         with pytest.raises(AllocationError):
-            a.allocate_fallback(0, 3)
+            a.reserve_fallback(0)
 
     def test_free_recycles_frame(self, allocator):
         frame = allocator.allocate(0, 1)

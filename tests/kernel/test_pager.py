@@ -54,7 +54,7 @@ class Harness:
 
     def touch(self, process, page, cpu, weight=1, write=False):
         self.cpu_of[process] = cpu
-        self.vm.fault(process, page, cpu)
+        self.vm.fault_page(process, page, cpu)
         self.directory.observe(
             page, cpu, write, weight,
             is_local=(self.vm.location_for(process, page) == cpu),
@@ -92,8 +92,8 @@ class TestMigrationPath:
     def test_full_target_node_yields_no_page(self):
         h = Harness(frames_per_node=2)
         # Fill node 2 completely.
-        h.vm.fault(9, 900, 2)
-        h.vm.fault(9, 901, 2)
+        h.vm.fault_page(9, 900, 2)
+        h.vm.fault_page(9, 901, 2)
         h.touch(1, 100, cpu=0)
         h.touch(1, 100, cpu=2, weight=50)
         results = h.pager.handle_batch(0, h.hot_batch(100, 2, 1))

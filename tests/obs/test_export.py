@@ -91,6 +91,32 @@ class TestDictRoundTrip:
         with pytest.raises(TraceError):
             event_from_dict({"kind": "hot-page", "t": 0, "nope": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", "x"), ("t", True), ("t", 1.0), ("page", None),
+    ])
+    def test_int_field_takes_only_an_int(self, field, value):
+        data = HotPageTriggered(t=1, page=2, cpu=0, count=3,
+                                threshold=2).to_dict()
+        data[field] = value
+        with pytest.raises(TraceError, match=f"field '{field}'"):
+            event_from_dict(data)
+
+    def test_float_field_takes_an_int_or_a_float(self):
+        for latency in (3, 3.5):
+            event = event_from_dict({"kind": "miss", "t": 0,
+                                     "latency_ns": latency})
+            assert event.latency_ns == latency
+        with pytest.raises(TraceError, match="field 'latency_ns'"):
+            event_from_dict({"kind": "miss", "t": 0, "latency_ns": False})
+
+    def test_bool_and_str_fields_are_checked(self):
+        data = MissServiced(t=1).to_dict()
+        data["remote"] = 1
+        with pytest.raises(TraceError, match="field 'remote'"):
+            event_from_dict(data)
+        with pytest.raises(TraceError, match="field 'label'"):
+            event_from_dict({"kind": "run-meta", "t": 0, "label": 7})
+
 
 class TestJsonl:
     def test_write_read_round_trip(self, tmp_path):
@@ -205,6 +231,14 @@ _ADVERSARIAL = {
 }
 
 
+def _well_typed(event) -> bool:
+    """Every field holds its declared type (an int may fill a float)."""
+    accepts = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,)}
+    return all(type(getattr(event, f.name)) in accepts[f.type]
+               for f in fields(event))
+
+
 @st.composite
 def adversarial_events(draw):
     cls = draw(st.sampled_from(EVENT_TYPES))
@@ -253,6 +287,12 @@ class TestCodec:
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "events.jsonl")
             write_jsonl(events, path)
+            if not all(_well_typed(event) for event in events):
+                # The encoder writes any value; the reader takes only
+                # values of their field's type.
+                with pytest.raises(TraceError, match="field"):
+                    read_events(path)
+                return
             back = read_events(path)
         # repr compares NaN fields (nan != nan) and tells 1 / 1.0 / True
         # apart, which == on the events would not.

@@ -51,7 +51,9 @@ class TestSinks:
         for i in range(8):
             tracer.emit(_hot(i))
         assert len(sink.events) == 8
-        assert len(tracer.events()) == 2
+        # A tracer with sinks keeps no ring.
+        assert tracer.events() == []
+        assert tracer.dropped == 0
 
     def test_fan_out_to_multiple_sinks(self):
         a, b = CountingSink(), CountingSink()
@@ -63,13 +65,13 @@ class TestSinks:
 
 class TestKindFilter:
     def test_unwanted_kinds_are_not_recorded(self):
-        sink = CountingSink()
+        sink = ListSink()
         tracer = Tracer(sinks=[sink], kinds=ALL_KINDS - {MissServiced.KIND})
         tracer.emit(MissServiced(t=0))
         tracer.emit(_hot(1))
-        assert sink.count == 1
         assert tracer.emitted == 1
-        assert tracer.events()[0].KIND == "hot-page"
+        assert [e.KIND for e in sink.events] == ["hot-page"]
+        assert tracer.events() == []
 
     def test_wants_reflects_filter(self):
         tracer = Tracer(kinds={MigrationDecision.KIND})

@@ -336,6 +336,18 @@ def test_analyze_rejects_old_engine_fallback_log(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_rejects_an_ill_typed_field(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"kind":"hot-page","t":"x","page":1,"cpu":0,'
+                    '"count":3,"threshold":2}\n')
+    assert main(["analyze", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}:1: ")
+    assert "field 't'" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_check_rejects_old_span_log(tmp_path, capsys):
     # Profiler spans could once be written to a log as `span` events.
     path = tmp_path / "old.jsonl"
@@ -1211,21 +1223,25 @@ class TestProfileOut:
                      if p]
         )
         path = tmp_path / "profile.json"
+        metrics_path = tmp_path / "metrics.json"
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "run",
              "--workload", "engineering", "--scale", "0.05",
-             "--profile-out", str(path)],
+             "--profile-out", str(path), "--metrics-out", str(metrics_path)],
             env=env, check=True, capture_output=True,
         )
         layers = self.load(path).layers
         assert max(layers, key=lambda name: layers[name]["share"]) == "sim"
-        # Each leg faults every (process, page) once, and observes only
-        # the records whose count reached the trigger.
+        # Each leg faults every (process, page) once, in runs of first
+        # touches (so fewer VM calls than faults), and observes only the
+        # records whose count reached the trigger.
         _, trace = load_workload("engineering", scale=0.05, seed=0)
         user = ~trace.is_kernel
         first_touches = len(set(zip(trace.process[user].tolist(),
                                     trace.page[user].tolist())))
-        assert layers["kernel.vm"]["calls"] == 2 * first_touches
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["vm.faults"] == first_touches
+        assert 0 < layers["kernel.vm"]["calls"] < 2 * first_touches
         assert 0 < layers["machine.directory"]["calls"] < user.sum()
         # Both legs ran here: a profiled run never takes a cached result.
         assert layers["sim"]["calls"] == 2
