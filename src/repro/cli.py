@@ -715,7 +715,6 @@ def _make_sweep_runner(args: argparse.Namespace):
     runner = SweepRunner(
         cache=cache,
         jobs=args.jobs,
-        timeout_s=args.timeout,
         retries=args.retries,
         progress=progress,
     )
@@ -1357,9 +1356,10 @@ def cmd_trace_verify(args: argparse.Namespace) -> int:
 def cmd_trace_replay(args: argparse.Namespace) -> int:
     """Stream a recorded trace through the dynamic policy simulator.
 
-    Chunks are decoded one at a time (peak memory is bounded by one
-    chunk, not the trace), which is the point: a recorded trace replays
-    under any policy without regenerating or materializing it.
+    Chunks are decoded as the replay reaches them (peak memory is
+    bounded by two chunks — the replay looks one ahead — not the
+    trace), which is the point: a recorded trace replays under any
+    policy without regenerating or materializing it.
     """
     from repro.common.errors import TraceStoreError
 
@@ -1383,7 +1383,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
             select(chunk)
             for chunk in store.iter_chunks(spec.identity(), meta=spec)
         )
-        result = sim.simulate_dynamic_chunks(chunks, params)
+        result = sim.simulate_dynamic(chunks, params)
     except TraceStoreError as exc:
         print(
             f"error: {exc}\nrecord it first: repro trace record "
@@ -1510,11 +1510,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (1 = in-process serial execution)",
-    )
-    parser.add_argument(
-        "--timeout", type=float,
-        default=None, metavar="SECONDS",
-        help="per-task timeout before the task is retried serially",
     )
     parser.add_argument(
         "--retries", type=int, default=1,

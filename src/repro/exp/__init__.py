@@ -6,7 +6,7 @@ declarative, parallel, cached sweeps:
 * :mod:`repro.exp.spec` — hashable :class:`ExperimentSpec`, grid
   expansion (:func:`sweep`) and the named figure grids;
 * :mod:`repro.exp.runner` — :func:`execute_spec` plus the
-  :class:`SweepRunner` (process pool, timeouts, bounded retries);
+  :class:`SweepRunner` (process pool, bounded retries);
 * :mod:`repro.exp.cache` — the content-addressed
   :class:`ResultCache` keyed on spec hash + code-version token;
 * :mod:`repro.exp.figures` — figure tables rebuilt from sweep results.

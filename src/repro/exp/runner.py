@@ -10,9 +10,9 @@ builds the machine and policy, and runs the right simulator.
 
 * **cache first** — every spec is looked up in the
   :class:`~repro.exp.cache.ResultCache` before any work is scheduled;
-* **process pool** — misses run under a ``ProcessPoolExecutor`` with a
-  configurable per-task timeout, degrading gracefully to in-process
-  serial execution when ``jobs <= 1`` or a pool cannot be created; tasks
+* **process pool** — misses run under a ``ProcessPoolExecutor``,
+  degrading gracefully to in-process serial execution when
+  ``jobs <= 1`` or a pool cannot be created; tasks
   are submitted in chunks grouped by workload so each worker loads a
   workload's trace at most once (``load_workload`` memoises per
   process);
@@ -22,8 +22,8 @@ builds the machine and policy, and runs the right simulator.
   this generator code version), so pool workers *replay* traces instead
   of regenerating them per process; with the store disabled
   (``REPRO_TRACE_STORE=0``) workers regenerate as before;
-* **bounded retries** — a task that times out, crashes its worker, or
-  raises is retried serially in-process up to ``retries`` times, so one
+* **bounded retries** — a task that crashes its worker or raises is
+  retried serially in-process up to ``retries`` times, so one
   flaky worker never sinks a long sweep;
 * **deterministic seeding** — the workload trace is fully determined by
   the spec's seed, and each task additionally reseeds the global RNGs
@@ -31,7 +31,7 @@ builds the machine and policy, and runs the right simulator.
   runs them in whatever order (``--jobs 4`` == ``--jobs 1``).
 
 The optional ``fault_hook`` is called as ``hook(spec, attempt)`` before
-each execution attempt; tests inject failures and timeouts through it.
+each execution attempt; tests inject failures through it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import random
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -245,7 +244,6 @@ class SweepRunner:
         self,
         cache: Optional[ResultCache] = None,
         jobs: int = 1,
-        timeout_s: Optional[float] = None,
         retries: int = 1,
         fault_hook: Optional[FaultHook] = None,
         progress: Optional[Callable[[SweepOutcome, int, int], None]] = None,
@@ -253,7 +251,6 @@ class SweepRunner:
     ) -> None:
         self.cache = cache
         self.jobs = max(1, int(jobs))
-        self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.fault_hook = fault_hook
         self.progress = progress
@@ -425,22 +422,8 @@ class SweepRunner:
                     # converts it into a cancelled outcome.
                     retry.extend(chunk)
                     continue
-                timeout = (
-                    self.timeout_s * len(chunk)
-                    if self.timeout_s is not None
-                    else None
-                )
                 try:
-                    entries = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    for i in chunk:
-                        outcomes[i].attempts += 1
-                        outcomes[i].error = (
-                            f"worker timed out after {timeout}s"
-                        )
-                        retry.append(i)
-                    continue
+                    entries = future.result()
                 except BrokenProcessPool as exc:
                     broken = True
                     for i in chunk:

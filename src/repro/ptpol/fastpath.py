@@ -55,10 +55,11 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.obs.batch import PT_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import MissServiced
-from repro.ptpol.sim import _PtReplayState
+from repro.ptpol.sim import _PtReplayState, _pt_columns
+from repro.trace.tlbsim import merge_cost_driver
 
 
 def replay_pt_vector(sim, trace, driver, params, result) -> None:
@@ -72,11 +73,6 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
             "PT-family replay assumes single-copy data pages, and no "
             "PT-family policy enables data replication"
         )
-    if trace.meta is not driver.meta and trace.meta is not None:
-        if driver.meta is not None and trace.meta.name != driver.meta.name:
-            raise TraceError(
-                "cost and driver traces are from different workloads"
-            )
     st = _PtReplayState(sim, params, result)
     tracer = sim.tracer
     em: Optional[BatchEmitter] = None
@@ -87,35 +83,17 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
         st.trace_on = True
         st.emit_miss = em.wants(MissServiced.KIND)
 
-    n_cost, n_driver = len(trace), len(driver)
-    n_total = n_cost + n_driver
+    merged, costmask = merge_cost_driver(
+        _pt_columns(trace), _pt_columns(driver), trace.meta, driver.meta
+    )
+    n_total = len(costmask)
     if n_total == 0:
         st.finalize()
         return
-
-    times = np.concatenate([trace.time_ns, driver.time_ns]).astype(np.int64)
-    cpus = np.concatenate([trace.cpu, driver.cpu]).astype(np.int64)
-    pids = np.concatenate([trace.process, driver.process]).astype(np.int64)
-    pages = np.concatenate([trace.page, driver.page]).astype(np.int64)
-    weights = np.concatenate([trace.weight, driver.weight]).astype(np.int64)
-    iswrite = np.concatenate(
-        [np.asarray(trace.is_write, bool), np.asarray(driver.is_write, bool)]
+    times, cpus, pids, pages, weights = (
+        col.astype(np.int64, copy=False) for col in merged[:5]
     )
-    costmask = np.concatenate(
-        [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-    )
-    # Stable sort with the cost block first: at equal timestamps the
-    # cost record precedes the driver record (the tie rule of
-    # ``ReferencePtPolicySimulator._merged_process_events``) and driver
-    # records keep their derivation order.
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    cpus = cpus[order]
-    pids = pids[order]
-    pages = pages[order]
-    weights = weights[order]
-    iswrite = iswrite[order]
-    costmask = costmask[order]
+    iswrite = merged[5]
     leaves = pages // sim.config.pt_span_pages
 
     engine = _PtSegmentEngine(st, int(pages.max()) + 1, int(leaves.max()) + 1)

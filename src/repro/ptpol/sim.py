@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.obs.events import (
     HotPageTriggered,
     IntervalReset,
@@ -68,7 +68,7 @@ from repro.trace.policysim import (
     _pager_act,
 )
 from repro.trace.record import Trace
-from repro.trace.tlbsim import derive_tlb_trace
+from repro.trace.tlbsim import derive_tlb_trace, merge_cost_driver
 
 #: The PT policy family, in presentation order.
 PT_POLICIES = ("ptft", "ptmigr", "ptrepl", "coplace")
@@ -619,11 +619,20 @@ class ReferencePtPolicySimulator(PtPolicySimulator):
         params: PolicyParameters,
         result: PolicySimResult,
     ) -> None:
-        """One merged record at a time, in order."""
+        """One merged record at a time, in order.
+
+        The merge (:func:`repro.trace.tlbsim.merge_cost_driver`) puts a
+        walk after the data miss it shares a timestamp with, so a PT
+        action never retroactively cheapens the walk that triggered it,
+        and the first sighting of a page is always the data miss that
+        faults its mapping in.
+        """
+        merged, costmask = merge_cost_driver(
+            _pt_columns(trace), _pt_columns(driver), trace.meta, driver.meta
+        )
+        rows = zip(*(col.tolist() for col in merged), costmask.tolist())
         st = _PtReplayState(self, params, result)
-        for time, cpu, pid, page, weight, is_write, is_cost in (
-            self._merged_process_events(trace, driver)
-        ):
+        for time, cpu, pid, page, weight, is_write, is_cost in rows:
             st.drain(time)
             if time >= st.next_reset:
                 st.reset(time)
@@ -631,38 +640,12 @@ class ReferencePtPolicySimulator(PtPolicySimulator):
         st.drain(None)
         st.finalize()
 
-    @staticmethod
-    def _merged_process_events(cost: Trace, driver: Trace):
-        """Merge data misses and walks in time order, with processes.
 
-        The PT twin of ``_merged_events``: driver (walk) events sort
-        *after* cost events at equal timestamps, so a PT action never
-        retroactively cheapens the walk that triggered it — and since
-        every derived TLB record shares a timestamp with the cache-miss
-        record that produced it, the first sighting of a page is always
-        the data miss that faults its mapping in.
-        """
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError(
-                    "cost and driver traces are from different workloads"
-                )
-        i = j = 0
-        n_cost, n_driver = len(cost), len(driver)
-        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
-        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
-        c_pr, d_pr = cost.process.tolist(), driver.process.tolist()
-        c_p, d_p = cost.page.tolist(), driver.page.tolist()
-        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
-        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
-        while i < n_cost or j < n_driver:
-            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
-            if take_cost:
-                yield (c_t[i], c_c[i], c_pr[i], c_p[i], c_wt[i], c_w[i], True)
-                i += 1
-            else:
-                yield (d_t[j], d_c[j], d_pr[j], d_p[j], d_wt[j], d_w[j], False)
-                j += 1
+def _pt_columns(trace: Trace) -> tuple:
+    """The columns a PT replay reads: the dynamic replay's plus the
+    process, ``(time_ns, cpu, process, page, weight, is_write)``."""
+    return (trace.time_ns, trace.cpu, trace.process, trace.page,
+            trace.weight, trace.is_write)
 
 
 def simulate_ptpol(

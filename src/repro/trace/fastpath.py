@@ -36,12 +36,12 @@ latency), and all partial sums stay far below 2**53, where float64
 addition is exact — so bulk sums reproduce the scalar engine's
 per-event float accumulation bit for bit, in any order.
 
-The public entry points are :func:`replay_dynamic_vector` (whole
-trace, optional merged TLB driver stream), :func:`replay_stream_vector`
-(streamed column batches: trace chunks or the TLB-driver merge of
-:func:`repro.trace.tlbsim.merged_tlb_stream`; intervals spanning a
-batch boundary carry bank/armed/pending state across, with cold counter
-sums written back to the bank in batch) and
+The public entry points are :func:`replay_stream_vector`, the one
+dynamic replay, over time-ordered column batches (a whole trace is one
+batch; streamed chunks, or their TLB-driver merge by
+:func:`repro.trace.tlbsim.merged_tlb_stream`, are many — intervals
+spanning a batch boundary carry bank/armed/pending state across, with
+cold counter sums written back to the bank in batch), and
 :func:`replay_competitive_vector` (the [BGW89] competitive baseline).
 Results — the full :class:`~repro.trace.policysim.PolicySimResult`,
 including ``extra["local_stall_ns"]`` — are byte-identical to the
@@ -69,7 +69,6 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.common.errors import TraceError
 from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.batch import DATA_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import (
@@ -81,7 +80,7 @@ from repro.obs.events import (
 
 
 class _VectorEngine:
-    """Segmented replay state, shared by whole-trace and chunked modes."""
+    """Segmented replay state over one stream of column batches."""
 
     def __init__(
         self,
@@ -137,12 +136,13 @@ class _VectorEngine:
         self._seg_gstart = 0
 
         if placement is not None:
-            # Whole-trace mode: the initial placement array covers every
-            # page, so first-touch initialisation is already folded in.
+            # A full initial placement array covers every page, so
+            # first-touch initialisation is already folded in.
             self.masks = np.int64(1) << placement.astype(np.int64)
             self.touched = None
         else:
-            # Streaming mode: pages appear incrementally.
+            # First-touch or round-robin: pages are placed as they
+            # appear.
             self.masks = np.zeros(0, dtype=np.int64)
             self.touched = np.zeros(0, dtype=bool)
         self.initial_kind = initial_kind        # "ft" | "rr" | None
@@ -191,13 +191,13 @@ class _VectorEngine:
 
     def run_batch(
         self, times, cpus, pages, weights, iswrite, costmask, cntmask,
-        streaming: bool,
+        more: bool,
     ) -> None:
         """Process one time-ordered batch (a whole trace or one chunk).
 
-        With ``streaming=True`` the interval containing the batch's last
-        event may continue into the next batch, so that segment's cold
-        counter sums are written back to the bank.
+        ``more`` says another batch follows: the interval containing
+        this batch's last event may continue into it, so that
+        segment's cold counter sums are written back to the bank.
         """
         n = len(times)
         if n == 0:
@@ -218,7 +218,7 @@ class _VectorEngine:
                 times[s:e], cpus[s:e], pages[s:e], weights[s:e],
                 iswrite[s:e], costmask[s:e], counted[s:e],
                 gstart=self.gpos + s,
-                writeback=streaming and si == last,
+                writeback=more and si == last,
             )
         self.gpos += n
 
@@ -434,12 +434,12 @@ class _VectorEngine:
                         )
                     )
 
-        # 4. Streaming (and any traced run): the interval may continue
-        # into the next chunk, so cold pages' counted sums must land in
-        # the bank (the next chunk's carries — and any act on a page
-        # that only later becomes a candidate — read them).  Traced runs
-        # also need them so IntervalReset.tracked_pages matches the
-        # scalar core, which records every counted event.
+        # 4. The interval continues into the next batch, so cold pages'
+        # counted sums must land in the bank (the next batch's carries —
+        # and any act on a page that only later becomes a candidate —
+        # read them).  Traced runs also need them so
+        # IntervalReset.tracked_pages matches the scalar core, which
+        # records every counted event.
         if writeback and have_pairs:
             cold_pair = ~flag[upages] if len(cand) else np.ones(len(upages), bool)
             if cold_pair.any():
@@ -467,7 +467,7 @@ class _VectorEngine:
                         for page, s in zip(wu.tolist(), wsums.tolist()):
                             add_writes(page, s)
         elif em is not None and have_pairs:
-            # Traced, non-streaming: the interval ends with this segment,
+            # Traced, no writeback: the interval ends with this segment,
             # so no later act or carry can read the cold counters — only
             # ``IntervalReset.tracked_pages`` needs them.  Count the cold
             # pages instead of materializing their counters (the scalar
@@ -633,61 +633,6 @@ class _VectorEngine:
 # -- public entry points --------------------------------------------------------
 
 
-def replay_dynamic_vector(
-    config,
-    trace,
-    params,
-    result,
-    placement: np.ndarray,
-    sampling_rate: int = 1,
-    driver_trace=None,
-    tracer=None,
-) -> None:
-    """Vectorized equivalent of the scalar whole-trace dynamic replay.
-
-    ``params`` must already be scaled for sampling (the caller does this
-    for both engines).  With ``driver_trace`` the cost and driver
-    streams are merged by a stable sort — cost events win timestamp
-    ties, exactly like the scalar two-pointer merge.  An active ``tracer``
-    receives the scalar core's exact event sequence via batched
-    emission.
-    """
-    engine = _VectorEngine(
-        config, params, result, sampling_rate, placement=placement,
-        tracer=tracer,
-    )
-    if driver_trace is None:
-        ones = np.ones(len(trace), dtype=bool)
-        engine.run_batch(
-            trace.time_ns, trace.cpu, trace.page, trace.weight,
-            trace.is_write, ones, ones, streaming=False,
-        )
-    else:
-        cost, driver = trace, driver_trace
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError(
-                    "cost and driver traces are from different workloads"
-                )
-        n_cost, n_driver = len(cost), len(driver)
-        times = np.concatenate([cost.time_ns, driver.time_ns])
-        order = np.argsort(times, kind="stable")
-        costmask = np.concatenate(
-            [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-        )[order]
-        engine.run_batch(
-            times[order],
-            np.concatenate([cost.cpu, driver.cpu])[order],
-            np.concatenate([cost.page, driver.page])[order],
-            np.concatenate([cost.weight, driver.weight])[order],
-            np.concatenate([cost.is_write, driver.is_write])[order],
-            costmask,
-            ~costmask,
-            streaming=False,
-        )
-    engine.finish()
-
-
 def replay_stream_vector(
     config,
     batches,
@@ -698,34 +643,38 @@ def replay_stream_vector(
     tracer=None,
     placement: Optional[np.ndarray] = None,
 ) -> None:
-    """Vectorized streaming replay over time-ordered column batches.
+    """Vectorized dynamic replay over time-ordered column batches.
 
     Each batch is a ``(times, cpus, pages, weights, iswrite, costmask,
     cntmask)`` tuple of aligned arrays: ``costmask`` marks events that
-    charge stall, ``cntmask`` events that drive the counters.  A plain
-    trace chunk does both (all-true masks); the streamed TLB-driver
-    merge of :func:`repro.trace.tlbsim.merged_tlb_stream` interleaves
-    cost events with TLB-miss driver events (``cntmask`` is
-    ``~costmask``) in exact scalar merge order.
+    charge stall, ``cntmask`` events that drive the counters.  A whole
+    trace is one batch; a plain trace chunk does both (all-true
+    masks); a cost/driver merge
+    (:func:`repro.trace.tlbsim.merge_cost_driver`) interleaves cost
+    events with driver events (``cntmask`` is ``~costmask``).
 
     ``initial_kind`` is ``"ft"`` (first-touch) or ``"rr"``
-    (round-robin), or ``None`` when ``placement`` supplies a full
-    initial placement array (the post-facto two-pass path: the caller
-    streams the chunks once to majority-count them, then replays here).
-    Bank counters, armed pages, pending interrupts and sampling carries
-    flow across batch boundaries, so the streamed result is
-    byte-identical to the whole-trace replay.
+    (round-robin), placing pages as they first appear, or ``None``
+    when ``placement`` supplies a full initial placement array.
+    ``params`` must already be scaled for sampling (the caller does
+    this for both engines).  Bank counters, armed pages, pending
+    interrupts and sampling carries flow across batch boundaries; the
+    loop looks one batch ahead so a batch's last interval writes its
+    cold counter sums back only when another batch follows.  Results
+    — and, with an active ``tracer``, event logs — are byte-identical
+    to the scalar core over the concatenated stream.
     """
     engine = _VectorEngine(
         config, params, result, sampling_rate,
         placement=placement, initial_kind=initial_kind,
         tracer=tracer,
     )
-    for times, cpus, pages, weights, iswrite, costmask, cntmask in batches:
-        engine.run_batch(
-            times, cpus, pages, weights, iswrite, costmask, cntmask,
-            streaming=True,
-        )
+    batches = iter(batches)
+    batch = next(batches, None)
+    while batch is not None:
+        following = next(batches, None)
+        engine.run_batch(*batch, more=following is not None)
+        batch = following
     engine.finish()
 
 

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.common.units import US
 from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.events import (
@@ -51,7 +51,12 @@ from repro.policy.placement import (
 from repro.sim.results import RESULT_SCHEMA_VERSION, check_schema
 from repro.trace import fastpath
 from repro.trace.record import Trace
-from repro.trace.tlbsim import derive_tlb_trace, merged_tlb_stream
+from repro.trace.tlbsim import (
+    derive_tlb_trace,
+    merge_cost_driver,
+    merged_tlb_stream,
+    replay_columns,
+)
 
 
 class StaticPolicy(enum.Enum):
@@ -374,14 +379,6 @@ class _CompetitiveCore:
         counts[:] = 0
 
 
-def _cost_and_count_batch(chunk: Trace) -> tuple:
-    """``chunk`` as a streamed column batch whose every event both
-    charges stall and drives the counters (all-true masks)."""
-    ones = np.ones(len(chunk), dtype=bool)
-    return (chunk.time_ns, chunk.cpu, chunk.page, chunk.weight,
-            chunk.is_write, ones, ones)
-
-
 class TracePolicySimulator:
     """Replay traces under static and dynamic placement policies."""
 
@@ -498,7 +495,7 @@ class TracePolicySimulator:
 
     def simulate_dynamic(
         self,
-        trace: Trace,
+        trace,
         params: PolicyParameters,
         metric: Metric = FULL_CACHE,
         label: Optional[str] = None,
@@ -507,61 +504,65 @@ class TracePolicySimulator:
     ) -> PolicySimResult:
         """Replay ``trace`` under a dynamic migration/replication policy.
 
+        ``trace`` is a whole :class:`Trace` or a stream of time-ordered
+        sub-traces: a zero-argument callable returning a fresh iterator
+        of chunks (a *chunk factory*), a sequence of chunks, or a
+        one-shot iterator — most usefully ``lambda:
+        reader.iter_chunks()`` over a :class:`repro.store.ContainerReader`,
+        so a stored trace replays with peak memory bounded by two chunks
+        (the replay looks one ahead) instead of the whole trace.  Either
+        way the replay sees one stream of column batches (a whole trace
+        is one batch), and a stream's result is byte-identical to the
+        whole trace's for every initial placement and metric.
+
         ``metric`` picks the counter-driving stream: cache misses (the
-        trace itself) or a TLB-miss trace derived from it (or supplied via
-        ``driver_trace``), each optionally sampled.
+        trace itself) or a TLB-miss trace derived from it, each
+        optionally sampled.  A whole trace may supply the driver as
+        ``driver_trace``; a stream derives and merges it chunk by chunk
+        (:func:`repro.trace.tlbsim.merged_tlb_stream`).  Streamed
+        first-touch and round-robin placements are derived on the fly;
+        streamed post-facto placement majority-counts the stream in a
+        first pass, so it needs a factory or a sequence — a one-shot
+        iterator raises.
         """
-        cfg = self.config
-        if metric.uses_tlb and driver_trace is None:
-            driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
         if metric.sampling_rate > 1:
             params = params.scaled_for_sampling(metric.sampling_rate)
         result = PolicySimResult(label=label or self._default_label(params, metric))
-        placement = self.placement_for(trace, initial)
-
+        if isinstance(trace, Trace):
+            batches = [self._trace_batch(trace, metric, driver_trace)]
+            placement = self.placement_for(trace, initial)
+            initial_kind = None
+        else:
+            if driver_trace is not None:
+                raise ConfigurationError(
+                    "a driver trace goes with a whole trace, not a chunk "
+                    "stream; a stream derives its TLB driver itself"
+                )
+            batches, placement, initial_kind = self._stream_batches(
+                trace, metric, initial
+            )
         self._emit_run_meta(result.label, params)
-        self._replay_trace(
-            trace, driver_trace, params, result, placement,
+        self._replay_batches(
+            batches, params, result, placement, initial_kind,
             metric.sampling_rate,
         )
         return result
 
-    def _replay_trace(
-        self, trace, driver_trace, params, result, placement, sampling_rate
-    ) -> None:
-        """Replay hook of :meth:`simulate_dynamic`: the vectorized engine."""
-        fastpath.replay_dynamic_vector(
-            self.config, trace, params, result, placement,
-            sampling_rate=sampling_rate,
-            driver_trace=driver_trace,
-            tracer=self.tracer,
+    def _trace_batch(self, trace: Trace, metric: Metric, driver_trace):
+        """A whole trace as one column batch, merged with its driver."""
+        if metric.uses_tlb and driver_trace is None:
+            driver_trace = derive_tlb_trace(trace, n_cpus=self.config.n_cpus)
+        if driver_trace is None:
+            ones = np.ones(len(trace), dtype=bool)
+            return (*replay_columns(trace), ones, ones)
+        merged, costmask = merge_cost_driver(
+            replay_columns(trace), replay_columns(driver_trace),
+            trace.meta, driver_trace.meta,
         )
+        return (*merged, costmask, ~costmask)
 
-    def simulate_dynamic_chunks(
-        self,
-        chunks,
-        params: PolicyParameters,
-        metric: Metric = FULL_CACHE,
-        label: Optional[str] = None,
-        initial: StaticPolicy = StaticPolicy.FIRST_TOUCH,
-    ) -> PolicySimResult:
-        """Streaming dynamic replay over time-ordered trace chunks.
-
-        ``chunks`` is a zero-argument callable returning a fresh
-        iterator of time-ordered sub-traces (a *chunk factory*), a
-        sequence of chunks, or a one-shot iterator — most usefully
-        ``lambda: reader.iter_chunks()`` over a
-        :class:`repro.store.ContainerReader`, so a stored trace replays
-        with peak memory bounded by one chunk instead of the whole
-        trace.  The streamed result is byte-identical to
-        :meth:`simulate_dynamic` over the concatenated trace for every
-        initial placement and metric: first-touch and round-robin
-        placements are derived on the fly, post-facto placement
-        majority-counts the stream in a first pass (so it needs a
-        factory or a sequence — a one-shot iterator raises), and
-        TLB-driven metrics derive and merge the TLB stream chunk by
-        chunk (:func:`repro.trace.tlbsim.merged_tlb_stream`).
-        """
+    def _stream_batches(self, chunks, metric: Metric, initial: StaticPolicy):
+        """``(batches, placement, initial_kind)`` for a chunk stream."""
         if callable(chunks):
             factory = chunks
         elif isinstance(chunks, (list, tuple)):
@@ -569,9 +570,6 @@ class TracePolicySimulator:
             factory = lambda: iter(chunk_seq)  # noqa: E731
         else:
             factory = None  # one-shot iterator: single pass only
-        if metric.sampling_rate > 1:
-            params = params.scaled_for_sampling(metric.sampling_rate)
-        result = PolicySimResult(label=label or self._default_label(params, metric))
         placement: Optional[np.ndarray] = None
         if initial is StaticPolicy.FIRST_TOUCH:
             initial_kind: Optional[str] = "ft"
@@ -588,18 +586,6 @@ class TracePolicySimulator:
             initial_kind = None
             placement = self._post_facto_from_chunks(factory)
         stream = factory() if factory is not None else chunks
-        self._emit_run_meta(result.label, params)
-        self._replay_stream(
-            stream, metric, params, result, initial_kind, placement
-        )
-        return result
-
-    def _replay_stream(
-        self, stream, metric, params, result, initial_kind, placement
-    ) -> None:
-        """Replay hook of :meth:`simulate_dynamic_chunks`: the
-        vectorized engine, fed the merged cost/TLB batches when
-        ``metric`` is TLB-driven and each chunk as both otherwise."""
         if metric.uses_tlb:
             batches = (
                 (*columns, costmask, ~costmask)
@@ -607,11 +593,18 @@ class TracePolicySimulator:
                 in merged_tlb_stream(stream, self.config.n_cpus)
             )
         else:
-            batches = map(_cost_and_count_batch, stream)
+            batches = (self._trace_batch(chunk, metric, None) for chunk in stream)
+        return batches, placement, initial_kind
+
+    def _replay_batches(
+        self, batches, params, result, placement, initial_kind,
+        sampling_rate,
+    ) -> None:
+        """Replay hook of :meth:`simulate_dynamic`: the vectorized engine."""
         fastpath.replay_stream_vector(
             self.config, batches, params, result,
             initial_kind=initial_kind,
-            sampling_rate=metric.sampling_rate,
+            sampling_rate=sampling_rate,
             tracer=self.tracer,
             placement=placement,
         )
@@ -722,38 +715,22 @@ class ReferenceTracePolicySimulator(TracePolicySimulator):
 
     :class:`TracePolicySimulator` replays through the vectorized
     engines of :mod:`repro.trace.fastpath`.  This subclass overrides
-    only their three replay hooks; set-up, placement, sampling
-    scaling, labels and the run-meta header are the base class's.  Its
-    results and event logs are byte-identical to the production path,
-    which the differential suites and the scalar-vs-vector benches
-    check by running both.
+    only their two replay hooks; set-up, placement, sampling scaling,
+    the cost/driver merge, labels and the run-meta header are the base
+    class's, so it is the oracle of the policy state machine, not of
+    the merge.  Its results and event logs are byte-identical to the
+    production path, which the differential suites and the
+    scalar-vs-vector benches check by running both.
     """
 
-    def _replay_trace(
-        self, trace, driver_trace, params, result, placement, sampling_rate
+    def _replay_batches(
+        self, batches, params, result, placement, initial_kind,
+        sampling_rate,
     ) -> None:
-        if driver_trace is None:
-            events = self._single_stream_events(trace)
-        else:
-            events = self._merged_events(trace, driver_trace)
         self._replay_dynamic(
-            events, params, result, self._initial_node(None, placement),
-            sampling_rate=sampling_rate,
-        )
-
-    def _replay_stream(
-        self, stream, metric, params, result, initial_kind, placement
-    ) -> None:
-        if metric.uses_tlb:
-            events = self._batch_stream_events(
-                merged_tlb_stream(stream, self.config.n_cpus)
-            )
-        else:
-            events = self._chunk_stream_events(stream)
-        self._replay_dynamic(
-            events, params, result,
+            self._batch_events(batches), params, result,
             self._initial_node(initial_kind, placement),
-            sampling_rate=metric.sampling_rate,
+            sampling_rate=sampling_rate,
         )
 
     def _replay_competitive(self, trace, result, placement, core) -> None:
@@ -917,81 +894,17 @@ class ReferenceTracePolicySimulator(TracePolicySimulator):
             act(due, hot_page, hot_cpu)
         result.extra["local_stall_ns"] = local_stall
 
-    # -- event stream helpers ------------------------------------------------------------
+    # -- event stream helper ------------------------------------------------------------
 
     @staticmethod
-    def _single_stream_events(trace: Trace):
-        """Each record both costs stall and drives the counters.
+    def _batch_events(batches):
+        """Scalar ``(time, cpu, page, weight, is_write, costs, counts)``
+        events over the column batches of :meth:`simulate_dynamic`.
 
-        Columns are converted to Python lists once (``.tolist()``), so
-        the replay loop iterates native ints instead of paying a numpy
-        scalar box per field per event.
+        Columns are converted to Python lists once per batch
+        (``.tolist()``), so the replay loop iterates native ints
+        instead of paying a numpy scalar box per field per event, and
+        only one batch's columns are live at a time.
         """
-        times = trace.time_ns.tolist()
-        cpus = trace.cpu.tolist()
-        pages = trace.page.tolist()
-        weights = trace.weight.tolist()
-        writes = trace.is_write.tolist()
-        for row in zip(times, cpus, pages, weights, writes):
-            yield (row[0], row[1], row[2], row[3], row[4], True, True)
-
-    @staticmethod
-    def _chunk_stream_events(chunks):
-        """Single-stream events over an iterator of time-ordered chunks.
-
-        Equivalent to :meth:`_single_stream_events` on the concatenated
-        trace, but only one chunk's columns are live at a time.
-        """
-        for chunk in chunks:
-            times = chunk.time_ns.tolist()
-            cpus = chunk.cpu.tolist()
-            pages = chunk.page.tolist()
-            weights = chunk.weight.tolist()
-            writes = chunk.is_write.tolist()
-            for row in zip(times, cpus, pages, weights, writes):
-                yield (row[0], row[1], row[2], row[3], row[4], True, True)
-
-    @staticmethod
-    def _batch_stream_events(batches):
-        """Scalar 7-tuple events over pre-merged column batches.
-
-        Consumes the ``(times, cpus, pages, weights, is_write,
-        costmask)`` batches of
-        :func:`repro.trace.tlbsim.merged_tlb_stream`; equivalent to
-        :meth:`_merged_events` on the concatenated cost and driver
-        traces, with only one batch's columns live at a time.
-        """
-        for times, cpus, pages, weights, iswrite, costmask in batches:
-            rows = zip(
-                times.tolist(), cpus.tolist(), pages.tolist(),
-                weights.tolist(), iswrite.tolist(), costmask.tolist(),
-            )
-            for t, cpu, page, weight, iw, cost in rows:
-                yield (t, cpu, page, weight, iw, cost, not cost)
-
-    @staticmethod
-    def _merged_events(cost: Trace, driver: Trace):
-        """Merge the cost and driver streams in time order.
-
-        Driver events sort *after* cost events at equal timestamps, so a
-        policy acting on an event never retroactively cheapens the miss
-        that produced it.
-        """
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError("cost and driver traces are from different workloads")
-        i = j = 0
-        n_cost, n_driver = len(cost), len(driver)
-        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
-        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
-        c_p, d_p = cost.page.tolist(), driver.page.tolist()
-        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
-        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
-        while i < n_cost or j < n_driver:
-            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
-            if take_cost:
-                yield (c_t[i], c_c[i], c_p[i], c_wt[i], c_w[i], True, False)
-                i += 1
-            else:
-                yield (d_t[j], d_c[j], d_p[j], d_wt[j], d_w[j], False, True)
-                j += 1
+        for batch in batches:
+            yield from zip(*(column.tolist() for column in batch))

@@ -22,7 +22,7 @@ between the two streams.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,26 +160,46 @@ def derive_tlb_trace(
     )
 
 
-def derive_tlb_trace_chunks(
-    chunks: Iterable[Trace],
-    n_cpus: int,
-    tlb_config: Optional[TlbConfig] = None,
-    factor_of_page: Optional[Callable[[int], float]] = None,
-) -> Iterator[Trace]:
-    """Stream TLB-miss derivation over time-ordered cache-miss chunks.
+def replay_columns(trace: Trace) -> Tuple[np.ndarray, ...]:
+    """The columns a dynamic replay reads, timestamps first:
+    ``(time_ns, cpu, page, weight, is_write)``."""
+    return (trace.time_ns, trace.cpu, trace.page, trace.weight,
+            trace.is_write)
 
-    Yields one (possibly empty-filtered) derived chunk per input chunk;
-    concatenating the yields reproduces :func:`derive_tlb_trace` on the
-    concatenated input.  ``n_cpus`` is required because a stream's CPU
-    range is unknown up front.
+
+def merge_cost_driver(
+    cost: Sequence[np.ndarray],
+    driver: Sequence[np.ndarray],
+    cost_meta=None,
+    driver_meta=None,
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Merge a cost stream and a driver stream into one time order.
+
+    The one tie rule of every cost/driver replay: ``cost`` and
+    ``driver`` are equal-length tuples of aligned columns, timestamps
+    first, and a stable sort over the cost block then the driver block
+    puts cost records *before* driver records at equal timestamps, so a
+    policy acting on a driver event never retroactively cheapens the
+    miss that produced it.  Each side keeps its own record order.
+
+    Returns the merged columns (dtypes kept) and ``costmask``, True for
+    the records that came from ``cost``.  Raises
+    :class:`~repro.common.errors.TraceError` when both metas are given
+    and name different workloads.
     """
-    deriver = TlbTraceDeriver(
-        n_cpus, tlb_config=tlb_config, factor_of_page=factor_of_page
+    if (
+        cost_meta is not None
+        and driver_meta is not None
+        and cost_meta is not driver_meta
+        and cost_meta.name != driver_meta.name
+    ):
+        raise TraceError("cost and driver traces are from different workloads")
+    times = np.concatenate([cost[0], driver[0]])
+    order = np.argsort(times, kind="stable")
+    merged = (times[order],) + tuple(
+        np.concatenate([c, d])[order] for c, d in zip(cost[1:], driver[1:])
     )
-    for chunk in chunks:
-        derived = deriver.feed(chunk)
-        if len(derived):
-            yield derived
+    return merged, order < len(cost[0])
 
 
 def merged_tlb_stream(
@@ -190,16 +210,13 @@ def merged_tlb_stream(
 ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Stream the cost/TLB-driver merge over time-ordered chunks.
 
-    Derives each chunk's TLB-miss sub-trace (statefully, like
-    :func:`derive_tlb_trace_chunks`) and merges it back into the
-    cache-miss stream in exactly the order the whole-trace two-pointer
-    merge (``policysim._merged_events``) produces: time order, cost
-    events winning timestamp ties.  Yields ``(times, cpus, pages,
+    Derives each chunk's TLB-miss sub-trace statefully
+    (:class:`TlbTraceDeriver`) and merges it back into the cache-miss
+    stream by :func:`merge_cost_driver`, so the concatenated batches
+    equal the whole-trace merge.  Yields ``(times, cpus, pages,
     weights, is_write, costmask)`` column batches — ``costmask`` True
     for cache-miss (stall-charging) records, False for derived TLB
-    (counter-driving) records — ready for
-    :func:`repro.trace.fastpath.replay_stream_vector` or a scalar
-    event wrapper.
+    (counter-driving) records.
 
     A derived record whose timestamp reaches the chunk's last cost
     timestamp is *held back* and merged with a later batch: a future
@@ -215,36 +232,16 @@ def merged_tlb_stream(
         derived = deriver.feed(chunk)
         if not len(chunk):
             continue
-        pool: Tuple[np.ndarray, ...] = (
-            derived.time_ns, derived.cpu, derived.page,
-            derived.weight, derived.is_write,
-        )
+        pool = replay_columns(derived)
         if carry is not None:
             pool = tuple(
                 np.concatenate([c, d]) for c, d in zip(carry, pool)
             )
-        last_cost_t = int(chunk.time_ns[-1])
-        ready = pool[0] < last_cost_t
-        now = tuple(col[ready] for col in pool)
+        ready = pool[0] < int(chunk.time_ns[-1])
         carry = tuple(col[~ready] for col in pool)
-        n_cost, n_driver = len(chunk), len(now[0])
-        times = np.concatenate([chunk.time_ns, now[0]])
-        # Stable sort with cost columns first: at equal timestamps the
-        # cost record precedes the driver record, like the scalar merge.
-        order = np.argsort(times, kind="stable")
-        costmask = np.concatenate(
-            [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-        )[order]
-        yield (
-            times[order],
-            np.concatenate([chunk.cpu, now[1]])[order],
-            np.concatenate([chunk.page, now[2]])[order],
-            np.concatenate([chunk.weight, now[3]])[order],
-            np.concatenate([chunk.is_write, now[4]])[order],
-            costmask,
+        merged, costmask = merge_cost_driver(
+            replay_columns(chunk), tuple(col[ready] for col in pool)
         )
+        yield (*merged, costmask)
     if carry is not None and len(carry[0]):
-        yield (
-            carry[0], carry[1], carry[2], carry[3], carry[4],
-            np.zeros(len(carry[0]), dtype=bool),
-        )
+        yield (*carry, np.zeros(len(carry[0]), dtype=bool))

@@ -98,6 +98,6 @@ def test_streamed_replay_matches_materialized(recorded):
         with ContainerReader(path) as reader:
             assert len(reader.chunks) > 1
             chunks = (c.user_only() for c in reader.iter_chunks(meta=spec))
-            streamed = sim.simulate_dynamic_chunks(chunks, cell.params())
+            streamed = sim.simulate_dynamic(chunks, cell.params())
     full = sim.simulate_dynamic(fresh.user_only(), cell.params())
     assert streamed.to_dict() == full.to_dict()

@@ -1352,6 +1352,25 @@ class TestProfileOut:
         assert report.layers["other"]["self_s"] > 0
         assert report.metrics  # replay stats snapshot rides along
 
+    def test_trace_replay_times_the_streamed_replay(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Streamed replay enters through simulate_dynamic, the
+        # trace.replay boundary, so the table shows it once.
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "store"))
+        assert main([
+            "trace", "record", "--workload", "database", "--scale", "0.05",
+        ]) == 0
+        path = tmp_path / "profile.json"
+        assert main([
+            "trace", "replay", "--workload", "database", "--scale", "0.05",
+            "--profile-out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        replay = self.load(path).layers["trace.replay"]
+        assert replay["calls"] == 1
+        assert replay["self_s"] > 0
+
 
 @pytest.fixture(scope="module")
 def analyze_logs(tmp_path_factory):
@@ -1537,8 +1556,8 @@ class TestAnalyzeCommand:
         assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_timeout_and_retries_flags():
+def test_sweep_retries_flag():
     args = build_parser().parse_args(
-        ["sweep", "--grid", "fig9", "--timeout", "7", "--retries", "3"]
+        ["sweep", "--grid", "fig9", "--retries", "3"]
     )
-    assert args.timeout == 7.0 and args.retries == 3
+    assert args.retries == 3

@@ -206,7 +206,7 @@ class TestDifferentialChunked:
                 chunks if initial is StaticPolicy.POST_FACTO
                 else iter(chunks)
             )
-            results.append(sim.simulate_dynamic_chunks(
+            results.append(sim.simulate_dynamic(
                 source, params, initial=initial
             ).to_dict())
         reference, production = results
@@ -223,7 +223,7 @@ class TestDifferentialChunked:
         params = PolicyParameters(trigger_threshold=16, sharing_threshold=4)
         chunked = TracePolicySimulator(
             PolicySimConfig(n_cpus=8, n_nodes=4)
-        ).simulate_dynamic_chunks(
+        ).simulate_dynamic(
             iter(split_chunks(trace, n_chunks)), params, metric=FULL_TLB
         )
         reference = ReferenceTracePolicySimulator(
@@ -236,7 +236,7 @@ class TestDifferentialChunked:
         trace = random_trace(rng)
         params = PolicyParameters(trigger_threshold=16, sharing_threshold=4)
         sim = TracePolicySimulator(PolicySimConfig(n_cpus=8, n_nodes=4))
-        chunked = sim.simulate_dynamic_chunks(
+        chunked = sim.simulate_dynamic(
             iter(split_chunks(trace, 5)), params, metric=SAMPLED_CACHE
         )
         reference = ReferenceTracePolicySimulator(
@@ -315,7 +315,7 @@ class TestDifferentialTraced:
         trace = random_trace(rng, n_events=2500)
         params = PolicyParameters(trigger_threshold=8, sharing_threshold=2)
         reference, production = traced_pair(
-            lambda sim: sim.simulate_dynamic_chunks(
+            lambda sim: sim.simulate_dynamic(
                 iter(split_chunks(trace, n_chunks)), params
             )
         )

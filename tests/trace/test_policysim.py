@@ -286,7 +286,7 @@ class TestStreamingReplay:
         )
         full = sim.simulate_dynamic(trace, fast_params())
         for size in (1, 7, 50, 200, 500):
-            streamed = sim.simulate_dynamic_chunks(
+            streamed = sim.simulate_dynamic(
                 self.chunked(trace, size), fast_params()
             )
             assert streamed.to_dict() == full.to_dict(), size
@@ -298,7 +298,7 @@ class TestStreamingReplay:
         full = sim.simulate_dynamic(
             trace, fast_params(), initial=StaticPolicy.ROUND_ROBIN
         )
-        streamed = sim.simulate_dynamic_chunks(
+        streamed = sim.simulate_dynamic(
             self.chunked(trace, 30), fast_params(),
             initial=StaticPolicy.ROUND_ROBIN,
         )
@@ -309,7 +309,7 @@ class TestStreamingReplay:
             [(t * 10, t % 4, 0, t % 9, 7) for t in range(150)]
         )
         full = sim.simulate_dynamic(trace, fast_params(), SAMPLED_CACHE)
-        streamed = sim.simulate_dynamic_chunks(
+        streamed = sim.simulate_dynamic(
             self.chunked(trace, 40), fast_params(), SAMPLED_CACHE
         )
         assert streamed.to_dict() == full.to_dict()
@@ -320,7 +320,7 @@ class TestStreamingReplay:
              for t in range(150)]
         )
         full = sim.simulate_dynamic(trace, fast_params(), FULL_TLB)
-        streamed = sim.simulate_dynamic_chunks(
+        streamed = sim.simulate_dynamic(
             self.chunked(trace, 40), fast_params(), FULL_TLB
         )
         assert streamed.to_dict() == full.to_dict()
@@ -332,12 +332,22 @@ class TestStreamingReplay:
         full = sim.simulate_dynamic(
             trace, fast_params(), initial=StaticPolicy.POST_FACTO
         )
-        streamed = sim.simulate_dynamic_chunks(
+        streamed = sim.simulate_dynamic(
             self.chunked(trace, 30), fast_params(),
             initial=StaticPolicy.POST_FACTO,
         )
         assert streamed.to_dict() == full.to_dict()
 
     def test_empty_stream(self, sim):
-        result = sim.simulate_dynamic_chunks(iter(()), fast_params())
+        result = sim.simulate_dynamic(iter(()), fast_params())
         assert result.total_misses == 0
+
+    def test_driver_trace_needs_a_whole_trace(self, sim):
+        # A stream derives its TLB driver chunk by chunk; a separate
+        # whole driver trace could not be merged with it.
+        trace = build([(t * 10, t % 4, 0, t % 9, 3) for t in range(40)])
+        with pytest.raises(ConfigurationError, match="whole trace"):
+            sim.simulate_dynamic(
+                self.chunked(trace, 10), fast_params(), FULL_TLB,
+                driver_trace=trace,
+            )

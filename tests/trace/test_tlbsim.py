@@ -26,7 +26,7 @@ from repro.trace.tlbsim import (
     DEFAULT_TLB_FACTOR,
     TlbTraceDeriver,
     derive_tlb_trace,
-    derive_tlb_trace_chunks,
+    merge_cost_driver,
     merged_tlb_stream,
 )
 from repro.workloads import WORKLOAD_NAMES, build_spec, generate_trace
@@ -199,6 +199,18 @@ class TestCpuRange:
             derive_tlb_trace(trace, n_cpus=2, factor_of_page=lambda p: 1.0)
 
     @pytest.mark.parametrize("bad_cpu", [-1, 2])
+    def test_merged_stream_rejects_cpu_outside_machine(self, bad_cpu):
+        good = build([(0, 0, 0, 5, 1), (1, 1, 0, 6, 1)])
+        bad = self._trace([(2, 0, 0, 5, 1), (3, bad_cpu, 0, 7, 1)])
+        stream = merged_tlb_stream([good, bad], n_cpus=2)
+        # Both cache misses, and the t=0 TLB miss (t=1's is held back).
+        assert len(next(stream)[0]) == 3
+        with pytest.raises(
+            TraceError, match=f"record cpu {bad_cpu} outside machine"
+        ):
+            next(stream)
+
+    @pytest.mark.parametrize("bad_cpu", [-1, 2])
     def test_rejected_chunk_leaves_no_state(self, bad_cpu):
         bad = self._trace(
             [(0, 0, 0, 5, 1), (1, 1, 0, 6, 1), (2, bad_cpu, 0, 7, 1)]
@@ -249,6 +261,14 @@ def _chunks(trace, cuts):
     return [trace.select(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
+def feed_chunks(chunks, n_cpus, tlb_config=None, factor_of_page=None):
+    """One stateful deriver fed chunk by chunk: one derived piece each."""
+    deriver = TlbTraceDeriver(
+        n_cpus, tlb_config=tlb_config, factor_of_page=factor_of_page
+    )
+    return [deriver.feed(chunk) for chunk in chunks]
+
+
 class TestOracleIdentity:
     @settings(max_examples=150, deadline=None)
     @given(tlb_cases())
@@ -264,8 +284,7 @@ class TestOracleIdentity:
     def test_chunks_at_random_cuts(self, case):
         trace, kwargs, cuts = case
         want = reference_tlb_trace(trace, **kwargs)
-        pieces = list(derive_tlb_trace_chunks(_chunks(trace, cuts), **kwargs))
-        assert all(len(piece) for piece in pieces)
+        pieces = feed_chunks(_chunks(trace, cuts), **kwargs)
         for column in COLUMNS:
             got = np.concatenate(
                 [getattr(want, column)[:0]]
@@ -380,7 +399,6 @@ class TestStreamingDerivation:
 
     def test_chunked_equals_full(self):
         from repro.trace.record import merge_traces
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
 
         config = TlbConfig(entries=4)
         rows = [(t * 10, t % 2, 0, (t * 3) % 11, 5) for t in range(300)]
@@ -389,11 +407,9 @@ class TestStreamingDerivation:
             trace, n_cpus=2, tlb_config=config, factor_of_page=lambda p: 1.0
         )
         for size in (1, 17, 100, 1000):
-            pieces = list(
-                derive_tlb_trace_chunks(
-                    self.chunked(trace, size), n_cpus=2,
-                    tlb_config=config, factor_of_page=lambda p: 1.0,
-                )
+            pieces = feed_chunks(
+                self.chunked(trace, size), n_cpus=2,
+                tlb_config=config, factor_of_page=lambda p: 1.0,
             )
             streamed = merge_traces(pieces)
             assert len(streamed) == len(full), size
@@ -409,18 +425,13 @@ class TestStreamingDerivation:
         assert len(first) == 1      # first touch misses
         assert len(again) == 0      # still resident across the boundary
 
-    def test_empty_chunks_filtered(self):
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
-
+    def test_only_first_touch_chunk_derives_records(self):
         trace = build([(t, 0, 0, 5, 10) for t in range(0, 100, 10)])
-        pieces = list(
-            derive_tlb_trace_chunks(
-                self.chunked(trace, 2), n_cpus=1,
-                factor_of_page=lambda p: 1.0,
-            )
+        pieces = feed_chunks(
+            self.chunked(trace, 2), n_cpus=1, factor_of_page=lambda p: 1.0
         )
         # Only the chunk containing the first touch produces records.
-        assert len(pieces) == 1
+        assert [len(piece) for piece in pieces] == [1, 0, 0, 0, 0]
 
 
 class TestEdgeCases:
@@ -444,12 +455,9 @@ class TestEdgeCases:
         assert set(tlb.cpu.tolist()) == {1}
 
     def test_empty_chunk_stream_yields_nothing(self):
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
-
-        assert list(derive_tlb_trace_chunks([], n_cpus=2)) == []
-        assert list(
-            derive_tlb_trace_chunks([build([])], n_cpus=2)
-        ) == []
+        assert list(merged_tlb_stream([], n_cpus=2)) == []
+        assert list(merged_tlb_stream([build([])], n_cpus=2)) == []
+        assert len(TlbTraceDeriver(2).feed(build([]))) == 0
 
 
 class TestChunkedIdentity:
@@ -463,7 +471,6 @@ class TestChunkedIdentity:
         import numpy as np
 
         from repro.trace.record import merge_traces
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
 
         config = TlbConfig(entries=4)
         trace = build(self.ROWS)
@@ -475,11 +482,9 @@ class TestChunkedIdentity:
             for k in range(0, len(trace), size)
         ]
         streamed = merge_traces(
-            list(
-                derive_tlb_trace_chunks(
-                    chunks, n_cpus=2, tlb_config=config,
-                    factor_of_page=lambda p: 1.0,
-                )
+            feed_chunks(
+                chunks, n_cpus=2, tlb_config=config,
+                factor_of_page=lambda p: 1.0,
             )
         )
         return full, streamed, np
@@ -529,3 +534,152 @@ class TestChunkedIdentity:
             assert tally_a.to_dict() == tally_b.to_dict()
             assert result_a.stall_ns == result_b.stall_ns
             assert result_a.extra == result_b.extra
+
+
+# -- the cost/driver tie rule ----------------------------------------------------
+
+
+def two_pointer_merge(cost, driver):
+    """The scalar merge the oracle checks against: rows and cost flags.
+
+    Walks both streams in time order and takes the cost record whenever
+    its timestamp is at or below the driver record's.
+    """
+    rows, flags = [], []
+    i = j = 0
+    n_cost, n_driver = len(cost[0]), len(driver[0])
+    while i < n_cost or j < n_driver:
+        if j >= n_driver or (i < n_cost and cost[0][i] <= driver[0][j]):
+            rows.append(tuple(col[i].item() for col in cost))
+            flags.append(True)
+            i += 1
+        else:
+            rows.append(tuple(col[j].item() for col in driver))
+            flags.append(False)
+            j += 1
+    return rows, flags
+
+
+#: Trace column dtypes, with the process column the PT replay merges.
+TIE_DTYPES = (np.int64, np.int16, np.int32, np.int64, np.int64, np.bool_)
+
+
+@st.composite
+def tie_streams(draw, max_len=40):
+    """Two time-ordered column tuples whose timestamps tie often."""
+
+    def stream():
+        n = draw(st.integers(0, max_len))
+        steps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rest = [
+            draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+            for lo, hi in ((0, 7), (0, 3), (0, 50), (1, 9), (0, 1))
+        ]
+        columns = [np.cumsum(steps, dtype=np.int64)] + rest
+        return tuple(
+            np.asarray(col, dtype=dtype)
+            for col, dtype in zip(columns, TIE_DTYPES)
+        )
+
+    return stream(), stream()
+
+
+class TestTieRule:
+    """``merge_cost_driver`` against a two-pointer merge."""
+
+    def check(self, cost, driver):
+        merged, costmask = merge_cost_driver(cost, driver)
+        rows, flags = two_pointer_merge(cost, driver)
+        assert costmask.dtype == np.bool_
+        assert costmask.tolist() == flags
+        for got, want in zip(merged, cost):
+            assert got.dtype == want.dtype
+        assert list(zip(*(col.tolist() for col in merged))) == rows
+        return merged, costmask
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_streams())
+    def test_matches_two_pointer_merge(self, streams):
+        self.check(*streams)
+
+    def test_equal_timestamps_within_and_across_streams(self):
+        def stream(times, tag):
+            n = len(times)
+            return (np.asarray(times, np.int64),
+                    np.full(n, tag, np.int16),
+                    np.arange(n, dtype=np.int32),
+                    np.arange(n, dtype=np.int64),
+                    np.ones(n, np.int64),
+                    np.zeros(n, bool))
+
+        merged, costmask = self.check(
+            stream([5, 5, 7], tag=0), stream([3, 5, 5, 7], tag=1)
+        )
+        assert merged[0].tolist() == [3, 5, 5, 5, 5, 7, 7]
+        assert costmask.tolist() == [False, True, True, False, False,
+                                     True, False]
+        # Each side keeps its own order among equal timestamps.
+        assert merged[2].tolist() == [0, 0, 1, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("empty_side", ["cost", "driver"])
+    def test_empty_side(self, empty_side):
+        full = (np.array([1, 1, 4], np.int64), np.array([0, 1, 0], np.int16),
+                np.array([2, 2, 3], np.int32), np.array([9, 8, 7], np.int64),
+                np.array([1, 2, 3], np.int64), np.array([1, 0, 1], bool))
+        empty = tuple(col[:0] for col in full)
+        cost, driver = (empty, full) if empty_side == "cost" else (full, empty)
+        merged, costmask = self.check(cost, driver)
+        assert costmask.tolist() == [empty_side == "driver"] * 3
+        for got, want in zip(merged, full):
+            assert np.array_equal(got, want)
+
+    def test_process_column_follows_its_record(self):
+        cost = (np.array([0, 2], np.int64), np.array([10, 20], np.int32))
+        driver = (np.array([1, 2], np.int64), np.array([11, 21], np.int32))
+        merged, _ = self.check(cost, driver)
+        assert merged[1].tolist() == [10, 11, 20, 21]
+
+    def test_different_workloads_rejected(self):
+        database = build_spec("database", scale=0.02, seed=0)
+        splash = build_spec("splash", scale=0.02, seed=0)
+        columns = (np.zeros(1, np.int64),)
+        with pytest.raises(TraceError, match="different workloads"):
+            merge_cost_driver(columns, columns, database, splash)
+        # Same workload, or a side without metadata, merges.
+        same = build_spec("database", scale=0.02, seed=0)
+        for metas in ((database, same), (database, None), (None, splash)):
+            merge_cost_driver(columns, columns, *metas)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_replays_reject_a_driver_from_another_workload(self, reference):
+        from repro.policy.metrics import FULL_TLB
+        from repro.policy.parameters import PolicyParameters
+        from repro.ptpol.sim import (
+            PtPolicySimulator,
+            ReferencePtPolicySimulator,
+            params_for_pt_policy,
+        )
+        from repro.trace.policysim import (
+            PolicySimConfig,
+            ReferenceTracePolicySimulator,
+            TracePolicySimulator,
+        )
+
+        rows = [(t, t % 2, 0, t % 5, 3) for t in range(20)]
+        cost = build(rows, meta=build_spec("database", scale=0.02, seed=0))
+        driver = build(rows, meta=build_spec("splash", scale=0.02, seed=0))
+        config = PolicySimConfig(n_cpus=2, n_nodes=2)
+        data_sim = (ReferenceTracePolicySimulator if reference
+                    else TracePolicySimulator)(config)
+        with pytest.raises(TraceError, match="different workloads"):
+            data_sim.simulate_dynamic(
+                cost, PolicyParameters(), metric=FULL_TLB,
+                driver_trace=driver,
+            )
+        pt_sim = (ReferencePtPolicySimulator if reference
+                  else PtPolicySimulator)(config=config)
+        with pytest.raises(TraceError, match="different workloads"):
+            pt_sim.simulate(
+                cost, params_for_pt_policy("ptmigr", trigger=4),
+                driver_trace=driver,
+            )
