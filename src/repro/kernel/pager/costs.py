@@ -42,6 +42,10 @@ class CostCategory(enum.Enum):
     POLICY_END = "Policy End"
     PAGE_FAULT = "Page Fault"
 
+    # Members are singletons: hash by identity in C, not through
+    # Enum.__hash__, a Python call on every dict lookup.
+    __hash__ = object.__hash__
+
 
 class OpType(enum.Enum):
     """Kinds of pager operations."""
@@ -49,6 +53,8 @@ class OpType(enum.Enum):
     MIGRATION = "migration"
     REPLICATION = "replication"
     COLLAPSE = "collapse"
+
+    __hash__ = object.__hash__  # see CostCategory
 
 
 @dataclass(frozen=True)

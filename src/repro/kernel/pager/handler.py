@@ -47,6 +47,8 @@ class Outcome(enum.Enum):
     NO_ACTION = "no action"
     NO_PAGE = "no page"
 
+    __hash__ = object.__hash__  # see repro.kernel.pager.costs.CostCategory
+
 
 @dataclass
 class PageActionResult:

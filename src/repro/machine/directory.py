@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.folds import group_sums, pair_sums, running_counts
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import HotPageTriggered
 from repro.obs.tracer import as_tracer
@@ -90,6 +91,24 @@ class MissCounterBank:
         if counters is None:
             counters = self._pages[page] = PageCounters(self.n_cpus)
         counters.writes += weight
+
+    def record_columns(self, pages, cpus, weights, writes) -> None:
+        """:meth:`record` columns of misses, one call per (page, CPU) pair.
+
+        Each pair gets its summed weight, then each page its
+        ``writes``-selected weight (:meth:`add_writes`); no trigger is
+        checked.  The vector engines write cold counters back this way.
+        """
+        upages, ucpus, sums = pair_sums(pages, cpus, self.n_cpus, weights)
+        record = self.record
+        for page, cpu, s in zip(upages.tolist(), ucpus.tolist(),
+                                sums.astype(np.int64).tolist()):
+            record(page, cpu, s)
+        if writes.any():
+            wpages, wsums = group_sums(pages[writes], weights[writes])
+            add_writes = self.add_writes
+            for page, s in zip(wpages.tolist(), wsums.astype(np.int64).tolist()):
+                add_writes(page, s)
 
     def note_migration(self, page: int) -> None:
         """Bump the page's migrate counter (set by the pager on migration)."""
@@ -169,21 +188,18 @@ class SamplingAccumulator:
         if rate == 1:
             return np.where(mask, weights, 0)
         counted = np.zeros(len(weights), dtype=np.int64)
-        carry = self.carry
-        for cpu in range(len(carry)):
-            sel = mask & (cpus == cpu)
-            if not sel.any():
-                continue
-            w = weights[sel]
-            run = carry[cpu] + np.cumsum(w)
-            total = run // rate
-            mine = np.empty(len(w), dtype=np.int64)
-            mine[0] = total[0]           # carry // rate == 0 (carry < rate)
-            mine[1:] = total[1:] - total[:-1]
-            counted[sel] = mine
-            if before is not None:
-                before[sel] = (run - w) % rate
-            carry[cpu] = int(run[-1] % rate)
+        sel = np.flatnonzero(mask)
+        cpus, weights = cpus[sel], weights[sel]
+        carry = np.asarray(self.carry, dtype=np.int64)
+        run = running_counts(cpus, weights, carry[cpus])
+        prior = run - weights
+        counted[sel] = run // rate - prior // rate
+        if before is not None:
+            before[sel] = prior % rate
+        # Each CPU's carry is its last record's remainder.
+        last_cpus, last = np.unique(cpus[::-1], return_index=True)
+        carry[last_cpus] = run[len(run) - 1 - last] % rate
+        self.carry[:] = carry.tolist()
         return counted
 
 

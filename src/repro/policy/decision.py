@@ -46,6 +46,8 @@ class Reason(enum.Enum):
     REPLICATION_DISABLED = "replication-disabled"
     HOTSPOT = "hotspot"                       # write-shared, moved anyway
 
+    __hash__ = object.__hash__  # see repro.kernel.pager.costs.CostCategory
+
 
 @dataclass(frozen=True)
 class Decision:

@@ -16,18 +16,15 @@ static stall evaluation is fully vectorised.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 import numpy as np
 
 from repro.common.errors import TraceError
+from repro.common.folds import WeightTable, node_column
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a policy <-> trace import cycle
     from repro.trace.record import Trace
-
-
-def _node_of_cpu_array(n_cpus: int, node_of_cpu: Callable[[int], int]) -> np.ndarray:
-    return np.asarray([node_of_cpu(c) for c in range(n_cpus)], dtype=np.int64)
 
 
 def round_robin_placement(trace: "Trace", n_nodes: int) -> np.ndarray:
@@ -48,7 +45,7 @@ def first_touch_placement(
     if not len(trace):
         return placement
     n_cpus = int(trace.cpu.max()) + 1
-    cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
+    cpu_nodes = node_column(n_cpus, node_of_cpu)
     # Each page's first record: ``return_index`` sorts stably, so the
     # index is the page's first occurrence in record (time) order.  The
     # static and dynamic cells of a workload all start from FT, so the
@@ -61,7 +58,7 @@ def first_touch_placement(
 
 
 def post_facto_placement(
-    trace: "Trace",
+    trace: Union["Trace", Iterable["Trace"]],
     n_nodes: int,
     node_of_cpu: Callable[[int], int],
 ) -> np.ndarray:
@@ -71,21 +68,21 @@ def post_facto_placement(
     on node ``n`` is ``misses_local(n) * L_loc + misses_remote(n) * L_rem``;
     minimising it is exactly maximising the misses made local, so the
     argmax over per-node miss weight is the optimal static placement.
+
+    ``trace`` is a whole trace or an iterable of its time-ordered
+    chunks; the per-(page, node) weight table is filled chunk by chunk,
+    so a stream gives the whole trace's placement without being
+    concatenated (a whole trace is one chunk).
     """
-    n_pages = trace.max_page_id() + 1
-    placement = np.arange(max(n_pages, 1), dtype=np.int64) % max(n_nodes, 1)
-    if not len(trace):
-        return placement
-    n_cpus = int(trace.cpu.max()) + 1
-    cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
-    record_nodes = cpu_nodes[trace.cpu]
-    # Accumulate miss weight per (page, node) with a flat bincount.
-    flat = trace.page * n_nodes + record_nodes
-    weights = np.bincount(flat, weights=trace.weight, minlength=n_pages * n_nodes)
-    per_page = weights.reshape(n_pages, n_nodes)
-    touched = per_page.sum(axis=1) > 0
-    placement[touched] = per_page[touched].argmax(axis=1)
-    return placement
+    from repro.trace.record import Trace  # deferred: trace imports policy
+
+    chunks = [trace] if isinstance(trace, Trace) else trace
+    table = WeightTable(n_nodes)
+    for chunk in chunks:
+        if len(chunk):
+            cpu_nodes = node_column(int(chunk.cpu.max()) + 1, node_of_cpu)
+            table.add(chunk.page, cpu_nodes[chunk.cpu], chunk.weight)
+    return table.argmax_placement()
 
 
 def static_stall_ns(
@@ -99,7 +96,7 @@ def static_stall_ns(
     if not len(trace):
         return 0.0, 0.0
     n_cpus = int(trace.cpu.max()) + 1
-    cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
+    cpu_nodes = node_column(n_cpus, node_of_cpu)
     local = placement[trace.page] == cpu_nodes[trace.cpu]
     weights = trace.weight
     local_misses = int(weights[local].sum())

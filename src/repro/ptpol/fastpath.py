@@ -11,11 +11,12 @@ crosses the walk trigger either — so the PT-family replay
   the PT state machine clears every per-interval structure at each
   reset, so segments are exactly the reset intervals and no counter
   state carries across a boundary;
-* per segment, array scans find the candidate *data pages* (pairs
-  whose summed weight could cross the data trigger while remote), the
-  candidate *PT pages* (walk pairs that could cross the walk trigger)
-  and — under co-placement — the CPU/process set ``K`` those
-  candidates implicate;
+* per segment, array scans over per-pair segment totals
+  (:func:`repro.common.folds.pair_sums`, as in the data engine) find
+  the candidate *data pages* (pairs whose summed weight could cross
+  the data trigger while remote), the candidate *PT pages* (walk
+  pairs that could cross the walk trigger) and — under co-placement —
+  the CPU/process set ``K`` those candidates implicate;
 * every record touching a candidate, every record of a ``K`` CPU or
   process, and every first fault in a candidate PT page's span is
   *hot* and sub-replays through the scalar state machine
@@ -56,6 +57,7 @@ from typing import Optional, Set
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.folds import group_sums, pair_sums
 from repro.obs.batch import PT_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import MissServiced
 from repro.ptpol.sim import _PtReplayState, _pt_columns
@@ -223,7 +225,7 @@ class _PtSegmentEngine:
             data_node[fp] = node_ev[cold_ft]
             st.mapped.update(fp.tolist())
             costs = st.costs
-            fleaves, fcounts = np.unique(leaf[cold_ft], return_counts=True)
+            fleaves, fcounts = group_sums(leaf[cold_ft])
             for leaf_, n_ft in zip(fleaves.tolist(), fcounts.tolist()):
                 replicas = st.ptrep.replica_count(leaf_) - 1
                 if replicas <= 0:
@@ -329,38 +331,29 @@ class _PtSegmentEngine:
         if st.pt_dynamic and walk.any():
             wl = leaf[walk]
             wn = node_ev[walk]
-            ww = w[walk].astype(np.float64)
+            ww = w[walk]
             wc = cpu[walk]
             wp = pid[walk]
-            pair_ids = wl * self.n_nodes + wn
-            upair = np.unique(pair_ids)
-            holds = st.ptrep.holds
             n_nodes = self.n_nodes
-            pair_remote = np.fromiter(
-                (
-                    not holds(int(pr) // n_nodes, int(pr) % n_nodes)
-                    for pr in upair
-                ),
-                dtype=bool, count=len(upair),
+            ul, un, sums = pair_sums(wl, wn, n_nodes, ww)
+            holds = st.ptrep.holds
+            pair_remote = ~np.fromiter(
+                map(holds, ul.tolist(), un.tolist()), dtype=bool, count=len(ul)
             )
-            remote_ev = pair_remote[np.searchsorted(upair, pair_ids)]
-            idxp = np.searchsorted(upair, pair_ids)
             while True:
                 in_k = kcpu_flag[wc]
-                base = np.bincount(
-                    idxp, weights=np.where(~in_k & remote_ev, ww, 0.0),
-                    minlength=len(upair),
-                )
-                reach = base
                 credit = None
                 if in_k.any():
+                    sums = pair_sums(wl, wn, n_nodes, np.where(in_k, 0.0, ww))[2]
                     credit = np.bincount(
                         wl, weights=np.where(in_k, ww, 0.0),
                         minlength=n_leaves,
                     )
-                    reach = base + credit[upair // n_nodes]
+                reach = np.where(pair_remote, sums, 0.0)
+                if credit is not None:
+                    reach = reach + credit[ul]
                 new_flag = np.zeros(n_leaves, dtype=bool)
-                new_flag[(upair // n_nodes)[reach >= st.pt_trigger]] = True
+                new_flag[ul[reach >= st.pt_trigger]] = True
                 if credit is not None:
                     new_flag |= credit >= st.pt_trigger
                 grew = bool((new_flag & ~leaf_flag).any())
@@ -379,16 +372,11 @@ class _PtSegmentEngine:
 
         # -- data-page candidacy (with the final K).
         if st.data_dynamic and cost.any():
-            cp = page[cost]
-            cc = cpu[cost]
-            cw = w[cost].astype(np.float64)
-            ids = cp * self.n_cpus + cc
-            uids, inv = np.unique(ids, return_inverse=True)
-            sums = np.bincount(inv, weights=cw)
+            up, uc, sums = pair_sums(page[cost], cpu[cost], self.n_cpus, w[cost])
             big = sums >= st.trigger
             if big.any():
-                bp = uids[big] // self.n_cpus
-                bc = uids[big] % self.n_cpus
+                bp = up[big]
+                bc = uc[big]
                 place = self.data_node[bp]
                 unknown = place < 0
                 if unknown.any() and len(ft_pos):
@@ -434,47 +422,16 @@ class _PtSegmentEngine:
         local_stall = local_w * st.local_ns
         result.stall_ns += local_stall + (total_w - local_w) * st.remote_ns
         st.local_stall += local_stall
-        em = st.em
         if st.emit_miss:
             ci = np.flatnonzero(coldc)
-            serving = np.where(
-                local, node_ev[ci], self.data_node[page[ci]]
-            )
-            lat_l, lat_r = float(st.local_ns), float(st.remote_ns)
-            em.phase = None
-            emit = em.emit
-            gidx = (g0 + ci).tolist()
-            rows = zip(
-                t[ci].tolist(), cpu[ci].tolist(), page[ci].tolist(),
-                cw.tolist(), serving.tolist(), local.tolist(),
-                pid[ci].tolist(),
-            )
-            for j, (t_, c_, p_, w_, n_, loc, pid_) in enumerate(rows):
-                em.index = gidx[j]
-                emit(
-                    MissServiced(
-                        t=t_, cpu=c_, page=p_, node=n_, weight=w_,
-                        latency_ns=lat_l if loc else lat_r,
-                        remote=not loc, process=pid_,
-                    )
-                )
+            serving = np.where(local, node_ev[ci], self.data_node[page[ci]])
+            self._emit_cold(g0, ci, t, cpu, pid, page, w, serving.tolist(),
+                            local.tolist(), st.local_ns, st.remote_ns, False)
         # Cold counts land in the bank only when traced: nothing reads
         # them before the reset clears them, but the reset's
         # IntervalReset.tracked_pages counts every recorded page.
-        if em is not None and st.data_dynamic:
-            ids = page[coldc] * self.n_cpus + cpu[coldc]
-            uids, inv = np.unique(ids, return_inverse=True)
-            sums = np.bincount(inv, weights=w[coldc]).astype(np.int64)
-            record = st.bank.record
-            for id_, s_ in zip(uids.tolist(), sums.tolist()):
-                record(id_ // self.n_cpus, id_ % self.n_cpus, s_, False)
-            cold_w = coldc & iw
-            if cold_w.any():
-                wu, winv = np.unique(page[cold_w], return_inverse=True)
-                wsums = np.bincount(winv, weights=w[cold_w]).astype(np.int64)
-                add_writes = st.bank.add_writes
-                for p_, s_ in zip(wu.tolist(), wsums.tolist()):
-                    add_writes(p_, s_)
+        if st.em is not None and st.data_dynamic:
+            st.bank.record_columns(page[coldc], cpu[coldc], cw, iw[coldc])
 
     def _cold_walks(self, g0, t, cpu, pid, page, w, coldw, leaf, node_ev):
         """Bulk-account the cold page-table walks of one segment.
@@ -492,17 +449,15 @@ class _PtSegmentEngine:
         ww = w[coldw]
         wl = leaf[coldw]
         wn = node_ev[coldw]
-        pair_ids = wl * self.n_nodes + wn
-        upair, inv = np.unique(pair_ids, return_inverse=True)
+        # A pair's locality is constant over the segment, so the local
+        # weight is the local pairs' sums.
+        ul, un, sums = pair_sums(wl, wn, self.n_nodes, ww)
         holds = st.ptrep.holds
-        n_nodes = self.n_nodes
         pair_local = np.fromiter(
-            (holds(int(pr) // n_nodes, int(pr) % n_nodes) for pr in upair),
-            dtype=bool, count=len(upair),
+            map(holds, ul.tolist(), un.tolist()), dtype=bool, count=len(ul)
         )
-        local = pair_local[inv]
         total_w = int(ww.sum())
-        local_w = int(ww[local].sum())
+        local_w = int(sums[pair_local].sum())
         tally = st.tally
         tally.walks += total_w
         tally.local_walks += local_w
@@ -513,30 +468,33 @@ class _PtSegmentEngine:
         st.local_walk_stall += local_stall
         st.local_stall += local_stall
         if st.emit_miss:
-            em = st.em
-            wi = np.flatnonzero(coldw)
             home_of = st.ptrep.home_of
-            homes = np.fromiter(
-                (home_of(int(leaf_)) for leaf_ in wl.tolist()),
-                dtype=np.int64, count=len(wl),
-            )
-            serving = np.where(local, wn, homes)
-            lat_l = float(st.walk_local_ns)
-            lat_r = float(st.walk_remote_ns)
-            em.phase = None
-            emit = em.emit
-            gidx = (g0 + wi).tolist()
-            rows = zip(
-                t[wi].tolist(), cpu[wi].tolist(), page[wi].tolist(),
-                ww.tolist(), serving.tolist(), local.tolist(),
-                pid[wi].tolist(),
-            )
-            for j, (t_, c_, p_, w_, n_, loc, pid_) in enumerate(rows):
-                em.index = gidx[j]
-                emit(
-                    MissServiced(
-                        t=t_, cpu=c_, page=p_, node=n_, weight=w_,
-                        latency_ns=lat_l if loc else lat_r,
-                        remote=not loc, process=pid_, walk=True,
-                    )
+            local = list(map(holds, wl.tolist(), wn.tolist()))
+            serving = [
+                node if loc else home_of(leaf_)
+                for leaf_, node, loc in zip(wl.tolist(), wn.tolist(), local)
+            ]
+            self._emit_cold(g0, np.flatnonzero(coldw), t, cpu, pid, page, w,
+                            serving, local, st.walk_local_ns,
+                            st.walk_remote_ns, True)
+
+    def _emit_cold(self, g0, at, t, cpu, pid, page, w, serving, local,
+                   local_ns, remote_ns, walk) -> None:
+        """The miss events of cold records ``at``, in record order."""
+        em = self.st.em
+        em.phase = None
+        lat_l, lat_r = float(local_ns), float(remote_ns)
+        rows = zip(
+            (g0 + at).tolist(), t[at].tolist(), cpu[at].tolist(),
+            page[at].tolist(), w[at].tolist(), serving, local,
+            pid[at].tolist(),
+        )
+        for g, t_, c_, p_, w_, n_, loc, pid_ in rows:
+            em.index = g
+            em.emit(
+                MissServiced(
+                    t=t_, cpu=c_, page=p_, node=n_, weight=w_,
+                    latency_ns=lat_l if loc else lat_r,
+                    remote=not loc, process=pid_, walk=walk,
                 )
+            )

@@ -51,6 +51,7 @@ from collections import deque
 from typing import Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.folds import node_column
 from repro.obs.events import (
     HotPageTriggered,
     IntervalReset,
@@ -162,7 +163,7 @@ class _PtReplayState:
         self.copies: Dict[int, Set[int]] = {}
         self.bank = MissCounterBank(cfg.n_cpus)
         self.armed: Set[int] = set()
-        self.cpu_node = [cfg.node_of_cpu(c) for c in range(cfg.n_cpus)]
+        self.cpu_node = node_column(cfg.n_cpus, cfg.node_of_cpu).tolist()
         self.cpus_per_node = cfg.n_cpus // cfg.n_nodes
         self.span = cfg.pt_span_pages
         self.local_ns, self.remote_ns = cfg.local_ns, cfg.remote_ns

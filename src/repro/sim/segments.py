@@ -38,11 +38,14 @@ loop of :class:`~repro.sim.simulator.ReferenceSystemSimulator`:
 
 * The float stall tallies are folded left to right with ``cumsum``
   seeded with the running value (a pairwise ``sum`` would change bits).
-* Sampling applies the per-CPU carries as a cumsum
+* Sampling applies the per-CPU carries as running counts per CPU
   (:meth:`~repro.machine.directory.SamplingAccumulator.sample_many`);
   an observed record's carry is set to its value before the record.
-* A (page, CPU) count only grows inside a segment, so the records that
-  reach the trigger are a suffix of the pair's counted records.  Those
+* Each counted record's (page, CPU) count is a running count seeded
+  with the pair's count at the segment start
+  (:func:`repro.common.folds.running_counts`).  The count only grows
+  inside a segment, so the records that reach the trigger from their
+  first crossing on are a suffix of the pair's counted records.  Those
   not mapped locally go through ``observe`` (a local one cannot
   trigger), with the bank first brought up to the pair's count before
   the record.  Every other count waits in the engine's mirrors and
@@ -60,6 +63,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.common.folds import node_column, running_counts
 from repro.obs.batch import BatchEmitter
 from repro.obs.events import HotPageTriggered, MissServiced, RunMeta
 from repro.trace.record import FLAG_INSTR, FLAG_KERNEL, FLAG_WRITE
@@ -91,10 +95,7 @@ class SegmentReplay:
         self.pager_delay = options.pager_delay_ns
         self.reset_ns = params.reset_interval_ns
         self.n_nodes, self.n_cpus = machine.n_nodes, machine.n_cpus
-        self.node_of = np.array(
-            [machine.node_of_cpu(cpu) for cpu in range(machine.n_cpus)],
-            dtype=np.int64,
-        )
+        self.node_of = node_column(machine.n_cpus, machine.node_of_cpu)
 
         # Placement mirrors, indexed by page: the node of each process's
         # mapping (-1 while unmapped), of each kernel page, and whether
@@ -435,21 +436,7 @@ class SegmentReplay:
         trigger = self.directory.trigger_threshold
         cand_at = want = np.zeros(0, dtype=np.int64)
         if start.max() + weight.sum() >= trigger:
-            # Running count of each record's pair: a cumsum over the
-            # records sorted by pair, less each pair's start.
-            order = np.argsort(keys, kind="stable")
-            sorted_weight = weight[order]
-            total = np.cumsum(sorted_weight)
-            first = np.empty(len(keys), dtype=bool)
-            first[0] = True
-            sorted_keys = keys[order]
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-            prior = np.maximum.accumulate(
-                np.where(first, total - sorted_weight, 0)
-            )
-            reach = np.empty_like(total)
-            reach[order] = total - prior
-            reach += start
+            reach = running_counts(keys, weight, start)
             hit = np.flatnonzero(
                 (reach >= trigger) & (mapped[at] != self.cnode[s + at])
             )

@@ -26,9 +26,12 @@ sub-loop that shares the pager-action state machine
 (``policysim._pager_act``) with the reference engine.  Sampling is
 reproduced exactly: the per-CPU remainder carries of
 :class:`~repro.machine.directory.SamplingAccumulator` are applied
-vectorially by its ``sample_many`` (``counted_i = (carry + csum_i)//rate
-- (carry + csum_{i-1})//rate``), so every event's surviving weight
-matches the scalar engine's record for record.
+vectorially by its ``sample_many``: with ``run_i`` a record's running
+weight on its CPU seeded with the carry
+(:func:`repro.common.folds.running_counts`), ``counted_i = run_i//rate
+- (run_i - w_i)//rate``, so every event's surviving weight matches the
+scalar engine's record for record.  Candidacy uses the segment total
+(:func:`repro.common.folds.pair_sums`), not the first crossing.
 
 Byte-identity of the floating-point fields falls out of integer
 arithmetic: every stall/overhead addend is an integer (weight x
@@ -69,6 +72,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
+from repro.common.folds import node_column, pair_sums
 from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.batch import DATA_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import (
@@ -101,8 +105,8 @@ class _VectorEngine:
         self.result = result
         self.n_cpus = config.n_cpus
         self.n_nodes = config.n_nodes
-        self.node_list = [config.node_of_cpu(c) for c in range(config.n_cpus)]
-        self.node_arr = np.asarray(self.node_list, dtype=np.int64)
+        self.node_arr = node_column(config.n_cpus, config.node_of_cpu)
+        self.node_list = self.node_arr.tolist()
         self.local_ns = config.local_ns
         self.remote_ns = config.remote_ns
         self.op_cost = config.op_cost_ns
@@ -318,9 +322,9 @@ class _VectorEngine:
     def _bank_carries(self, upages, ucpus) -> np.ndarray:
         """Segment-start counter values for (page, cpu) pairs.
 
-        ``upages`` arrives page-major sorted (it comes from a unique over
-        ``page * n_cpus + cpu`` keys), so one bank lookup serves each
-        page's run of pairs.
+        ``upages`` arrives page-major sorted (it comes from
+        :func:`~repro.common.folds.pair_sums`), so one bank lookup
+        serves each page's run of pairs.
         """
         out = np.zeros(len(upages), dtype=np.float64)
         get = self.bank.get
@@ -344,7 +348,6 @@ class _VectorEngine:
     ) -> None:
         result = self.result
         masks = self.masks
-        n_cpus = self.n_cpus
         em = self.em
 
         # 1. Hot-candidate detection.
@@ -352,11 +355,9 @@ class _VectorEngine:
         kpages = pages[rec]
         have_pairs = len(kpages) > 0
         if have_pairs:
-            keys = kpages * n_cpus + cpus[rec]
-            u, inv = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inv, weights=counted[rec])
-            upages = u // n_cpus
-            ucpus = u % n_cpus
+            upages, ucpus, sums = pair_sums(
+                kpages, cpus[rec], self.n_cpus, counted[rec]
+            )
             if self.bank.tracked_pages:
                 carries = self._bank_carries(upages, ucpus)
             else:
@@ -441,42 +442,19 @@ class _VectorEngine:
         # IntervalReset.tracked_pages matches the scalar core, which
         # records every counted event.
         if writeback and have_pairs:
-            cold_pair = ~flag[upages] if len(cand) else np.ones(len(upages), bool)
-            if cold_pair.any():
-                bank_record = self.bank.record
-                for page, cpu, s in zip(
-                    upages[cold_pair].tolist(),
-                    ucpus[cold_pair].tolist(),
-                    sums[cold_pair].astype(np.int64).tolist(),
-                ):
-                    bank_record(page, cpu, s, False)
-                wrec = rec & iswrite
-                wrec_pages = pages[wrec]
-                if len(wrec_pages):
-                    cold_w = ~flag[wrec_pages] if len(cand) else np.ones(
-                        len(wrec_pages), bool
-                    )
-                    if cold_w.any():
-                        wu, winv = np.unique(
-                            wrec_pages[cold_w], return_inverse=True
-                        )
-                        wsums = np.bincount(
-                            winv, weights=counted[wrec][cold_w]
-                        ).astype(np.int64)
-                        add_writes = self.bank.add_writes
-                        for page, s in zip(wu.tolist(), wsums.tolist()):
-                            add_writes(page, s)
+            cold = rec & ~hot
+            if cold.any():
+                self.bank.record_columns(
+                    pages[cold], cpus[cold], counted[cold], iswrite[cold]
+                )
         elif em is not None and have_pairs:
             # Traced, no writeback: the interval ends with this segment,
             # so no later act or carry can read the cold counters — only
             # ``IntervalReset.tracked_pages`` needs them.  Count the cold
             # pages instead of materializing their counters (the scalar
-            # core tracks every counted page, hot or cold).
-            cold_pair = ~flag[upages] if len(cand) else np.ones(len(upages), bool)
-            if cold_pair.any():
-                self._cold_tracked.update(
-                    np.unique(upages[cold_pair]).tolist()
-                )
+            # core tracks every counted page, hot or cold).  ``flag``
+            # marks exactly the candidates.
+            self._cold_tracked.update(np.unique(upages[~flag[upages]]).tolist())
 
         if len(cand):
             flag[cand] = False
@@ -703,17 +681,14 @@ def replay_competitive_vector(
     weights = trace.weight
     iswrite = trace.is_write
     n = len(times)
-    cpu_nodes = np.asarray(
-        [config.node_of_cpu(c) for c in range(config.n_cpus)],
-        dtype=np.int64,
-    )
+    cpu_nodes = node_column(config.n_cpus, config.node_of_cpu)
     remote = placement[pages] != cpu_nodes[cpus]
     rsel = np.flatnonzero(remote)
     if len(rsel):
-        keys = pages[rsel] * config.n_cpus + cpus[rsel]
-        u, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv, weights=weights[rsel])
-        cand_pages = np.unique((u // config.n_cpus)[sums >= core.break_even])
+        upages, _, sums = pair_sums(
+            pages[rsel], cpus[rsel], config.n_cpus, weights[rsel]
+        )
+        cand_pages = np.unique(upages[sums >= core.break_even])
     else:
         cand_pages = np.zeros(0, dtype=np.int64)
     if len(cand_pages):
@@ -728,17 +703,9 @@ def replay_competitive_vector(
     # replicated — hence candidate — pages).
     cold = ~hot
     cw = weights[cold]
-    if len(cw):
-        local = ~remote[cold]
-        total_w = int(cw.sum())
-        local_w = int((cw * local).sum())
-        result.total_misses += total_w
-        result.local_misses += local_w
-        result.stall_ns += float(
-            local_w * config.local_ns
-            + (total_w - local_w) * config.remote_ns
-        )
-        core.local_stall += float(local_w * config.local_ns)
+    total_w = int(cw.sum())
+    local_w = int(cw[~remote[cold]].sum())
+    local_ns, remote_ns = config.local_ns, config.remote_ns
 
     # Hot: replay candidate pages' events, one page at a time.  The
     # watermark machine's state (copies, written flag, per-CPU
@@ -762,11 +729,8 @@ def replay_competitive_vector(
         ev_w = weights[idx].tolist()
         ev_iw = iswrite[idx].tolist()
         break_even = core.break_even
-        local_ns = config.local_ns
-        remote_ns = config.remote_ns
         op_cost = config.op_cost_ns
-        total_w = local_w = overhead = 0
-        collapses = migrations = replications = hot_events = 0
+        overhead = collapses = migrations = replications = hot_events = 0
         for g in range(len(bounds) - 1):
             lo, hi = int(bounds[g]), int(bounds[g + 1])
             page_copies = {int(placement[gpages[lo]])}
@@ -800,14 +764,14 @@ def replay_competitive_vector(
                     replications += 1
                 overhead += op_cost
                 counts = [0] * config.n_cpus
-        result.total_misses += total_w
-        result.local_misses += local_w
-        result.stall_ns += float(
-            local_w * local_ns + (total_w - local_w) * remote_ns
-        )
-        core.local_stall += float(local_w * local_ns)
         result.collapses += collapses
         result.migrations += migrations
         result.replications += replications
         result.hot_events += hot_events
         result.overhead_ns += overhead
+    result.total_misses += total_w
+    result.local_misses += local_w
+    result.stall_ns += float(
+        local_w * local_ns + (total_w - local_w) * remote_ns
+    )
+    core.local_stall += float(local_w * local_ns)

@@ -26,6 +26,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.folds import node_column
 from repro.common.units import US
 from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.events import (
@@ -389,9 +390,8 @@ class TracePolicySimulator:
     ) -> None:
         self.config = config or PolicySimConfig()
         self.tracer = as_tracer(tracer)
-        self._cpu_nodes = np.asarray(
-            [self.config.node_of_cpu(c) for c in range(self.config.n_cpus)],
-            dtype=np.int64,
+        self._cpu_nodes = node_column(
+            self.config.n_cpus, self.config.node_of_cpu
         )
 
     def _emit_run_meta(self, label: str, params=None, pt: bool = False) -> None:
@@ -584,7 +584,9 @@ class TracePolicySimulator:
                     "sequence of chunks instead of a one-shot iterator"
                 )
             initial_kind = None
-            placement = self._post_facto_from_chunks(factory)
+            placement = post_facto_placement(
+                factory(), self.config.n_nodes, self.config.node_of_cpu
+            )
         stream = factory() if factory is not None else chunks
         if metric.uses_tlb:
             batches = (
@@ -608,40 +610,6 @@ class TracePolicySimulator:
             tracer=self.tracer,
             placement=placement,
         )
-
-    def _post_facto_from_chunks(self, factory) -> np.ndarray:
-        """Majority-count pass: post-facto placement from streamed chunks.
-
-        Reproduces :func:`repro.policy.placement.post_facto_placement`
-        over the concatenated stream without materializing it: per-page
-        per-node miss weights accumulate chunk by chunk into a flat
-        ``(page, node)`` table (float64 sums of integer weights — exact
-        below 2**53, like every other bulk sum in the vector engine).
-        """
-        cfg = self.config
-        n_nodes = cfg.n_nodes
-        cpu_nodes = self._cpu_nodes
-        counts = np.zeros(0, dtype=np.float64)
-        for chunk in factory():
-            if not len(chunk):
-                continue
-            pages = chunk.page
-            need = (int(pages.max()) + 1) * n_nodes
-            if need > len(counts):
-                counts = np.concatenate(
-                    [counts, np.zeros(need - len(counts), dtype=np.float64)]
-                )
-            keys = pages * n_nodes + cpu_nodes[chunk.cpu]
-            counts += np.bincount(
-                keys, weights=chunk.weight, minlength=len(counts)
-            )
-        n_pages = len(counts) // n_nodes
-        placement = np.arange(max(n_pages, 1), dtype=np.int64) % max(n_nodes, 1)
-        if n_pages:
-            per_page = counts.reshape(n_pages, n_nodes)
-            touched = per_page.sum(axis=1) > 0
-            placement[touched] = per_page[touched].argmax(axis=1)
-        return placement
 
     # -- the competitive baseline [BGW89] ------------------------------------------
 

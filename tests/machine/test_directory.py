@@ -1,7 +1,8 @@
 """Directory controller: counters, sampling, hot-page batching."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -87,6 +88,33 @@ class TestSamplingAccumulator:
     def test_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
             SamplingAccumulator(1, rate=0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sample_many_matches_sample(self, data):
+        # Column after column, the carries flow on as record-by-record
+        # sample() calls would carry them.
+        rate = data.draw(st.integers(1, 7))
+        column = SamplingAccumulator(3, rate)
+        scalar = SamplingAccumulator(3, rate)
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = data.draw(st.lists(
+                st.tuples(st.integers(0, 2), st.integers(1, 9), st.booleans()),
+                max_size=30,
+            ))
+            cpus = np.array([r[0] for r in rows], dtype=np.int64)
+            weights = np.array([r[1] for r in rows], dtype=np.int64)
+            mask = np.array([r[2] for r in rows], dtype=bool)
+            before = np.full(len(rows), -1, dtype=np.int64)
+            got = column.sample_many(cpus, weights, mask, before=before)
+            want, want_before = [], []
+            for cpu, weight, selected in rows:
+                want_before.append(scalar.carry[cpu] if selected else -1)
+                want.append(scalar.sample(cpu, weight) if selected else 0)
+            assert got.tolist() == want
+            if rate > 1:
+                assert before.tolist() == want_before
+            assert column.carry == scalar.carry
 
 
 class TestDirectoryArray:

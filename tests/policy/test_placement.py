@@ -9,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.policy.parameters import PolicyParameters
 from repro.policy.placement import (
     first_touch_placement,
     post_facto_placement,
     round_robin_placement,
     static_stall_ns,
+)
+from repro.trace.policysim import (
+    PolicySimConfig,
+    StaticPolicy,
+    TracePolicySimulator,
 )
 from repro.trace.record import Trace, TraceBuilder
 from repro.workloads import WORKLOAD_NAMES, build_spec, generate_trace
@@ -163,6 +169,43 @@ class TestPostFacto:
             results[name] = stall
         assert results["pf"] <= results["ft"]
         assert results["pf"] <= results["rr"]
+
+
+class _PlacementSpy(TracePolicySimulator):
+    """Keeps the initial placement each dynamic replay starts from."""
+
+    def _replay_batches(self, batches, params, result, placement, *rest):
+        self.placement = placement
+        super()._replay_batches(batches, params, result, placement, *rest)
+
+
+class TestStreamedPostFacto:
+    """A chunk stream's post-facto placement is the whole trace's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_chunking_matches_the_whole_trace(self, data):
+        n = data.draw(st.integers(0, 60))
+        ints = lambda lo, hi: np.array(
+            data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)),
+            dtype=np.int64)
+        # Small weights make ties between nodes common (the first node
+        # wins); page ids with gaps take the RR fallback.
+        trace = Trace(np.cumsum(ints(0, 3)), ints(0, 7),
+                      np.zeros(n, dtype=np.int64), ints(0, 30), ints(1, 3),
+                      np.zeros(n, dtype=np.int64))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        bounds = [0, *cuts, n]
+        chunks = [trace.select(slice(lo, hi))
+                  for lo, hi in zip(bounds, bounds[1:])]
+        n_nodes = data.draw(st.sampled_from([1, 2, 4, 8]))
+        config = PolicySimConfig(n_cpus=8, n_nodes=n_nodes)
+        want = post_facto_placement(trace, n_nodes, config.node_of_cpu)
+        for source in (chunks, lambda: iter(chunks)):
+            sim = _PlacementSpy(config)
+            sim.simulate_dynamic(source, PolicyParameters(),
+                                 initial=StaticPolicy.POST_FACTO)
+            assert_same_placement(sim.placement, want)
 
 
 class TestStaticStall:
