@@ -21,7 +21,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.folds import group_sums, pair_sums, running_counts
+from repro.common.folds import (
+    group_sums,
+    last_index,
+    pair_sums,
+    running_counts,
+)
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import HotPageTriggered
 from repro.obs.tracer import as_tracer
@@ -197,8 +202,8 @@ class SamplingAccumulator:
         if before is not None:
             before[sel] = prior % rate
         # Each CPU's carry is its last record's remainder.
-        last_cpus, last = np.unique(cpus[::-1], return_index=True)
-        carry[last_cpus] = run[len(run) - 1 - last] % rate
+        last_cpus, last = last_index(cpus)
+        carry[last_cpus] = run[last] % rate
         self.carry[:] = carry.tolist()
         return counted
 

@@ -47,13 +47,17 @@ class TraceGenerator:
     One numpy pass then lays the picks out in time, splits their weight
     into read and write records and sorts the result.
 
-    The draw order is part of the output: per group, ``integers(0,
-    hot_n, size=...)``, then ``integers(0, n_pages, size=...)`` when the
+    The draw order is part of the output: per group, ``hot_k`` picks
+    below ``hot_n``, then ``cold_k`` picks below ``n_pages`` when the
     group has cold pages, then one ``random(m)`` over its ``m``
     positive-weight picks when ``write_fraction > 0``.  ``random(m)``
-    yields the same values as ``m`` scalar ``random()`` calls; the
-    ``integers`` calls keep scalar bounds because array bounds draw a
-    different stream.
+    yields the same values as ``m`` scalar ``random()`` calls, and one
+    ``integers(0, highs)`` over an array of bounds draws element by
+    element from the same stream as per-group ``integers(0, n,
+    size=k)`` calls (pinned by ``test_array_bounds_draw_the_scalar_stream``
+    in ``tests/workloads/test_draws.py``).  So the walk only queues each
+    group's bounds and draws the whole queue at once, before each
+    ``random(m)`` (whose ``m`` depends on the picks) and at the end.
     """
 
     def __init__(self, spec: WorkloadSpec) -> None:
@@ -82,12 +86,14 @@ class TraceGenerator:
             flags = (FLAG_INSTR if group.is_instr else 0) | (
                 FLAG_KERNEL if kernel else 0
             )
+            hot_k = min(k, hot_n)
+            cold_k = k if inst.n_pages > hot_n else 0
             plans.append((
                 group.miss_share / total,
-                hot_n,
-                min(k, hot_n),
-                inst.n_pages,
-                k if inst.n_pages > hot_n else 0,
+                hot_k,
+                cold_k,
+                # The group's pick bounds, as queued for the batched draw.
+                (hot_n,) * hot_k + (inst.n_pages,) * cold_k,
                 group.hot_weight,
                 group.write_fraction > 0.0,
                 flags,
@@ -122,6 +128,8 @@ class TraceGenerator:
         rows = array("q")       # one _ROW per drawn page group
         offsets = array("q")    # page offsets of every pick, in pick order
         uniforms: List[np.ndarray] = []
+        highs = array("q")      # pick bounds of the queued groups, in order
+        queued: List[tuple] = []
         quantum = spec.quantum_ns
         quantum_sec = quantum / SEC
         user_budget = spec.user_miss_rate * quantum_sec
@@ -143,38 +151,59 @@ class TraceGenerator:
                 ):
                     if budget < 1.0:
                         continue
-                    for (share, hot_n, hot_k, n_pages, cold_k, hot_weight,
+                    for (share, hot_k, cold_k, bounds, hot_weight,
                          written, flags, slot) in plans:
                         group_weight = int(round(budget * share))
                         if group_weight <= 0:
                             continue
-                        hot = set(rng.integers(0, hot_n, size=hot_k).tolist())
-                        hot_budget = int(round(group_weight * hot_weight))
+                        # A group without cold pages puts all its weight
+                        # on the hot set.
+                        hot_budget = group_weight
                         if cold_k:
-                            cold = set(
-                                rng.integers(0, n_pages, size=cold_k).tolist()
-                            )
-                            cold -= hot
-                            cold_budget = group_weight - hot_budget
-                        else:
-                            cold = set()
-                            cold_budget = 0
-                            hot_budget = group_weight
-                        n_hot, n_cold = len(hot), len(cold)
-                        hot_w = hot_budget // n_hot
-                        cold_w = cold_budget // max(n_cold, 1)
+                            hot_budget = int(round(group_weight * hot_weight))
+                        highs.extend(bounds)
+                        queued.append((
+                            (time, span, phase, cpu, pid, flags, slot),
+                            hot_k, cold_k, hot_budget,
+                            group_weight - hot_budget,
+                        ))
                         if written:
-                            m = (n_hot if hot_w > 0 else 0) + (
-                                n_cold if cold_w > 0 else 0
-                            )
+                            m = self._settle(highs, queued, rows, offsets)
                             if m:
                                 uniforms.append(rng.random(m))
-                        offsets.extend(sorted(hot))
-                        offsets.extend(sorted(cold))
-                        rows.extend((time, span, phase, cpu, pid, flags, slot,
-                                     n_hot, n_cold, hot_w, cold_w))
             time += span
+        self._settle(highs, queued, rows, offsets)
         return self._assemble(rows, offsets, uniforms)
+
+    def _settle(
+        self, highs: array, queued: List[tuple], rows: array, offsets: array
+    ) -> int:
+        """Draw every queued pick in one call and lay out the queued groups.
+
+        Appends each group's row and sorted hot, then cold, page offsets,
+        empties the queue and returns the last group's number of
+        positive-weight picks (the ``m`` of its ``random(m)``).
+        """
+        picks = self._rng.integers(0, np.array(highs)).tolist()
+        at = 0
+        m = 0
+        for head, hot_k, cold_k, hot_budget, cold_budget in queued:
+            hot = set(picks[at:at + hot_k])
+            at += hot_k
+            cold = set(picks[at:at + cold_k])
+            cold -= hot
+            at += cold_k
+            n_hot, n_cold = len(hot), len(cold)
+            hot_w = hot_budget // n_hot
+            cold_w = cold_budget // max(n_cold, 1)
+            offsets.extend(sorted(hot))
+            if cold:
+                offsets.extend(sorted(cold))
+            rows.extend(head + (n_hot, n_cold, hot_w, cold_w))
+            m = (n_hot if hot_w > 0 else 0) + (n_cold if cold_w > 0 else 0)
+        del highs[:]
+        queued.clear()
+        return m
 
     def _assemble(
         self, rows: array, offsets: array, uniforms: List[np.ndarray]
